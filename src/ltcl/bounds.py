@@ -10,11 +10,28 @@ Three bounds are computed for a pair of strongly convex objectives f
 * lemma2: like loose but with measured minimum Hessian eigenvalues in
   place of the regularization constants.
 
-The grid experiment trains certified minimizers per (imbalance factor,
-mu) cell and checks the measured distance against each bound.
+The grid experiment certifies both minimizers per (imbalance factor,
+mu) cell by truncated Newton-CG (Nocedal & Wright, Numerical
+Optimization, Alg. 7.1): conjugate gradients on exact Hessian-vector
+products (`models.hessian_operator`) with the forcing term
+min(0.5, sqrt(||g||))*||g||, and an Armijo backtracking line search. A
+minimizer is certified only when the full-batch gradient from
+`LinearModel.loss_and_gradient` has norm at most `grad_tolerance`; by
+mu-strong convexity it then lies within grad_tolerance/mu of the true
+minimizer. The head solve starts from the full minimizer.
+
+For multinomial logistic regression lambda_min(H) = mu exactly, so the
+lemma2 bound equals the loose one. Softmax is invariant to adding one
+vector to every class's weight row and one constant to every bias, so
+the cross-entropy term is constant along those d+1 directions and its
+Hessian has a (d+1)-dimensional null space; adding (mu/2)||theta||^2
+puts the eigenvalue mu on that space and shifts the rest of the
+positive semidefinite spectrum above it. That is why every cell of
+acceptance criterion 4 shows lam=(mu,mu) and l2 == l1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +43,12 @@ from .errors import (
     StrictConvexityError,
     SymmetryError,
 )
-from .models import LinearModel, LossSpec, hessian, loss, softmax_smoothness_bound
-from .training import TrainConfig, heavy_ball_settings, train
+from .models import LinearModel, LossSpec, hessian, hessian_operator, loss
+from .training import TrainTrace
+
+# Unused here, but perfbench/tracer.py patches both by name in this module.
+from .models import softmax_smoothness_bound  # noqa: F401
+from .training import train  # noqa: F401
 
 EIG_DENSE_MAX_DIM = 5000
 BOUND_SLACK = 1e-9
@@ -210,25 +231,103 @@ def loss_gap_surrogate(
 class BoundGridConfig:
     head_fraction: float = 0.6
     grad_tolerance: float = 1e-8
-    max_epochs: int = 200_000
+    max_epochs: int = 200_000  # cap on Newton iterations per minimizer
     delta_probes: int = 64
     probe_seed: int = 0
     compute_lemma2: bool = False
 
 
-def _train_to_stationarity(dataset, mu, config: BoundGridConfig):
-    model = LinearModel.zeros(dataset.n_features, dataset.n_classes)
+ARMIJO_C1 = 1e-4
+MAX_BACKTRACKS = 60
+# Relative rounding level of a loss value. A step whose decrease is below
+# it cannot be judged by comparing loss values, so it is judged by the
+# slope at the trial point instead: the approximate Armijo condition of
+# Hager & Zhang (SIAM J. Optim. 16, 2005), exact for quadratics.
+LOSS_ROUNDING = 1e-12
+
+
+def _truncated_cg(hvp, grad: np.ndarray, tol: float) -> np.ndarray:
+    """Approximate Newton step: conjugate gradients on H p = -grad from
+    p = 0, stopped once the residual norm is at most tol, or at the first
+    direction of non-positive curvature (then -grad if no step was taken)."""
+    step = np.zeros_like(grad)
+    residual = grad.copy()
+    direction = -residual
+    rr = float(residual @ residual)
+    for _ in range(len(grad)):
+        h_dir = hvp(direction)
+        curvature = float(direction @ h_dir)
+        if curvature <= 0:
+            return step if step.any() else -grad
+        alpha = rr / curvature
+        step += alpha * direction
+        residual += alpha * h_dir
+        rr_next = float(residual @ residual)
+        if math.sqrt(rr_next) <= tol:
+            break
+        direction = -residual + (rr_next / rr) * direction
+        rr = rr_next
+    return step
+
+
+def _armijo_step(model: LinearModel, x, y, spec: LossSpec, value: float, grad, step):
+    """Backtracking line search along step from model; returns the accepted
+    (model, loss, gradient), or None when MAX_BACKTRACKS halvings find no
+    acceptable point (a non-finite objective never gives one)."""
+    theta = model.get_params()
+    slope = float(grad @ step)
+    trial = model.copy()
+    t = 1.0
+    for _ in range(MAX_BACKTRACKS):
+        trial.set_params(theta + t * step)
+        trial_value, trial_grad = trial.loss_and_gradient(x, y, spec)
+        if trial_value <= value + ARMIJO_C1 * t * slope or (
+            trial_value <= value + LOSS_ROUNDING * abs(value)
+            and float(trial_grad @ step) <= (2.0 * ARMIJO_C1 - 1.0) * slope
+        ):
+            return trial, trial_value, trial_grad
+        t *= 0.5
+    return None
+
+
+def _train_to_stationarity(
+    dataset: LabeledDataset, mu: float, config: BoundGridConfig, start: LinearModel | None = None
+):
+    """Certified minimizer of the mu-regularized CE loss by truncated Newton-CG.
+
+    Starts from `start` (zeros when None) and runs at most
+    config.max_epochs Newton iterations. Returns (model, trace); the trace
+    counts Newton iterations in epochs_run and is converged exactly when
+    the full-batch gradient norm is at most config.grad_tolerance. A
+    stalled line search or a non-finite loss ends the solve unconverged.
+    """
+    model = LinearModel.zeros(dataset.n_features, dataset.n_classes) if start is None else start.copy()
     spec = LossSpec(mu=mu)
-    smoothness = softmax_smoothness_bound(dataset, mu)
-    lr, beta = heavy_ball_settings(smoothness, mu)
-    train_cfg = TrainConfig(
-        learning_rate=lr,
-        momentum=beta,
-        epochs=config.max_epochs,
-        batch_size=None,
-        grad_tolerance=config.grad_tolerance,
+    x, y = dataset.features, dataset.labels
+    value, grad = model.loss_and_gradient(x, y, spec)
+    grad_norm = float(np.linalg.norm(grad))
+    losses = [value]
+    iterations = 0
+    while (
+        iterations < config.max_epochs
+        and grad_norm > config.grad_tolerance
+        and math.isfinite(value)
+    ):
+        hvp = hessian_operator(model, dataset, spec)
+        step = _truncated_cg(hvp, grad, min(0.5, math.sqrt(grad_norm)) * grad_norm)
+        accepted = _armijo_step(model, x, y, spec, value, grad, step)
+        if accepted is None:
+            break
+        model, value, grad = accepted
+        grad_norm = float(np.linalg.norm(grad))
+        losses.append(value)
+        iterations += 1
+    return model, TrainTrace(
+        epoch_losses=np.array(losses),
+        final_grad_norm=grad_norm,
+        epochs_run=iterations,
+        converged=grad_norm <= config.grad_tolerance,
     )
-    return train(model, dataset, spec, train_cfg)
 
 
 def evaluate_cell(
@@ -238,12 +337,12 @@ def evaluate_cell(
     config: BoundGridConfig,
     cell_seed: int = 0,
 ) -> BoundReport:
-    """Train both minimizers for one (IF, mu) cell and score every bound."""
+    """Certify both minimizers for one (IF, mu) cell and score every bound."""
     split = head_tail_split(full_dataset, config.head_fraction)
     spec = LossSpec(mu=mu)
 
     model_full, trace_full = _train_to_stationarity(full_dataset, mu, config)
-    model_head, trace_head = _train_to_stationarity(split.head, mu, config)
+    model_head, trace_head = _train_to_stationarity(split.head, mu, config, start=model_full)
 
     theta_full = model_full.get_params()
     theta_head = model_head.get_params()

@@ -308,6 +308,8 @@ def validate_config(raw: dict) -> dict:
         }
         if cfg["bound_grid"]["grad_tolerance"] <= 0:
             raise ConfigError("bound_grid.grad_tolerance", "must be positive")
+        if cfg["bound_grid"]["max_epochs"] < 1:
+            raise ConfigError("bound_grid.max_epochs", "must be >= 1")
         for extra in ("loss", "model", "phase1", "strategies", "strategy_overrides"):
             if raw.get(extra) is not None:
                 raise ConfigError(extra, f"not valid for kind {kind}")

@@ -260,12 +260,3 @@ def mean_pool_images(dataset: LabeledDataset, factor: int = 2) -> LabeledDataset
     )
     return LabeledDataset.from_arrays(pooled, dataset.labels, n_classes=dataset.n_classes)
 
-
-def concat_datasets(a: LabeledDataset, b: LabeledDataset) -> LabeledDataset:
-    if a.n_features != b.n_features or a.n_classes != b.n_classes:
-        raise ValueError("datasets must share feature and label spaces")
-    return LabeledDataset.from_arrays(
-        np.vstack([a.features, b.features]),
-        np.concatenate([a.labels, b.labels]),
-        n_classes=a.n_classes,
-    )

@@ -50,7 +50,6 @@ class ParamLayout:
             self.segments.append(seg)
             offset += seg.size
         self.total_size = offset
-        self._by_name = {s.name: s for s in self.segments}
 
     def pack(self, arrays) -> np.ndarray:
         return np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
@@ -65,9 +64,6 @@ class ParamLayout:
             s.name: flat[s.offset : s.offset + s.size].reshape(s.shape)
             for s in self.segments
         }
-
-    def segment(self, name: str) -> ParamSegment:
-        return self._by_name[name]
 
     def __eq__(self, other):
         return isinstance(other, ParamLayout) and [
@@ -85,12 +81,6 @@ class ParamVector:
     def __post_init__(self):
         if self.values.shape != (self.layout.total_size,):
             raise ShapeMismatchError("parameter vector length disagrees with layout")
-
-    def unpack(self) -> dict:
-        return self.layout.unpack(self.values)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
 
 
 @dataclass(frozen=True)
@@ -382,6 +372,49 @@ def hessian(model, dataset: LabeledDataset, spec: LossSpec, chunk: int = 2048) -
     return 0.5 * (h + h.T)
 
 
+def hessian_operator(model, dataset: LabeledDataset, spec: LossSpec):
+    """The map v -> H v for the regularized CE Hessian H of the linear model
+    at its current parameters, in the layout order of `hessian`.
+
+    Pearlmutter's R-operator: with R = X V_w^T + v_b the directional
+    derivative of the logits, each sample's softmax curvature
+    diag(p) - p p^T maps its row of R to S = P*R - P*rowsum(P*R), and
+    X^T carries S back to the weights. The class probabilities are
+    computed once here, so each product costs two matmuls and no dense
+    Hessian is formed.
+    """
+    if not isinstance(model, LinearModel):
+        raise UnsupportedModelError("Hessian-vector products are only available for the linear model")
+    if dataset.n_samples == 0:
+        raise ValueError("hessian of an empty dataset is undefined")
+    x = dataset.features
+    n = len(x)
+    c, d = model.n_classes, model.n_features
+    probs = softmax_probs(model.forward(x))
+
+    def apply(v) -> np.ndarray:
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != (model.layout.total_size,):
+            raise ShapeMismatchError(
+                f"expected a vector of length {model.layout.total_size}, got {v.shape}"
+            )
+        v_w, v_b = v[: c * d].reshape(c, d), v[c * d :]
+        s = probs * (x @ v_w.T + v_b)
+        s -= probs * s.sum(axis=1, keepdims=True)
+        s /= n
+        return np.concatenate(
+            [(s.T @ x + spec.mu * v_w).ravel(), s.sum(axis=0) + spec.mu * v_b]
+        )
+
+    return apply
+
+
+def hessian_vector_product(model, dataset: LabeledDataset, spec: LossSpec, v) -> np.ndarray:
+    """Exact product H v of the regularized CE Hessian of the linear model
+    with a flat vector v; equals `hessian(model, dataset, spec) @ v`."""
+    return hessian_operator(model, dataset, spec)(v)
+
+
 def mlp_forward_backward(model: MlpModel, batch: LabeledDataset, spec: LossSpec):
     """Loss, flat gradient, and per-layer input activations for one batch."""
     if batch.n_samples == 0:
@@ -438,24 +471,34 @@ def load_checkpoint(path):
         data = fh.read()
     if data[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic {data[:4]!r}")
+    if len(data) < 16:
+        raise CheckpointError(f"{path}: header truncated at {len(data)} bytes")
     version, kind, n_sizes = struct.unpack("<III", data[4:16])
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    sizes = struct.unpack(f"<{n_sizes}I", data[16 : 16 + 4 * n_sizes])
-    offset = 16 + 4 * n_sizes
-    if kind == _KIND_LINEAR:
-        if n_sizes != 2:
-            raise CheckpointError(f"{path}: linear checkpoint needs 2 layer sizes")
-        model = LinearModel.zeros(sizes[0], sizes[1])
-    elif kind == _KIND_MLP:
-        model = MlpModel.initialize(list(sizes), seed=0)
-    else:
+    if kind not in (_KIND_LINEAR, _KIND_MLP):
         raise CheckpointError(f"{path}: unknown model kind {kind}")
-    expected = model.layout.total_size
-    params = np.frombuffer(data, dtype="<f8", offset=offset)
-    if len(params) != expected:
+    offset = 16 + 4 * n_sizes
+    if len(data) < offset:
         raise CheckpointError(
-            f"{path}: expected {expected} parameters, found {len(params)}"
+            f"{path}: {n_sizes} layer sizes need {offset} header bytes, file has {len(data)}"
         )
-    model.set_params(params.astype(np.float64))
+    sizes = struct.unpack(f"<{n_sizes}I", data[16:offset])
+    if kind == _KIND_LINEAR and n_sizes != 2:
+        raise CheckpointError(f"{path}: linear checkpoint needs 2 layer sizes")
+    if n_sizes < 2:
+        raise CheckpointError(f"{path}: need at least input and output sizes")
+    # checked before any model is built, so a corrupt size field cannot
+    # trigger a huge allocation
+    expected = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
+    if (len(data) - offset) % 8:
+        raise CheckpointError(f"{path}: parameter block ends in a partial float64")
+    found = (len(data) - offset) // 8
+    if found != expected:
+        raise CheckpointError(f"{path}: expected {expected} parameters, found {found}")
+    if kind == _KIND_LINEAR:
+        model = LinearModel.zeros(sizes[0], sizes[1])
+    else:
+        model = MlpModel.initialize(list(sizes), seed=0)
+    model.set_params(np.frombuffer(data, dtype="<f8", offset=offset).astype(np.float64))
     return model

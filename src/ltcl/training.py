@@ -3,8 +3,7 @@
 One epoch is one full-batch step when batch_size is None, otherwise a
 seeded shuffle over mini-batches. When grad_tolerance is set, training
 stops as soon as the full-dataset gradient norm falls below it and the
-trace is marked converged, which is how the bound experiments certify
-their minimizers.
+trace is marked converged.
 """
 from __future__ import annotations
 

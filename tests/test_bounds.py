@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ltcl import bounds, datasets, models
+from ltcl import bounds, datasets, models, training
 from ltcl.errors import (
     DegenerateConvexityError,
     MinimizerCertificationError,
@@ -153,13 +153,16 @@ def test_min_eigenvalue_power_path_at_scale():
     assert bounds.min_eigenvalue(m) == pytest.approx(0.1, rel=1e-12)
 
 
-def _small_cell(if_value=50.0, mu=0.05, compute_lemma2=False):
+def _small_longtail(if_value=50.0):
     src = datasets.synthetic_gaussian(6, 8, 80, 2.5, seed=1)
-    lt = datasets.make_longtail(src, if_value, seed=2)
+    return datasets.make_longtail(src, if_value, seed=2)
+
+
+def _small_cell(if_value=50.0, mu=0.05, compute_lemma2=False):
     cfg = bounds.BoundGridConfig(
         head_fraction=0.5, compute_lemma2=compute_lemma2, max_epochs=100_000
     )
-    return bounds.evaluate_cell(lt, if_value, mu, cfg)
+    return bounds.evaluate_cell(_small_longtail(if_value), if_value, mu, cfg)
 
 
 def test_evaluate_cell_bounds_hold():
@@ -232,3 +235,73 @@ def test_loss_gap_surrogate_dominates_endpoint_gaps():
     delta = bounds.loss_gap_surrogate(f, g, t_f, t_g, n_probes=16, seed=0)
     assert delta >= abs(f(t_f) - g(t_f)) - 1e-12
     assert delta >= abs(f(t_g) - g(t_g)) - 1e-12
+
+
+def test_newton_minimizer_matches_heavy_ball():
+    # each certified minimizer lies within tol/mu of the true one
+    lt = _small_longtail()
+    mu = 0.05
+    cfg = bounds.BoundGridConfig(head_fraction=0.5)
+    newton, trace = bounds._train_to_stationarity(lt, mu, cfg)
+    assert trace.converged and trace.final_grad_norm <= cfg.grad_tolerance
+    spec = models.LossSpec(mu=mu)
+    lr, beta = training.heavy_ball_settings(models.softmax_smoothness_bound(lt, mu), mu)
+    heavy, heavy_trace = training.train(
+        models.LinearModel.zeros(lt.n_features, lt.n_classes),
+        lt,
+        spec,
+        training.TrainConfig(learning_rate=lr, momentum=beta, epochs=100_000, grad_tolerance=cfg.grad_tolerance),
+    )
+    assert heavy_trace.converged
+    assert trace.epochs_run < heavy_trace.epochs_run
+    gap = np.linalg.norm(newton.get_params() - heavy.get_params())
+    assert gap <= 2 * cfg.grad_tolerance / mu
+
+
+def test_warm_started_head_solve_certifies_same_distance():
+    lt = _small_longtail()
+    mu = 0.05
+    cfg = bounds.BoundGridConfig(head_fraction=0.5)
+    report = bounds.evaluate_cell(lt, 50.0, mu, cfg)
+    full, _ = bounds._train_to_stationarity(lt, mu, cfg)
+    head, trace = bounds._train_to_stationarity(datasets.head_tail_split(lt, 0.5).head, mu, cfg)
+    assert trace.converged and report.converged_head
+    cold = np.linalg.norm(full.get_params() - head.get_params())
+    assert abs(report.measured_distance - cold) <= 2 * cfg.grad_tolerance / mu
+    assert report.epochs_head < trace.epochs_run
+
+
+def test_line_search_stall_ends_unconverged(monkeypatch):
+    original = models.LinearModel.loss_and_gradient
+
+    def non_finite_away_from_origin(self, features, labels, spec, extra_logit_grad=None):
+        value, grad = original(self, features, labels, spec, extra_logit_grad)
+        return (value if not self.get_params().any() else float("nan")), grad
+
+    monkeypatch.setattr(models.LinearModel, "loss_and_gradient", non_finite_away_from_origin)
+    cfg = bounds.BoundGridConfig(head_fraction=0.5, max_epochs=1000)
+    report = bounds.evaluate_cell(_small_longtail(), 50.0, 0.05, cfg)
+    assert report.failed and not report.converged_full
+    assert report.epochs_full < cfg.max_epochs and report.epochs_head < cfg.max_epochs
+    assert np.isnan(report.tight_bound)
+
+
+def test_line_search_accepts_step_below_loss_rounding():
+    # Near a certified minimizer a Newton step lowers the loss by less than
+    # its rounding error. Rounding the current loss a few ulps low makes the
+    # value comparison reject every trial point; the slope test accepts.
+    lt = _small_longtail()
+    mu = 0.05
+    spec = models.LossSpec(mu=mu)
+    model, _ = bounds._train_to_stationarity(lt, mu, bounds.BoundGridConfig(head_fraction=0.5))
+    value, grad = model.loss_and_gradient(lt.features, lt.labels, spec)
+    step = bounds._truncated_cg(models.hessian_operator(model, lt, spec), grad, 1e-3 * np.linalg.norm(grad))
+    rounded_low = value - 4 * np.spacing(value)
+    probe = model.copy()
+    for t in (1.0, 0.5, 0.25):
+        probe.set_params(model.get_params() + t * step)
+        trial_value, _ = probe.loss_and_gradient(lt.features, lt.labels, spec)
+        assert trial_value > rounded_low + bounds.ARMIJO_C1 * t * float(grad @ step)
+    accepted = bounds._armijo_step(model, lt.features, lt.labels, spec, rounded_low, grad, step)
+    assert accepted is not None
+    assert np.linalg.norm(accepted[2]) < np.linalg.norm(grad)

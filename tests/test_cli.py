@@ -93,6 +93,11 @@ def test_invalid_values_rejected(tmp_path):
         cfg[field] = value
         with pytest.raises(ConfigError, match=field):
             cli.validate_config(cfg)
+    for field, value in [("grad_tolerance", 0.0), ("max_epochs", 0)]:
+        cfg = _bound_grid_config(tmp_path / "out")
+        cfg["bound_grid"][field] = value
+        with pytest.raises(ConfigError, match=f"bound_grid.{field}"):
+            cli.validate_config(cfg)
 
 
 def test_unknown_override_key_rejected_even_for_unused_strategy(tmp_path):

@@ -223,6 +223,47 @@ def test_hessian_guard_and_unsupported():
         models.hessian(mlp, _random_dataset(), models.LossSpec())
 
 
+def _hvp_case(seed):
+    ds = _random_dataset(n=25, d=5, c=4, seed=seed)
+    rng = np.random.default_rng(seed)
+    model = models.LinearModel(rng.standard_normal((4, 5)) * 0.7, rng.standard_normal(4) * 0.3)
+    return ds, model, models.LossSpec(mu=0.03), rng
+
+
+def test_hessian_vector_product_matches_dense_hessian():
+    for seed in range(5):
+        ds, model, spec, rng = _hvp_case(seed)
+        h = models.hessian(model, ds, spec)
+        for _ in range(4):
+            v = rng.standard_normal(len(h))
+            hv = models.hessian_vector_product(model, ds, spec, v)
+            assert np.max(np.abs(hv - h @ v)) <= 1e-10
+
+
+def test_hessian_vector_product_matches_fd_of_gradient():
+    ds, model, spec, rng = _hvp_case(11)
+    theta = model.get_params()
+    probe = model.copy()
+    step = 1e-5
+    for _ in range(4):
+        v = rng.standard_normal(len(theta))
+        probe.set_params(theta + step * v)
+        _, gp = probe.loss_and_gradient(ds.features, ds.labels, spec)
+        probe.set_params(theta - step * v)
+        _, gm = probe.loss_and_gradient(ds.features, ds.labels, spec)
+        fd = (gp - gm) / (2 * step)
+        assert np.allclose(models.hessian_vector_product(model, ds, spec, v), fd, rtol=1e-5, atol=1e-8)
+
+
+def test_hessian_vector_product_unsupported_and_shape():
+    mlp = models.MlpModel.initialize([4, 5, 3], seed=0)
+    with pytest.raises(UnsupportedModelError):
+        models.hessian_vector_product(mlp, _random_dataset(), models.LossSpec(), np.zeros(mlp.layout.total_size))
+    model = models.LinearModel.zeros(4, 3)
+    with pytest.raises(ShapeMismatchError):
+        models.hessian_vector_product(model, _random_dataset(), models.LossSpec(), np.zeros(7))
+
+
 def test_mlp_forward_backward_contract():
     ds = _random_dataset(n=4, d=4, c=3, seed=12)
     model = models.MlpModel.initialize([4, 8, 3], seed=12)
@@ -293,4 +334,38 @@ def test_checkpoint_truncated(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:-8])
     with pytest.raises(CheckpointError):
+        models.load_checkpoint(path)
+
+
+def test_checkpoint_short_header(tmp_path):
+    path = tmp_path / "short.ckpt"
+    path.write_bytes(b"LTCP" + bytes(6))  # 10 bytes: cut inside the header
+    with pytest.raises(CheckpointError, match="header"):
+        models.load_checkpoint(path)
+
+
+def test_checkpoint_oversized_layer_count(tmp_path):
+    import struct
+
+    path = tmp_path / "many.ckpt"
+    path.write_bytes(b"LTCP" + struct.pack("<III", 1, 1, 2**31) + bytes(16))
+    with pytest.raises(CheckpointError, match="layer sizes"):
+        models.load_checkpoint(path)
+
+
+def test_checkpoint_trailing_partial_float(tmp_path):
+    model = models.LinearModel.zeros(3, 2)
+    path = tmp_path / "m.ckpt"
+    models.save_checkpoint(model, path)
+    path.write_bytes(path.read_bytes() + b"\x00\x01\x02")
+    with pytest.raises(CheckpointError, match="partial"):
+        models.load_checkpoint(path)
+
+
+def test_checkpoint_huge_layer_sizes_rejected_before_allocation(tmp_path):
+    import struct
+
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(b"LTCP" + struct.pack("<III", 1, 1, 3) + struct.pack("<3I", 2**31, 2**31, 10) + bytes(8))
+    with pytest.raises(CheckpointError, match="expected"):
         models.load_checkpoint(path)
