@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import HeadTailSplit, LabeledDataset
-from .errors import ConfigError, ShapeMismatchError
+from .errors import ConfigError, EmptyClassError, ShapeMismatchError
 from .metrics import MetricsReport, evaluate
 from .models import LossSpec, ParamVector, log_softmax, softmax_probs
 from .training import TrainConfig, TrainTrace, train
@@ -365,7 +365,7 @@ def run_two_phase(
     if strategy_variant not in VARIANTS:
         raise ValueError(f"unknown strategy variant {strategy_variant!r}")
     if split.tail.n_samples == 0:
-        raise ValueError("tail dataset is empty; nothing to learn in phase 2")
+        raise EmptyClassError("tail dataset is empty; nothing to learn in phase 2")
 
     eval_dataset = test_dataset if test_dataset is not None else dataset
     model_head, phase1_trace = train(model, split.head, loss_spec, phase1_config)

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, EmptyClassError, IdxParseError
+from .errors import (
+    CapacityError, EmptyClassError, IdxParseError, NonFiniteInputError, ShapeMismatchError,
+)
 
 IDX_LABELS_MAGIC = 0x00000801
 IDX_IMAGES_MAGIC = 0x00000803
@@ -36,6 +38,13 @@ class LabeledDataset:
             raise ValueError("label exceeds class count")
         if not np.array_equal(counts, self.class_counts):
             raise ValueError("class_counts does not match labels")
+        # One BLAS pass: the squared norm is finite unless an entry is NaN or
+        # infinite, or the sum overflows; only then is every entry checked.
+        flat = self.features.ravel()
+        with np.errstate(over="ignore"):
+            squared_norm = flat @ flat
+        if not np.isfinite(squared_norm) and not np.isfinite(flat).all():
+            raise NonFiniteInputError("features contain NaN or infinite values")
 
     @classmethod
     def from_arrays(cls, features, labels, n_classes: int | None = None) -> "LabeledDataset":
@@ -249,9 +258,9 @@ def mean_pool_images(dataset: LabeledDataset, factor: int = 2) -> LabeledDataset
     """Mean-pool square row-major images by an integer factor."""
     side = int(round(np.sqrt(dataset.n_features)))
     if side * side != dataset.n_features:
-        raise ValueError(f"features of length {dataset.n_features} are not square images")
+        raise ShapeMismatchError(f"features of length {dataset.n_features} are not square images")
     if side % factor != 0:
-        raise ValueError(f"image side {side} not divisible by pool factor {factor}")
+        raise ShapeMismatchError(f"image side {side} not divisible by pool factor {factor}")
     out = side // factor
     pooled = (
         dataset.features.reshape(-1, out, factor, out, factor)

@@ -25,6 +25,10 @@ class ShapeMismatchError(LtclError, ValueError):
     """Array shapes are incompatible for the requested operation."""
 
 
+class NonFiniteInputError(LtclError, ValueError):
+    """Input data contains NaN or infinite values."""
+
+
 class UnsupportedModelError(LtclError, TypeError):
     """The model kind does not support the requested operation."""
 

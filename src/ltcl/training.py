@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset
-from .errors import DivergenceError, ScheduleExhaustedError
+from .errors import DivergenceError, EmptyClassError, ScheduleExhaustedError
 from .models import LossSpec
 
 SCHEDULES = ("constant", "cosine")
@@ -92,7 +92,7 @@ def train(
     momentum update (used for gradient-projection strategies).
     """
     if dataset.n_samples == 0:
-        raise ValueError("cannot train on an empty dataset")
+        raise EmptyClassError("cannot train on an empty dataset")
     model = model.copy()
     x, y = dataset.features, dataset.labels
     n = dataset.n_samples

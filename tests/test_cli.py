@@ -1,8 +1,11 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltcl import cli
 from ltcl.errors import ConfigError
@@ -93,11 +96,114 @@ def test_invalid_values_rejected(tmp_path):
         cfg[field] = value
         with pytest.raises(ConfigError, match=field):
             cli.validate_config(cfg)
-    for field, value in [("grad_tolerance", 0.0), ("max_epochs", 0)]:
+    for field, value in [("grad_tolerance", 0.0), ("max_epochs", 0), ("delta_probes", -1)]:
         cfg = _bound_grid_config(tmp_path / "out")
         cfg["bound_grid"][field] = value
         with pytest.raises(ConfigError, match=f"bound_grid.{field}"):
             cli.validate_config(cfg)
+    cfg = _bound_grid_config(tmp_path / "out")
+    cfg["seed"] = -1
+    with pytest.raises(ConfigError, match="seed"):
+        cli.validate_config(cfg)
+    # each of these used to pass validation and crash later with a raw traceback
+    for keys, value in [
+        (("longtail", "n_max"), 0),
+        (("strategy_overrides", "gpm", "energy_threshold"), 1.5),
+        (("strategy_overrides", "ewc", "fisher_max_samples"), 0),
+        (("strategy_overrides", "lwf", "temperature"), 0),
+        (("model", "hidden_sizes"), [True]),
+    ]:
+        cfg = _two_phase_config(tmp_path / "out")
+        section = cfg
+        for key in keys[:-1]:
+            section = section[key]
+        section[keys[-1]] = value
+        with pytest.raises(ConfigError, match=".".join(keys)):
+            cli.validate_config(cfg)
+
+
+@pytest.mark.parametrize(
+    "flags, name, text",
+    [
+        (["--seed", "-1"], None, None),
+        (["--workers", "0"], None, None),
+        ([], "bad.yaml", "kind: [unclosed\n"),
+        ([], "bad.json", "{not json"),
+        ([], "missing.yaml", None),
+    ],
+)
+def test_bad_overrides_and_unreadable_configs_exit_1(tmp_path, capsys, flags, name, text):
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, _bound_grid_config(out))
+    if name is not None:  # replace the valid config with an unreadable one
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+    assert cli.main(["bound-grid", "--config", str(path), *flags]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_pool_factor_not_dividing_the_image_exits_3(tmp_path, capsys):
+    cfg = _bound_grid_config(tmp_path / "out")
+    cfg["dataset"]["pool_factor"] = 3  # 6 features are no square image
+    assert cli.main(["bound-grid", "--config", str(_write_config(tmp_path, cfg))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4) | st.sampled_from(["naive", "idx", "mlp", "linear", "bound_grid"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _key_paths(cfg, prefix=()):
+    for key, value in cfg.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _fuzz_bases():
+    raw = [
+        _bound_grid_config("out"),
+        _two_phase_config("out"),
+        _two_phase_config("out", kind="compare", strategies=["gpm", "lwf"]),
+    ]
+    # a resolved config is a valid input too, and names every field with its default
+    return raw + [cli.validate_config(copy.deepcopy(cfg)) for cfg in raw]
+
+
+FUZZ_BASES = _fuzz_bases()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_validate_config_fuzz(data):
+    cfg = copy.deepcopy(data.draw(st.sampled_from(FUZZ_BASES)))
+    keys = data.draw(st.sampled_from(sorted(_key_paths(cfg))))
+    section = cfg
+    for key in keys[:-1]:
+        section = section[key]
+    section[keys[-1]] = data.draw(JSON_VALUES)
+    try:
+        resolved = cli.validate_config(cfg)
+    except ConfigError:
+        return
+    assert cli.validate_config(copy.deepcopy(resolved)) == resolved
+
+
+@pytest.mark.parametrize("head_fraction", [0.1, 1.0])
+def test_empty_head_or_tail_fails_each_strategy(tmp_path, head_fraction):
+    out = tmp_path / "out"
+    cfg = _two_phase_config(out)
+    cfg["longtail"]["head_fraction"] = head_fraction  # 5 classes: no head class, or no tail class
+    assert cli.main(["two-phase", "--config", str(_write_config(tmp_path, cfg))]) == 3
+    rows = (out / "summary.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == 2 and all("failed: " in row for row in rows)
 
 
 def test_unknown_override_key_rejected_even_for_unused_strategy(tmp_path):
@@ -167,6 +273,19 @@ def test_bound_grid_workers_deterministic(tmp_path):
     assert cli.main(["bound-grid", "--config", str(path)]) == 0
     assert cli.main(["bound-grid", "--config", str(path), "--out", str(out2), "--workers", "3"]) == 0
     assert (out1 / "bounds.csv").read_bytes() == (out2 / "bounds.csv").read_bytes()
+
+
+def test_compare_workers_deterministic(tmp_path):
+    cfg = _two_phase_config(tmp_path / "w1", kind="compare", strategies=list(cli.VARIANTS))
+    path = _write_config(tmp_path, cfg)
+    assert cli.main(["compare", "--config", str(path), "--workers", "1"]) == 0
+    assert cli.main(["compare", "--config", str(path), "--workers", "3", "--out", str(tmp_path / "w3")]) == 0
+    first = {p.name: p.read_bytes() for p in (tmp_path / "w1").iterdir() if p.name != "manifest.json"}
+    assert len(first) == 1 + 3 * 5 + 10  # summary; metrics and two checkpoints each; pair diffs
+    for name, blob in first.items():
+        assert (tmp_path / "w3" / name).read_bytes() == blob, name
+    manifest = json.loads((tmp_path / "w3" / "manifest.json").read_text())
+    assert manifest["resolved_config"]["workers"] == 3
 
 
 def test_two_phase_run_outputs(tmp_path):

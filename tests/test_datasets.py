@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltcl import datasets, models
-from ltcl.errors import CapacityError, EmptyClassError, IdxParseError
+from ltcl.errors import (
+    CapacityError,
+    EmptyClassError,
+    IdxParseError,
+    NonFiniteInputError,
+    ShapeMismatchError,
+)
 
 
 def test_imbalance_factor_examples():
@@ -208,6 +214,22 @@ def test_mean_pool_images():
     pooled = datasets.mean_pool_images(ds, 2)
     assert pooled.features.shape == (1, 4)
     assert pooled.features[0].tolist() == [2.5, 4.5, 10.5, 12.5]
+    with pytest.raises(ShapeMismatchError):
+        datasets.mean_pool_images(ds, 3)  # side 4 is not divisible by 3
+    with pytest.raises(ShapeMismatchError):
+        datasets.mean_pool_images(datasets.LabeledDataset.from_arrays(np.zeros((1, 8)), [0]), 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_rejected(bad):
+    features = np.ones((4, 3))
+    features[2, 1] = bad
+    with pytest.raises(NonFiniteInputError):
+        datasets.LabeledDataset.from_arrays(features, [0, 1, 0, 1])
+    # an empty dataset has nothing to reject, and finite entries whose squares
+    # overflow are still finite
+    assert datasets.LabeledDataset.from_arrays(np.zeros((0, 3)), [], n_classes=2).n_samples == 0
+    assert datasets.LabeledDataset.from_arrays(np.full((4, 3), 1e200), [0, 1, 0, 1]).n_samples == 4
 
 
 def test_loss_decomposition_identity():
