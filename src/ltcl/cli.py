@@ -126,7 +126,7 @@ def _train_table(defaults: dict) -> dict:
 STRATEGY_OVERRIDES = {
     name: Field({
         **_train_table(vars(default_phase2_config(name))),
-        "cl_weight": Field(float, DEFAULT_CL_WEIGHTS.get(name, 0.0)),
+        "cl_weight": Field(float, DEFAULT_CL_WEIGHTS.get(name, 0.0), AT_LEAST_0),
         "temperature": Field(float, DEFAULT_TEMPERATURE, POSITIVE),
         "energy_threshold": Field(float, DEFAULT_ENERGY_THRESHOLD, FRACTION),
         "fisher_max_samples": Field(int, DEFAULT_FISHER_MAX_SAMPLES, AT_LEAST_1),

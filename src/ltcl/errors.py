@@ -71,3 +71,7 @@ class ConfigError(LtclError, ValueError):
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(f"config field '{field}': {message}")
+
+
+class EigensolverError(LtclError, RuntimeError):
+    """An iterative eigensolver hit its step cap or a non-finite value before converging."""

@@ -129,7 +129,7 @@ def test_criterion_3_lemma_oracles_quadratic_family():
         delta = float(np.max(np.abs(f(xs) - g(xs))))
         true_sq = (1 - gamma) ** 2
         lemma1 = bounds.lemma1_bound(delta, 2.0, 2.0)
-        tight = bounds.tight_bound(0.0, 1.0 - gamma, f, g, 2.0, 2.0)
+        tight = bounds.tight_bound(0.0, 1.0 - gamma, lambda x: (f(x), g(x)), 2.0, 2.0)
         ok = ok and (true_sq <= lemma1) and abs(tight - (1 - gamma)) <= 1e-10
         details.append(f"gamma={gamma}: sq={true_sq:.4g}<=l1={lemma1:.4g}, |tight-true|={abs(tight-(1-gamma)):.1e}")
     _report("criterion 3 (lemma oracles on the quadratic family)", ok, "; ".join(details))

@@ -3,8 +3,11 @@ import pytest
 
 from ltcl import bounds, datasets, models, training
 from ltcl.errors import (
+    CapacityError,
     DegenerateConvexityError,
+    EigensolverError,
     MinimizerCertificationError,
+    ShapeMismatchError,
     StrictConvexityError,
     SymmetryError,
 )
@@ -17,6 +20,11 @@ def _quadratic_pair(gamma):
     x_f = 0.0
     x_g = 1.0 - gamma
     return f, g, x_f, x_g
+
+
+def _pair(f, g):
+    """The (loss_full, loss_head) callable that the bound functions take."""
+    return lambda x: (f(x), g(x))
 
 
 def _grid_delta(f, g, lo=-2.0, hi=2.0, step=1e-4):
@@ -62,20 +70,20 @@ def test_lemma1_identity_guard():
 @pytest.mark.parametrize("gamma", [0.5, 0.7, 0.9, 0.99])
 def test_tight_bound_exact_for_quadratics(gamma):
     f, g, x_f, x_g = _quadratic_pair(gamma)
-    bound = bounds.tight_bound(x_f, x_g, f, g, 2.0, 2.0)
+    bound = bounds.tight_bound(x_f, x_g, _pair(f, g), 2.0, 2.0)
     true_distance = abs(x_g - x_f)
     assert bound == pytest.approx(true_distance, abs=1e-10)
 
 
 def test_tight_bound_identical_objectives():
     f = lambda x: (x - 1.0) ** 2
-    assert bounds.tight_bound(1.0, 1.0, f, f, 2.0, 2.0) == 0.0
+    assert bounds.tight_bound(1.0, 1.0, _pair(f, f), 2.0, 2.0) == 0.0
 
 
 def test_tight_bound_rejects_non_minimizers():
     f, g, _, _ = _quadratic_pair(0.9)
     with pytest.raises(MinimizerCertificationError):
-        bounds.tight_bound(0.7, -0.4, f, g, 2.0, 2.0)
+        bounds.tight_bound(0.7, -0.4, _pair(f, g), 2.0, 2.0)
 
 
 def test_lemma2_reduces_to_lemma1_for_equal_curvature():
@@ -123,13 +131,13 @@ def test_min_eigenvalue_symmetry_error():
 
 
 def test_min_eigenvalue_dual_method_crosscheck():
+    # Lanczos against the dense eigendecomposition
     rng = np.random.default_rng(5)
     for _ in range(5):
         a = rng.standard_normal((50, 50))
         sym = 0.5 * (a + a.T)
         dense = float(np.linalg.eigvalsh(sym)[0])
-        power = bounds.min_eigenvalue_power(sym, seed=3)
-        assert abs(power - dense) <= 1e-6 * max(1.0, abs(dense))
+        assert abs(bounds.min_eigenvalue(sym) - dense) <= 1e-6 * max(1.0, abs(dense))
 
 
 def test_min_eigenvalue_shift_property():
@@ -144,13 +152,35 @@ def test_min_eigenvalue_shift_property():
         assert abs(shifted - (base + c)) <= 1e-8
 
 
-def test_min_eigenvalue_power_path_at_scale():
+def test_min_eigenvalue_lanczos_at_scale():
     rng = np.random.default_rng(2)
     diag = rng.uniform(0.5, 5.0, 600)
     diag[17] = 0.1
     m = np.diag(diag)
-    assert bounds.min_eigenvalue_power(m) == pytest.approx(0.1, rel=1e-6)
     assert bounds.min_eigenvalue(m) == pytest.approx(0.1, rel=1e-12)
+    assert bounds.min_eigenvalue(lambda v: diag * v, 600) == pytest.approx(0.1, rel=1e-12)
+
+
+def test_min_eigenvalue_operator_matches_matrix_on_hessian():
+    ds = datasets.synthetic_gaussian(3, 4, 30, 2.0, seed=0)
+    spec = models.LossSpec(mu=0.01)
+    rng = np.random.default_rng(0)
+    model = models.LinearModel(rng.standard_normal((3, 4)) * 0.3, np.zeros(3))
+    h = models.hessian(model, ds, spec)
+    from_matrix = bounds.min_eigenvalue(h)
+    from_operator = bounds.min_eigenvalue(models.hessian_operator(model, ds, spec), model.layout.total_size)
+    assert from_operator == pytest.approx(from_matrix, abs=1e-12)
+    assert from_matrix == pytest.approx(float(np.linalg.eigvalsh(h)[0]), abs=1e-12)
+
+
+def test_min_eigenvalue_cap_hit_raises(monkeypatch):
+    # eigenvalues 1/j^2 crowd near 0, so 5 steps cannot resolve the smallest
+    m = np.diag(1.0 / np.arange(1, 401) ** 2)
+    monkeypatch.setattr(bounds, "LANCZOS_MAX_ITERS", 5)
+    with pytest.raises(EigensolverError):
+        bounds.min_eigenvalue(m)
+    with pytest.raises(ShapeMismatchError):
+        bounds.min_eigenvalue(lambda v: v)
 
 
 def _small_longtail(if_value=50.0):
@@ -172,6 +202,23 @@ def test_evaluate_cell_bounds_hold():
     assert report.holds["loose"]
     assert report.tight_bound <= report.loose_bound + 1e-12
     assert report.lemma2_bound <= report.loose_bound + 1e-12
+
+
+def test_lemma2_above_dense_hessian_guard():
+    # 5 classes x 1001 parameters: too large for the dense Hessian, but the
+    # matrix-free spectrum needs no dense Hessian
+    lt = datasets.make_longtail(datasets.synthetic_gaussian(5, 1000, 40, 2.5, seed=1), 10.0, seed=2)
+    mu = 0.05
+    cfg = bounds.BoundGridConfig(head_fraction=0.6, compute_lemma2=True)
+    report = bounds.evaluate_cell(lt, 10.0, mu, cfg)
+    n_params = 5 * 1001
+    assert n_params > models.HESSIAN_PARAM_GUARD
+    with pytest.raises(CapacityError):
+        models.hessian(models.LinearModel.zeros(1000, 5), lt, models.LossSpec(mu=mu))
+    assert report.converged_full and report.converged_head
+    assert report.lambda_min_full == pytest.approx(mu, abs=1e-12)
+    assert report.lambda_min_head == pytest.approx(mu, abs=1e-12)
+    assert report.holds == {"tight": True, "loose": True, "lemma2": True}
 
 
 def test_bound_grid_sorted_and_monotone_in_mu():
@@ -211,6 +258,40 @@ def test_evaluate_cell_degenerate_if_one():
     assert np.isfinite(report.measured_distance)
 
 
+def test_evaluate_cell_probe_losses_match_direct_evaluation():
+    # each probe passes head and tail rows through the model once; their
+    # weighted mean must be the full-data loss
+    lt = _small_longtail()
+    mu = 0.05
+    cfg = bounds.BoundGridConfig(head_fraction=0.5)
+    report = bounds.evaluate_cell(lt, 50.0, mu, cfg)
+    head = datasets.head_tail_split(lt, 0.5).head
+    full_model, _ = bounds._train_to_stationarity(lt, mu, cfg)
+    head_model, _ = bounds._train_to_stationarity(head, mu, cfg, start=full_model)
+    spec = models.LossSpec(mu=mu)
+    probe = full_model.copy()
+
+    def direct(theta):
+        probe.set_params(theta)
+        return models.loss(probe, lt, spec), models.loss(probe, head, spec)
+
+    theta_f, theta_h = full_model.get_params(), head_model.get_params()
+    tight = bounds.tight_bound(theta_f, theta_h, direct, mu, mu)
+    delta = bounds.loss_gap_surrogate(direct, theta_f, theta_h, cfg.delta_probes, cfg.probe_seed)
+    assert report.tight_bound == pytest.approx(tight, rel=1e-9)
+    assert report.delta == pytest.approx(delta, rel=1e-9)
+
+
+def test_evaluate_cell_empty_tail():
+    # head_fraction 1 puts every class in the head: both objectives coincide
+    lt = datasets.make_longtail(datasets.synthetic_gaussian(4, 6, 50, 2.5, seed=6), 10.0, seed=7)
+    cfg = bounds.BoundGridConfig(head_fraction=1.0, compute_lemma2=True)
+    report = bounds.evaluate_cell(lt, 10.0, 0.05, cfg)
+    assert report.converged_full and report.converged_head
+    assert report.measured_distance == report.delta == report.tight_bound == 0.0
+    assert report.lambda_min_full == pytest.approx(0.05, abs=1e-12)
+
+
 def test_evaluate_cell_marks_non_converged_as_failed():
     src = datasets.synthetic_gaussian(5, 6, 60, 2.5, seed=3)
     lt = datasets.make_longtail(src, 10.0, seed=4)
@@ -232,7 +313,7 @@ def test_loss_gap_surrogate_dominates_endpoint_gaps():
     g = lambda theta: float(np.sum(np.square(theta - 0.1))) + 0.05
     t_f = np.zeros(3)
     t_g = np.full(3, 0.1)
-    delta = bounds.loss_gap_surrogate(f, g, t_f, t_g, n_probes=16, seed=0)
+    delta = bounds.loss_gap_surrogate(_pair(f, g), t_f, t_g, n_probes=16, seed=0)
     assert delta >= abs(f(t_f) - g(t_f)) - 1e-12
     assert delta >= abs(f(t_g) - g(t_g)) - 1e-12
 

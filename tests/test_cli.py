@@ -112,6 +112,7 @@ def test_invalid_values_rejected(tmp_path):
         (("strategy_overrides", "ewc", "fisher_max_samples"), 0),
         (("strategy_overrides", "lwf", "temperature"), 0),
         (("model", "hidden_sizes"), [True]),
+        (("strategy_overrides", "lwf", "cl_weight"), -5),
     ]:
         cfg = _two_phase_config(tmp_path / "out")
         section = cfg
@@ -120,6 +121,9 @@ def test_invalid_values_rejected(tmp_path):
         section[keys[-1]] = value
         with pytest.raises(ConfigError, match=".".join(keys)):
             cli.validate_config(cfg)
+    # a negative weight would reward moving away from the Phase-1 anchor or teacher
+    assert cli.main(["two-phase", "--config", str(_write_config(tmp_path, cfg))]) == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
