@@ -86,7 +86,8 @@ def fisher_diagonal(model, dataset: LabeledDataset, mode: str, max_samples: int,
 
     model_sampled draws the label from the model's own predictive
     distribution (the classic EWC estimate); true_loss uses the training
-    label instead.
+    label instead. One batched forward and backward pass gives every
+    per-sample square, (delta**2).T @ a**2 per layer.
     """
     if mode not in FISHER_MODES:
         raise ValueError(f"unknown fisher mode {mode!r}")
@@ -98,18 +99,24 @@ def fisher_diagonal(model, dataset: LabeledDataset, mode: str, max_samples: int,
     rows = np.arange(dataset.n_samples)
     if dataset.n_samples > max_samples:
         rows = np.sort(rng.choice(rows, size=max_samples, replace=False))
-    spec = LossSpec(mu=0.0)
-    fisher = np.zeros(model.layout.total_size)
-    for i in rows:
-        x = dataset.features[i : i + 1]
-        if mode == "model_sampled":
-            p = softmax_probs(model.forward(x))[0]
-            label = int(rng.choice(len(p), p=p))
-        else:
-            label = int(dataset.labels[i])
-        _, grad = model.loss_and_gradient(x, np.array([label]), spec)
-        fisher += grad * grad
-    return fisher / len(rows)
+    n = len(rows)
+    logits, activations = model.forward_with_activations(dataset.features[rows])
+    delta = softmax_probs(logits)
+    if mode == "model_sampled":
+        labels = _sample_labels(delta, rng)
+    else:
+        labels = dataset.labels[rows]
+    delta[np.arange(n), labels] -= 1.0
+    return model.backward(delta, activations, square=True) / n
+
+
+def _sample_labels(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One label per row of probs, drawn as `rng.choice(c, p=row)` row by
+    row would draw them: one uniform u per row, and the label is the count
+    of entries of the row's normalised cdf that are <= u."""
+    cdf = np.cumsum(probs, axis=1)
+    cdf /= cdf[:, -1:]
+    return np.count_nonzero(cdf <= rng.random(len(probs))[:, None], axis=1)
 
 
 def _flat(theta) -> np.ndarray:
@@ -129,15 +136,6 @@ def ewc_penalty(theta, state: StrategyState) -> float:
         )
     diff = theta - state.anchor
     return 0.5 * state.cl_weight * float(state.fisher @ (diff * diff))
-
-
-def ewc_penalty_gradient(theta, state: StrategyState) -> np.ndarray:
-    theta = _flat(theta)
-    if theta.shape != state.anchor.shape:
-        raise ShapeMismatchError(
-            f"parameter vector {theta.shape} does not match anchor {state.anchor.shape}"
-        )
-    return state.cl_weight * state.fisher * (theta - state.anchor)
 
 
 def _soften(logits: np.ndarray, temperature: float) -> np.ndarray:
@@ -231,48 +229,44 @@ def gpm_project(gradient_for_layer: np.ndarray, basis: np.ndarray | None) -> np.
 
 
 def _gpm_transform(model, bases, ratios):
-    layout = model.layout
-    names = model.weight_segment_names()
+    """Gradient transform projecting each layer's weight gradient, in
+    place, out of that layer's basis span; biases pass unchanged."""
 
     def transform(flat_grad):
-        parts = layout.unpack(flat_grad.copy())
         inside_sq = 0.0
-        for name, basis in zip(names, bases):
-            g = parts[name]
+        for g, basis in zip(model.weight_views(flat_grad), bases):
             projected = gpm_project(g, basis)
             g[...] = projected
             if basis is not None and basis.size:
                 inside_sq += float(np.sum((projected @ basis) ** 2))
-        out = layout.pack([parts[s.name] for s in layout.segments])
-        norm = float(np.linalg.norm(out))
+        norm = float(np.linalg.norm(flat_grad))
         ratios.append(np.sqrt(inside_sq) / norm if norm > 0 else 0.0)
-        return out
+        return flat_grad
 
     return transform
 
 
 class _PenalizedModel:
-    """Adds the EWC quadratic penalty to a wrapped model's objective."""
+    """Adds the EWC quadratic penalty to a wrapped model's objective; its
+    gradient is (w F) * (theta - anchor), with w F formed once."""
 
     def __init__(self, model, state: StrategyState):
         self.model = model
         self.state = state
-        self.layout = model.layout
+        self._weighted_fisher = state.cl_weight * state.fisher
+
+    @property
+    def params(self):
+        return self.model.params
 
     def copy(self):
         return _PenalizedModel(self.model.copy(), self.state)
 
-    def get_params(self):
-        return self.model.get_params()
-
-    def set_params(self, flat):
-        self.model.set_params(flat)
-
     def loss_and_gradient(self, features, labels, spec):
         value, grad = self.model.loss_and_gradient(features, labels, spec)
-        theta = self.model.get_params()
+        theta = self.model.params
         value += ewc_penalty(theta, self.state)
-        grad = grad + ewc_penalty_gradient(theta, self.state)
+        grad += self._weighted_fisher * (theta - self.state.anchor)
         return value, grad
 
 
@@ -282,16 +276,13 @@ class _DistillingModel:
     def __init__(self, model, state: StrategyState):
         self.model = model
         self.state = state
-        self.layout = model.layout
+
+    @property
+    def params(self):
+        return self.model.params
 
     def copy(self):
         return _DistillingModel(self.model.copy(), self.state)
-
-    def get_params(self):
-        return self.model.get_params()
-
-    def set_params(self, flat):
-        self.model.set_params(flat)
 
     def loss_and_gradient(self, features, labels, spec):
         teacher_logits = self.state.teacher.forward(features)

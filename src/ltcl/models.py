@@ -1,10 +1,12 @@
 """Differentiable classifiers with closed-form gradients.
 
 Two model kinds: multinomial logistic regression (supports an exact
-dense Hessian) and a small rectifier MLP (gradient only). Both expose a
-flat parameter vector so optimizers, penalties, and distance
-measurements can treat them uniformly. The regularized cross-entropy
-loss is (mean CE) + (mu/2)*||theta||^2 over all weights and biases.
+dense Hessian) and a small rectifier MLP (gradient only); the linear
+model is the one-layer case of the same network code. Both keep every
+parameter in one flat float64 buffer, `params`, so optimizers,
+penalties, and distance measurements can treat them uniformly. The
+regularized cross-entropy loss is (mean CE) + (mu/2)*||theta||^2 over
+all weights and biases.
 """
 from __future__ import annotations
 
@@ -33,10 +35,7 @@ class ParamSegment:
     name: str
     shape: tuple
     offset: int
-
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.shape))
+    size: int
 
 
 class ParamLayout:
@@ -46,24 +45,19 @@ class ParamLayout:
         self.segments = []
         offset = 0
         for name, shape in spec:
-            seg = ParamSegment(name, tuple(shape), offset)
-            self.segments.append(seg)
-            offset += seg.size
+            shape = tuple(shape)
+            size = int(np.prod(shape))
+            self.segments.append(ParamSegment(name, shape, offset, size))
+            offset += size
         self.total_size = offset
 
-    def pack(self, arrays) -> np.ndarray:
-        return np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
-
-    def unpack(self, flat: np.ndarray) -> dict:
-        flat = np.asarray(flat)
+    def views(self, flat: np.ndarray) -> list:
+        """Reshaped views of flat, one per segment, in layout order."""
         if flat.shape != (self.total_size,):
             raise ShapeMismatchError(
                 f"expected flat vector of length {self.total_size}, got {flat.shape}"
             )
-        return {
-            s.name: flat[s.offset : s.offset + s.size].reshape(s.shape)
-            for s in self.segments
-        }
+        return [flat[s.offset : s.offset + s.size].reshape(s.shape) for s in self.segments]
 
     def __eq__(self, other):
         return isinstance(other, ParamLayout) and [
@@ -103,19 +97,143 @@ def softmax_probs(logits):
     return np.exp(log_softmax(logits))
 
 
-class LinearModel:
+class _Network:
+    """Affine layers with rectifiers between them and an identity output.
+
+    Every parameter lives in one float64 vector, `params`, laid out as
+    w0, b0, w1, b1, ... with each weight row-major. `weights` and
+    `biases` are read-only attributes holding reshaped views into that
+    buffer, so they cannot be rebound away from it; training updates
+    `params` in place. `get_params` returns a copy, `set_params` copies
+    into the buffer (never aliasing its argument), and `copy` owns a new
+    buffer.
+    """
+
+    def _bind(self, weights, biases, names) -> None:
+        arrays = []
+        spec = []
+        for w, b, (w_name, b_name) in zip(weights, biases, names):
+            w = np.asarray(w, dtype=np.float64)
+            b = np.asarray(b, dtype=np.float64)
+            if w.ndim != 2 or b.shape != (w.shape[0],):
+                raise ShapeMismatchError("each layer needs (out, in) weights and an (out,) bias")
+            arrays += [w, b]
+            spec += [(w_name, w.shape), (b_name, b.shape)]
+        self.layout = ParamLayout(spec)
+        self._params = np.empty(self.layout.total_size)
+        views = self.layout.views(self._params)
+        for view, array in zip(views, arrays):
+            view[...] = array
+        self._weights = tuple(views[0::2])
+        self._biases = tuple(views[1::2])
+
+    @property
+    def params(self) -> np.ndarray:
+        return self._params
+
+    @property
+    def layer_sizes(self):
+        return [self._weights[0].shape[1]] + [w.shape[0] for w in self._weights]
+
+    @property
+    def n_features(self) -> int:
+        return self._weights[0].shape[1]
+
+    @property
+    def n_classes(self) -> int:
+        return self._weights[-1].shape[0]
+
+    @property
+    def final_weights(self) -> np.ndarray:
+        return self._weights[-1]
+
+    def copy(self):
+        return type(self)(self.weights, self.biases)
+
+    def get_params(self) -> np.ndarray:
+        return self._params.copy()
+
+    def set_params(self, flat) -> None:
+        flat = np.asarray(flat, dtype=np.float64)
+        if flat.shape != self._params.shape:
+            raise ShapeMismatchError(
+                f"expected flat vector of length {len(self._params)}, got {flat.shape}"
+            )
+        self._params[...] = flat
+
+    def weight_views(self, flat: np.ndarray) -> list:
+        """Views of a flat layout-order vector's weight segments, one per layer."""
+        return self.layout.views(flat)[0::2]
+
+    def forward_with_activations(self, features):
+        """Logits and the input to each weighted layer."""
+        a = np.asarray(features, dtype=np.float64)
+        if a.shape[1] != self.n_features:
+            raise ShapeMismatchError(
+                f"model expects {self.n_features} features, got {a.shape[1]}"
+            )
+        activations = []
+        last = len(self._weights) - 1
+        for i, (w, b) in enumerate(zip(self._weights, self._biases)):
+            activations.append(a)
+            a = a @ w.T + b
+            if i < last:
+                a = np.maximum(a, 0.0)
+        return a, activations
+
+    def forward(self, features) -> np.ndarray:
+        return self.forward_with_activations(features)[0]
+
+    def backward(self, delta, activations, square: bool = False) -> np.ndarray:
+        """Back-propagate per-sample logit derivatives through the layers.
+
+        delta has one row per sample. Returns the flat layout-order sum over
+        samples of each sample's gradient: delta_l^T a_l per weight and the
+        column sums of delta_l per bias, with delta_l the derivative at
+        layer l's output and a_l its input. With square=True every
+        per-sample gradient is squared before the sum, (delta_l**2)^T a_l**2.
+        """
+        out = np.empty(self.layout.total_size)
+        views = self.layout.views(out)
+        for i in range(len(self._weights) - 1, -1, -1):
+            a = activations[i]
+            d = delta * delta if square else delta
+            np.matmul(d.T, a * a if square else a, out=views[2 * i])
+            np.sum(d, axis=0, out=views[2 * i + 1])
+            if i > 0:
+                # a = relu(previous pre-activation): a > 0 is the rectifier's mask
+                delta = (delta @ self._weights[i]) * (a > 0)
+        return out
+
+    def loss_and_gradient(self, features, labels, spec: LossSpec, extra_logit_grad=None):
+        """Mean CE + (mu/2)||theta||^2 and its exact gradient, flat; the
+        gradient is a new array."""
+        n = len(labels)
+        logits, activations = self.forward_with_activations(features)
+        logp = log_softmax(logits)
+        loss = -logp[np.arange(n), labels].mean()
+        loss += 0.5 * spec.mu * float(self._params @ self._params)
+        delta = np.exp(logp)
+        delta[np.arange(n), labels] -= 1.0
+        delta /= n
+        if extra_logit_grad is not None:
+            extra_loss, extra_dlogits = extra_logit_grad(logits)
+            loss += extra_loss
+            delta = delta + extra_dlogits
+        grad = self.backward(delta, activations)
+        grad += spec.mu * self._params
+        return loss, grad
+
+
+class LinearModel(_Network):
     """Multinomial logistic regression: logits = X W^T + b."""
 
     kind = "linear"
+    # each kind holds its own attribute, so calls can be patched per kind
+    loss_and_gradient = _Network.loss_and_gradient
 
     def __init__(self, weights, biases):
-        self.weights = np.array(weights, dtype=np.float64)
-        self.biases = np.array(biases, dtype=np.float64)
-        if self.weights.ndim != 2 or self.biases.shape != (self.weights.shape[0],):
-            raise ShapeMismatchError("weights must be (C, d) with a length-C bias")
-        self.layout = ParamLayout(
-            [("weights", self.weights.shape), ("bias", self.biases.shape)]
-        )
+        self._bind([weights], [biases], [("weights", "bias")])
 
     @classmethod
     def zeros(cls, n_features: int, n_classes: int) -> "LinearModel":
@@ -131,84 +249,24 @@ class LinearModel:
         )
 
     @property
-    def n_features(self) -> int:
-        return self.weights.shape[1]
+    def weights(self) -> np.ndarray:
+        return self._weights[0]
 
     @property
-    def n_classes(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def layer_sizes(self):
-        return [self.n_features, self.n_classes]
-
-    @property
-    def final_weights(self) -> np.ndarray:
-        return self.weights
-
-    def weight_segment_names(self):
-        return ["weights"]
-
-    def copy(self) -> "LinearModel":
-        return LinearModel(self.weights, self.biases)
-
-    def get_params(self) -> np.ndarray:
-        return self.layout.pack([self.weights, self.biases])
-
-    def set_params(self, flat) -> None:
-        parts = self.layout.unpack(np.asarray(flat, dtype=np.float64))
-        self.weights = parts["weights"].copy()
-        self.biases = parts["bias"].copy()
-
-    def forward(self, features) -> np.ndarray:
-        features = np.asarray(features)
-        if features.shape[1] != self.n_features:
-            raise ShapeMismatchError(
-                f"model expects {self.n_features} features, got {features.shape[1]}"
-            )
-        return features @ self.weights.T + self.biases
-
-    def forward_with_activations(self, features):
-        return self.forward(features), [np.asarray(features)]
-
-    def loss_and_gradient(self, features, labels, spec: LossSpec, extra_logit_grad=None):
-        """Mean CE + (mu/2)||theta||^2 and its exact gradient, flat."""
-        n = len(labels)
-        logits = self.forward(features)
-        logp = log_softmax(logits)
-        loss = -logp[np.arange(n), labels].mean()
-        theta = self.get_params()
-        loss += 0.5 * spec.mu * float(theta @ theta)
-        dlogits = np.exp(logp)
-        dlogits[np.arange(n), labels] -= 1.0
-        dlogits /= n
-        if extra_logit_grad is not None:
-            extra_loss, extra_dlogits = extra_logit_grad(logits)
-            loss += extra_loss
-            dlogits = dlogits + extra_dlogits
-        grad_w = dlogits.T @ features + spec.mu * self.weights
-        grad_b = dlogits.sum(axis=0) + spec.mu * self.biases
-        return loss, self.layout.pack([grad_w, grad_b])
+    def biases(self) -> np.ndarray:
+        return self._biases[0]
 
 
-class MlpModel:
+class MlpModel(_Network):
     """Fully connected rectifier network; identity output layer."""
 
     kind = "mlp"
+    loss_and_gradient = _Network.loss_and_gradient
 
     def __init__(self, weights, biases):
-        self.weights = [np.array(w, dtype=np.float64) for w in weights]
-        self.biases = [np.array(b, dtype=np.float64) for b in biases]
-        if len(self.weights) != len(self.biases) or not self.weights:
+        if len(weights) != len(biases) or not len(weights):
             raise ShapeMismatchError("need matching weight/bias lists")
-        for w, b in zip(self.weights, self.biases):
-            if w.ndim != 2 or b.shape != (w.shape[0],):
-                raise ShapeMismatchError("each layer needs (out, in) weights and (out,) bias")
-        spec = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            spec.append((f"w{i}", w.shape))
-            spec.append((f"b{i}", b.shape))
-        self.layout = ParamLayout(spec)
+        self._bind(weights, biases, [(f"w{i}", f"b{i}") for i in range(len(weights))])
 
     @classmethod
     def initialize(cls, layer_sizes, seed: int) -> "MlpModel":
@@ -224,84 +282,12 @@ class MlpModel:
         return cls(weights, biases)
 
     @property
-    def layer_sizes(self):
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
+    def weights(self) -> tuple:
+        return self._weights
 
     @property
-    def n_features(self) -> int:
-        return self.weights[0].shape[1]
-
-    @property
-    def n_classes(self) -> int:
-        return self.weights[-1].shape[0]
-
-    @property
-    def final_weights(self) -> np.ndarray:
-        return self.weights[-1]
-
-    def weight_segment_names(self):
-        return [f"w{i}" for i in range(len(self.weights))]
-
-    def copy(self) -> "MlpModel":
-        return MlpModel(self.weights, self.biases)
-
-    def get_params(self) -> np.ndarray:
-        arrays = []
-        for w, b in zip(self.weights, self.biases):
-            arrays.extend([w, b])
-        return self.layout.pack(arrays)
-
-    def set_params(self, flat) -> None:
-        parts = self.layout.unpack(np.asarray(flat, dtype=np.float64))
-        self.weights = [parts[f"w{i}"].copy() for i in range(len(self.weights))]
-        self.biases = [parts[f"b{i}"].copy() for i in range(len(self.biases))]
-
-    def _forward_full(self, features):
-        a = np.asarray(features, dtype=np.float64)
-        if a.shape[1] != self.n_features:
-            raise ShapeMismatchError(
-                f"model expects {self.n_features} features, got {a.shape[1]}"
-            )
-        activations = []  # input to each weighted layer
-        pre = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            activations.append(a)
-            z = a @ w.T + b
-            pre.append(z)
-            a = np.maximum(z, 0.0) if i < len(self.weights) - 1 else z
-        return a, activations, pre
-
-    def forward(self, features) -> np.ndarray:
-        return self._forward_full(features)[0]
-
-    def forward_with_activations(self, features):
-        logits, activations, _ = self._forward_full(features)
-        return logits, activations
-
-    def loss_and_gradient(self, features, labels, spec: LossSpec, extra_logit_grad=None):
-        n = len(labels)
-        logits, activations, pre = self._forward_full(features)
-        logp = log_softmax(logits)
-        loss = -logp[np.arange(n), labels].mean()
-        theta = self.get_params()
-        loss += 0.5 * spec.mu * float(theta @ theta)
-        delta = np.exp(logp)
-        delta[np.arange(n), labels] -= 1.0
-        delta /= n
-        if extra_logit_grad is not None:
-            extra_loss, extra_dlogits = extra_logit_grad(logits)
-            loss += extra_loss
-            delta = delta + extra_dlogits
-        grads = {}
-        for i in range(len(self.weights) - 1, -1, -1):
-            grads[f"w{i}"] = delta.T @ activations[i] + spec.mu * self.weights[i]
-            grads[f"b{i}"] = delta.sum(axis=0) + spec.mu * self.biases[i]
-            if i > 0:
-                delta = (delta @ self.weights[i]) * (pre[i - 1] > 0)
-        arrays = []
-        for i in range(len(self.weights)):
-            arrays.extend([grads[f"w{i}"], grads[f"b{i}"]])
-        return loss, self.layout.pack(arrays)
+    def biases(self) -> tuple:
+        return self._biases
 
 
 def softmax_forward(model, features) -> np.ndarray:
@@ -315,7 +301,7 @@ def loss(model, dataset: LabeledDataset, spec: LossSpec) -> float:
     n = dataset.n_samples
     logp = log_softmax(model.forward(dataset.features))
     value = -logp[np.arange(n), dataset.labels].mean()
-    theta = model.get_params()
+    theta = model.params
     return float(value + 0.5 * spec.mu * (theta @ theta))
 
 

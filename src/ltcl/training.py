@@ -88,15 +88,19 @@ def train(
 ):
     """Run SGD with classical momentum; returns (trained copy, trace).
 
+    The model needs `copy()`, a flat float64 `params` buffer that its
+    `loss_and_gradient` reads, and `loss_and_gradient` returning a new
+    gradient array. Training updates the copy's `params` in place.
     grad_transform, when given, is applied to every gradient before the
-    momentum update (used for gradient-projection strategies).
+    momentum update (used for gradient-projection strategies) and may
+    modify it in place.
     """
     if dataset.n_samples == 0:
         raise EmptyClassError("cannot train on an empty dataset")
     model = model.copy()
     x, y = dataset.features, dataset.labels
     n = dataset.n_samples
-    theta = model.get_params()
+    theta = model.params
     velocity = np.zeros_like(theta)
     rng = np.random.default_rng(config.seed)
     losses = []
@@ -118,9 +122,9 @@ def train(
                 break
             if grad_transform is not None:
                 grad = grad_transform(grad)
-            velocity = config.momentum * velocity - lr * grad
-            theta = theta + velocity
-            model.set_params(theta)
+            velocity *= config.momentum
+            velocity -= lr * grad
+            theta += velocity
         else:
             order = rng.permutation(n)
             batch_losses = []
@@ -132,9 +136,9 @@ def train(
                 batch_losses.append(value)
                 if grad_transform is not None:
                     grad = grad_transform(grad)
-                velocity = config.momentum * velocity - lr * grad
-                theta = theta + velocity
-                model.set_params(theta)
+                velocity *= config.momentum
+                velocity -= lr * grad
+                theta += velocity
             losses.append(float(np.mean(batch_losses)))
             epochs_run = epoch + 1
             if config.grad_tolerance is not None:

@@ -67,6 +67,46 @@ def test_fisher_true_loss_matches_loop_oracle():
     assert np.allclose(fisher, oracle, atol=1e-10)
 
 
+def _fisher_loop(model, dataset, mode, max_samples, seed):
+    """Per-sample oracle: one single-row gradient per kept row, labels
+    drawn by rng.choice from the row's predictive distribution."""
+    rng = np.random.default_rng(seed)
+    rows = np.arange(dataset.n_samples)
+    if dataset.n_samples > max_samples:
+        rows = np.sort(rng.choice(rows, size=max_samples, replace=False))
+    fisher = np.zeros(model.layout.total_size)
+    for i in rows:
+        x = dataset.features[i : i + 1]
+        if mode == "model_sampled":
+            p = models.softmax_forward(model, x)[0]
+            label = int(rng.choice(len(p), p=p))
+        else:
+            label = int(dataset.labels[i])
+        _, grad = model.loss_and_gradient(x, np.array([label]), models.LossSpec(mu=0.0))
+        fisher += grad * grad
+    return fisher / len(rows)
+
+
+@pytest.mark.parametrize("mode", continual.FISHER_MODES)
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("max_samples", [2000, 37])
+def test_fisher_batched_matches_per_sample_loop(lt_fixture, mode, kind, max_samples):
+    lt, split, _ = lt_fixture
+    model = models.LinearModel.initialize(12, 6, seed=3) if kind == "linear" else _fresh_model()
+    fisher = continual.fisher_diagonal(model, split.head, mode, max_samples, seed=8)
+    oracle = _fisher_loop(model, split.head, mode, max_samples, seed=8)
+    assert fisher.any()
+    assert np.allclose(fisher, oracle, rtol=1e-12, atol=0.0)
+
+
+def test_sampled_labels_match_generator_choice():
+    rng = np.random.default_rng(11)
+    probs = models.softmax_probs(3.0 * rng.standard_normal((500, 7)))
+    labels = continual._sample_labels(probs, np.random.default_rng(5))
+    draws = np.random.default_rng(5)
+    assert labels.tolist() == [int(draws.choice(7, p=p)) for p in probs]
+
+
 def test_fisher_nonnegative_and_subsampled(lt_fixture):
     lt, split, _ = lt_fixture
     model = _fresh_model()
@@ -118,10 +158,13 @@ def test_ewc_penalty_linear_in_weight():
 
 
 def test_ewc_penalty_gradient():
-    state = _ewc_state(n=2, cl_weight=4.0, fisher=np.array([0.5, 2.0]))
-    theta = np.array([1.0, -1.0])
-    grad = continual.ewc_penalty_gradient(theta, state)
-    assert grad == pytest.approx([4.0 * 0.5 * 1.0, 4.0 * 2.0 * -1.0])
+    # the penalized objective adds (w F) * (theta - anchor) to the gradient
+    model = models.LinearModel(np.array([[1.0, -1.0]]), np.array([0.5]))
+    state = _ewc_state(n=3, cl_weight=4.0, fisher=np.array([0.5, 2.0, 1.0]), anchor=np.array([0.0, 0.0, 1.0]))
+    x, y = np.array([[0.3, 0.7]]), np.array([0])
+    _, plain = model.loss_and_gradient(x, y, SPEC)
+    _, penalized = continual._PenalizedModel(model, state).loss_and_gradient(x, y, SPEC)
+    assert penalized - plain == pytest.approx([4.0 * 0.5 * 1.0, 4.0 * 2.0 * -1.0, 4.0 * 1.0 * -0.5])
 
 
 def test_ewc_penalty_shape_error():
@@ -299,6 +342,36 @@ def test_gpm_updates_stay_out_of_bases(lt_fixture):
     for basis in res.state.bases:
         gram = basis.T @ basis
         assert np.max(np.abs(gram - np.eye(basis.shape[1]))) <= 1e-8
+
+
+def test_gpm_transform_projects_weight_gradients_in_place(lt_fixture):
+    lt, split, _ = lt_fixture
+    model = _fresh_model()
+    bases = continual.gpm_collect_bases(model, split.head, 0.97, 500)
+    _, grad = model.loss_and_gradient(split.tail.features, split.tail.labels, SPEC)
+    before = grad.copy()
+    ratios = []
+    out = continual._gpm_transform(model, bases, ratios)(grad)
+    assert out is grad and len(ratios) == 1
+    for g, g0, basis in zip(model.weight_views(grad), model.weight_views(before), bases):
+        assert np.max(np.abs(g @ basis)) <= 1e-12 * np.max(np.abs(g0))
+        assert np.array_equal(g, continual.gpm_project(g0, basis))
+    weight_mask = np.zeros(len(grad), dtype=bool)
+    for view in model.weight_views(weight_mask):
+        view[...] = True
+    assert np.array_equal(grad[~weight_mask], before[~weight_mask])
+
+
+def test_ewc_anchor_unchanged_by_run(lt_fixture):
+    lt, split, test = lt_fixture
+    phase2 = training.TrainConfig(learning_rate=0.01, momentum=0.9, epochs=3, batch_size=8, seed=6)
+    res = _run("ewc", lt, split, test, phase2=phase2)
+    head_model, _ = training.train(_fresh_model(), split.head, SPEC, PHASE1)
+    assert np.array_equal(res.state.anchor, head_model.params)
+    assert np.array_equal(res.model_after_head.params, head_model.params)
+    assert not np.shares_memory(res.state.anchor, res.model_after_head.params)
+    assert not np.shares_memory(res.state.anchor, res.model_after_tail.params)
+    assert not np.array_equal(res.model_after_tail.params, res.state.anchor)
 
 
 def test_ewc_huge_weight_pins_anchor(lt_fixture):

@@ -277,8 +277,7 @@ def test_mlp_forward_backward_contract():
 def test_mlp_dead_network_uniform():
     d, c = 5, 4
     model = models.MlpModel.initialize([d, 6, c], seed=0)
-    model.weights = [np.zeros_like(w) for w in model.weights]
-    model.biases = [np.zeros_like(b) for b in model.biases]
+    model.set_params(np.zeros(model.layout.total_size))
     ds = _random_dataset(n=10, d=d, c=c, seed=1)
     assert models.loss(model, ds, models.LossSpec()) == pytest.approx(np.log(c), abs=1e-12)
 
@@ -286,10 +285,65 @@ def test_mlp_dead_network_uniform():
 def test_param_vector_roundtrip():
     model = models.MlpModel.initialize([3, 5, 2], seed=6)
     flat = model.get_params()
-    parts = model.layout.unpack(flat)
-    repacked = model.layout.pack([parts[s.name] for s in model.layout.segments])
-    assert np.array_equal(flat, repacked)
-    assert model.layout.total_size == len(flat)
+    assert model.layout.total_size == len(flat) == len(model.params)
+    arrays = [a for pair in zip(model.weights, model.biases) for a in pair]
+    for segment, array in zip(model.layout.segments, arrays):
+        assert np.shares_memory(array, model.params)
+        assert array.shape == segment.shape and array.size == segment.size
+        assert np.array_equal(array.ravel(), flat[segment.offset : segment.offset + segment.size])
+    assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), flat)
+
+
+def _both_kinds():
+    rng = np.random.default_rng(3)
+    return (
+        models.LinearModel(rng.standard_normal((3, 4)), rng.standard_normal(3)),
+        models.MlpModel.initialize([4, 5, 3], seed=3),
+    )
+
+
+def test_get_params_returns_a_copy():
+    for model in _both_kinds():
+        before = model.params.copy()
+        flat = model.get_params()
+        assert np.array_equal(flat, before) and not np.shares_memory(flat, model.params)
+        flat[:] = 0.0
+        assert np.array_equal(model.params, before)
+
+
+def test_set_params_copies_and_never_aliases():
+    for model in _both_kinds():
+        buffer = model.params
+        new = np.arange(model.layout.total_size, dtype=np.float64)
+        model.set_params(new)
+        assert model.params is buffer and not np.shares_memory(new, model.params)
+        new[0] = -99.0
+        assert np.array_equal(model.params, np.arange(model.layout.total_size))
+        with pytest.raises(ShapeMismatchError):
+            model.set_params(np.zeros(model.layout.total_size + 1))
+
+
+def test_copy_owns_a_new_buffer():
+    for model in _both_kinds():
+        clone = model.copy()
+        assert np.array_equal(clone.params, model.params)
+        assert not np.shares_memory(clone.params, model.params)
+        clone.params[:] = 0.0
+        assert model.params.any()
+
+
+def test_weights_and_biases_are_read_only_views():
+    for model in _both_kinds():
+        model.params[:] = 0.0
+        assert not model.final_weights.any()
+        model.params[:] = 2.0
+        assert np.all(model.final_weights == 2.0)
+        with pytest.raises(AttributeError):
+            model.weights = model.weights
+        with pytest.raises(AttributeError):
+            model.biases = model.biases
+        with pytest.raises(AttributeError):
+            model.params = np.zeros(model.layout.total_size)
 
 
 def test_checkpoint_roundtrip(tmp_path):

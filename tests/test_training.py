@@ -1,30 +1,25 @@
 import numpy as np
 import pytest
 
-from ltcl import datasets, models, training
+from ltcl import continual, datasets, models, training
 from ltcl.errors import DivergenceError, ScheduleExhaustedError
-from ltcl.models import ParamLayout
 
 
 class QuadraticSurrogate:
-    """1-D objective (x - target)^2; ignores the dataset."""
+    """1-D objective (x - target)^2 on the flat buffer `params`; ignores the dataset."""
 
     def __init__(self, x0=0.0, target=3.0):
-        self.x = np.array([x0])
+        self.params = np.array([x0], dtype=np.float64)
         self.target = target
-        self.layout = ParamLayout([("x", (1,))])
 
     def copy(self):
-        return QuadraticSurrogate(self.x[0], self.target)
+        return QuadraticSurrogate(self.params[0], self.target)
 
     def get_params(self):
-        return self.x.copy()
-
-    def set_params(self, flat):
-        self.x = np.asarray(flat, dtype=np.float64).copy()
+        return self.params.copy()
 
     def loss_and_gradient(self, features, labels, spec):
-        diff = self.x[0] - self.target
+        diff = self.params[0] - self.target
         return diff * diff, np.array([2.0 * diff])
 
 
@@ -158,3 +153,86 @@ def test_config_validation():
         training.TrainConfig(learning_rate=0.1, epochs=0)
     with pytest.raises(ValueError):
         training.TrainConfig(learning_rate=0.1, schedule="linear")
+
+
+def _reference_train(model, dataset, spec, config, grad_transform=None):
+    """The out-of-place heavy-ball loop: velocity = m * velocity - lr * grad,
+    theta = theta + velocity, then set_params(theta). Returns the final
+    parameters and the epoch losses."""
+    model = model.copy()
+    x, y = dataset.features, dataset.labels
+    theta = model.get_params()
+    velocity = np.zeros_like(theta)
+    rng = np.random.default_rng(config.seed)
+    losses = []
+    for epoch in range(config.epochs):
+        lr = training._lr_at(config, epoch)
+        if config.batch_size is None:
+            value, grad = model.loss_and_gradient(x, y, spec)
+            losses.append(value)
+            if config.grad_tolerance is not None and np.linalg.norm(grad) <= config.grad_tolerance:
+                break
+            if grad_transform is not None:
+                grad = grad_transform(grad)
+            velocity = config.momentum * velocity - lr * grad
+            theta = theta + velocity
+            model.set_params(theta)
+        else:
+            order = rng.permutation(dataset.n_samples)
+            batch_losses = []
+            for start in range(0, dataset.n_samples, config.batch_size):
+                rows = order[start : start + config.batch_size]
+                value, grad = model.loss_and_gradient(x[rows], y[rows], spec)
+                batch_losses.append(value)
+                if grad_transform is not None:
+                    grad = grad_transform(grad)
+                velocity = config.momentum * velocity - lr * grad
+                theta = theta + velocity
+                model.set_params(theta)
+            losses.append(float(np.mean(batch_losses)))
+    return model.get_params(), np.array(losses)
+
+
+def _assert_train_matches_reference(model, dataset, spec, config, make_transform=None):
+    transform = None if make_transform is None else make_transform()
+    trained, trace = training.train(model, dataset, spec, config, grad_transform=transform)
+    transform = None if make_transform is None else make_transform()
+    params, losses = _reference_train(model, dataset, spec, config, grad_transform=transform)
+    assert np.array_equal(trained.params, params)
+    assert np.array_equal(trace.epoch_losses, losses)
+
+
+def test_in_place_step_bit_identical_mlp_momentum_minibatch():
+    cfg = training.TrainConfig(learning_rate=0.05, momentum=0.9, epochs=6, batch_size=8, seed=4)
+    model = models.MlpModel.initialize([4, 7, 5], seed=2)
+    _assert_train_matches_reference(model, _lt_dataset(), models.LossSpec(mu=0.01), cfg)
+
+
+def test_in_place_step_bit_identical_gpm_transform():
+    ds = _lt_dataset(seed=1)
+    model = models.MlpModel.initialize([4, 7, 5], seed=3)
+    bases = continual.gpm_collect_bases(model, ds, 0.9, 100)
+    cfg = training.TrainConfig(learning_rate=0.01, momentum=0.0, epochs=5, batch_size=2, schedule="cosine", seed=6)
+    _assert_train_matches_reference(
+        model, ds, models.LossSpec(mu=1e-4), cfg, lambda: continual._gpm_transform(model, bases, [])
+    )
+
+
+def test_in_place_step_bit_identical_full_batch_to_tolerance():
+    ds = _lt_dataset(seed=2)
+    spec = models.LossSpec(mu=0.1)
+    lr, beta = training.heavy_ball_settings(models.softmax_smoothness_bound(ds, 0.1), 0.1)
+    cfg = training.TrainConfig(learning_rate=lr, momentum=beta, epochs=5000, grad_tolerance=1e-8)
+    model = models.LinearModel.initialize(4, 5, seed=4)
+    _assert_train_matches_reference(model, ds, spec, cfg)
+    _, trace = training.train(model, ds, spec, cfg)
+    assert trace.converged and trace.epochs_run < 5000
+
+
+def test_in_place_step_bit_identical_linear():
+    ds = _lt_dataset(seed=3)
+    model = models.LinearModel.initialize(4, 5, seed=5)
+    spec = models.LossSpec(mu=0.01)
+    for batch_size in (None, 16):
+        cfg = training.TrainConfig(learning_rate=0.1, momentum=0.5, epochs=20, batch_size=batch_size, seed=7)
+        _assert_train_matches_reference(model, ds, spec, cfg)
