@@ -26,6 +26,7 @@ from .continual import (
     gpm_project,
     lwf_loss,
     run_two_phase,
+    strategy_term,
 )
 from .datasets import (
     HeadTailSplit,
@@ -54,6 +55,7 @@ from .models import (
     LinearModel,
     LossSpec,
     MlpModel,
+    ObjectiveTerm,
     ParamVector,
     gradient,
     hessian,

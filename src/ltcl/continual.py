@@ -1,11 +1,11 @@
 """Two-phase Head-to-Tail training with continual-learning strategies.
 
 Phase 1 fits the head classes only. Phase 2 fits the tail while a
-strategy fights forgetting: a Fisher-weighted quadratic pull toward the
-Phase-1 weights (EWC, with the Fisher taken either at sampled labels or
-at the true labels), distillation against the frozen Phase-1 model on
-head logits (LwF), or projection of weight gradients out of the span of
-Phase-1 layer inputs (GPM). The naive variant applies no mechanism and
+strategy's `models.ObjectiveTerm` fights forgetting: a Fisher-weighted
+pull toward the Phase-1 weights (EWC, with the Fisher taken either at
+sampled labels or at the true labels), distillation against the frozen
+Phase-1 model on head logits (LwF), or layer inputs projected out of the
+span of the Phase-1 layer inputs (GPM). The naive variant has no term and
 serves as the catastrophic-forgetting baseline.
 """
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from .datasets import HeadTailSplit, LabeledDataset
 from .errors import ConfigError, EmptyClassError, ShapeMismatchError
 from .metrics import MetricsReport, evaluate
-from .models import LossSpec, ParamVector, log_softmax, softmax_probs
+from .models import LossSpec, ObjectiveTerm, ParamVector, log_softmax, softmax_probs
 from .training import TrainConfig, TrainTrace, train
 
 VARIANTS = ("naive", "ewc", "modified_ewc", "lwf", "gpm")
@@ -161,25 +161,6 @@ def lwf_loss(student_logits, teacher_logits, true_labels, temperature, cl_weight
     return float(ce + cl_weight * temperature**2 * kl.mean())
 
 
-def _distillation_extra(teacher_logits, head_cols, temperature, cl_weight, n):
-    """Closure adding the distillation term and its logit gradient."""
-    targets = _soften(teacher_logits[:, head_cols], temperature)
-    log_targets = np.log(np.maximum(targets, _LOG_FLOOR))
-
-    def extra(logits):
-        sliced = logits[:, head_cols] / temperature
-        logq = log_softmax(sliced)
-        kl = (targets * (log_targets - logq)).sum(axis=1)
-        loss_add = cl_weight * temperature**2 * kl.mean()
-        dlogits = np.zeros_like(logits)
-        dlogits[:, head_cols] = (
-            cl_weight * temperature * (np.exp(logq) - targets) / n
-        )
-        return loss_add, dlogits
-
-    return extra
-
-
 def gpm_collect_bases(
     model,
     head_dataset: LabeledDataset,
@@ -228,72 +209,74 @@ def gpm_project(gradient_for_layer: np.ndarray, basis: np.ndarray | None) -> np.
     return g - (g @ basis) @ basis.T
 
 
-def _gpm_transform(model, bases, ratios):
-    """Gradient transform projecting each layer's weight gradient, in
-    place, out of that layer's basis span; biases pass unchanged."""
+class _EwcTerm(ObjectiveTerm):
+    """ewc_penalty's value, and (w F) * (theta - anchor) added to the
+    gradient, with w F formed once and theta - anchor once per step."""
 
-    def transform(flat_grad):
+    def __init__(self, state: StrategyState):
+        self.state = state
+        self.weighted_fisher = state.cl_weight * state.fisher
+
+    def param_term(self, params, grad) -> float:
+        diff = params - self.state.anchor
+        grad += self.weighted_fisher * diff
+        return 0.5 * self.state.cl_weight * float(self.state.fisher @ (diff * diff))
+
+
+class _LwfTerm(ObjectiveTerm):
+    """Distillation against the frozen teacher on the head logits."""
+
+    def __init__(self, state: StrategyState):
+        self.state = state
+        self.head_cols = np.array(state.head_classes, dtype=np.intp)
+
+    def logit_term(self, logits, inputs, delta) -> float:
+        cols, temperature, cl_weight = self.head_cols, self.state.temperature, self.state.cl_weight
+        targets = _soften(self.state.teacher.forward(inputs[0])[:, cols], temperature)
+        logq = log_softmax(logits[:, cols] / temperature)
+        kl = (targets * (np.log(np.maximum(targets, _LOG_FLOOR)) - logq)).sum(axis=1)
+        delta[:, cols] += cl_weight * temperature * (np.exp(logq) - targets) / len(logits)
+        return cl_weight * temperature**2 * kl.mean()
+
+
+class _GpmTerm(ObjectiveTerm):
+    """GPM on layer inputs. Each weight gradient delta^T a becomes
+    delta^T (a - (aB)B^T) + mu (W - M), with M = W0 B B^T from the
+    Phase-1 weights W0: updates stay orthogonal to span(B), so W B stays
+    W0 B and mu (W - M) is the projection of mu W. Every step appends
+    ||G_w B|| / ||G|| of the full gradient G to `ratios`."""
+
+    def __init__(self, model, bases, mu: float, ratios: list):
+        self.bases = bases
+        self.ratios = ratios
+        self.weight_views = model.weight_views
+        self.mu_m = np.zeros(model.layout.total_size)
+        for m, w0, basis in zip(model.weight_views(self.mu_m), model.weight_views(model.params), bases):
+            m[...] = mu * ((w0 @ basis) @ basis.T)
+
+    def weight_inputs(self, inputs) -> list:
+        return [gpm_project(a, basis) for a, basis in zip(inputs, self.bases)]
+
+    def param_term(self, params, grad) -> float:
+        grad -= self.mu_m
         inside_sq = 0.0
-        for g, basis in zip(model.weight_views(flat_grad), bases):
-            projected = gpm_project(g, basis)
-            g[...] = projected
-            if basis is not None and basis.size:
-                inside_sq += float(np.sum((projected @ basis) ** 2))
-        norm = float(np.linalg.norm(flat_grad))
-        ratios.append(np.sqrt(inside_sq) / norm if norm > 0 else 0.0)
-        return flat_grad
-
-    return transform
+        for g, basis in zip(self.weight_views(grad), self.bases):
+            inside_sq += float(np.sum((g @ basis) ** 2))
+        norm = float(np.linalg.norm(grad))
+        self.ratios.append(np.sqrt(inside_sq) / norm if norm > 0 else 0.0)
+        return 0.0
 
 
-class _PenalizedModel:
-    """Adds the EWC quadratic penalty to a wrapped model's objective; its
-    gradient is (w F) * (theta - anchor), with w F formed once."""
-
-    def __init__(self, model, state: StrategyState):
-        self.model = model
-        self.state = state
-        self._weighted_fisher = state.cl_weight * state.fisher
-
-    @property
-    def params(self):
-        return self.model.params
-
-    def copy(self):
-        return _PenalizedModel(self.model.copy(), self.state)
-
-    def loss_and_gradient(self, features, labels, spec):
-        value, grad = self.model.loss_and_gradient(features, labels, spec)
-        theta = self.model.params
-        value += ewc_penalty(theta, self.state)
-        grad += self._weighted_fisher * (theta - self.state.anchor)
-        return value, grad
-
-
-class _DistillingModel:
-    """Mixes LwF distillation against a frozen teacher into the objective."""
-
-    def __init__(self, model, state: StrategyState):
-        self.model = model
-        self.state = state
-
-    @property
-    def params(self):
-        return self.model.params
-
-    def copy(self):
-        return _DistillingModel(self.model.copy(), self.state)
-
-    def loss_and_gradient(self, features, labels, spec):
-        teacher_logits = self.state.teacher.forward(features)
-        extra = _distillation_extra(
-            teacher_logits,
-            list(self.state.head_classes),
-            self.state.temperature,
-            self.state.cl_weight,
-            len(labels),
-        )
-        return self.model.loss_and_gradient(features, labels, spec, extra_logit_grad=extra)
+def strategy_term(state: StrategyState, model, spec: LossSpec, ratios: list) -> ObjectiveTerm | None:
+    """state's Phase-2 term for training `model` from its current params,
+    or None (naive); GPM appends one in-span ratio per step to `ratios`."""
+    if state.variant in ("ewc", "modified_ewc"):
+        return _EwcTerm(state)
+    if state.variant == "lwf":
+        return _LwfTerm(state)
+    if state.variant == "gpm":
+        return _GpmTerm(model, state.bases, spec.mu, ratios)
+    return None
 
 
 def prepare_strategy_state(
@@ -375,19 +358,8 @@ def run_two_phase(
     )
 
     ratios: list = []
-    grad_transform = None
-    trainable = model_head
-    if strategy_variant in ("ewc", "modified_ewc"):
-        trainable = _PenalizedModel(model_head, state)
-    elif strategy_variant == "lwf":
-        trainable = _DistillingModel(model_head, state)
-    elif strategy_variant == "gpm":
-        grad_transform = _gpm_transform(model_head, state.bases, ratios)
-
-    trained, phase2_trace = train(
-        trainable, split.tail, loss_spec, phase2_config, grad_transform=grad_transform
-    )
-    model_tail = trained.model if hasattr(trained, "model") else trained
+    term = strategy_term(state, model_head, loss_spec, ratios)
+    model_tail, phase2_trace = train(model_head, split.tail, loss_spec, phase2_config, term)
     metrics_after = evaluate(model_tail, eval_dataset)
 
     return PhaseResult(

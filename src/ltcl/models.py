@@ -6,7 +6,7 @@ model is the one-layer case of the same network code. Both keep every
 parameter in one flat float64 buffer, `params`, so optimizers,
 penalties, and distance measurements can treat them uniformly. The
 regularized cross-entropy loss is (mean CE) + (mu/2)*||theta||^2 over
-all weights and biases.
+all weights and biases; an `ObjectiveTerm` extends it.
 """
 from __future__ import annotations
 
@@ -97,6 +97,23 @@ def softmax_probs(logits):
     return np.exp(log_softmax(logits))
 
 
+class ObjectiveTerm:
+    """Extends the objective of `loss_and_gradient`; each hook is a no-op
+    until a subclass overrides it."""
+
+    def logit_term(self, logits, inputs, delta) -> float:
+        """Adds the term's logit derivative / n to delta in place; returns the term."""
+        return 0.0
+
+    def weight_inputs(self, inputs) -> list:
+        """The a_l of each weight gradient delta_l^T a_l (inputs[0] = features)."""
+        return inputs
+
+    def param_term(self, params, grad) -> float:
+        """Adjusts the flat gradient in place; returns the term."""
+        return 0.0
+
+
 class _Network:
     """Affine layers with rectifiers between them and an identity output.
 
@@ -184,7 +201,7 @@ class _Network:
     def forward(self, features) -> np.ndarray:
         return self.forward_with_activations(features)[0]
 
-    def backward(self, delta, activations, square: bool = False) -> np.ndarray:
+    def backward(self, delta, activations, square: bool = False, inputs=None) -> np.ndarray:
         """Back-propagate per-sample logit derivatives through the layers.
 
         delta has one row per sample. Returns the flat layout-order sum over
@@ -192,22 +209,24 @@ class _Network:
         column sums of delta_l per bias, with delta_l the derivative at
         layer l's output and a_l its input. With square=True every
         per-sample gradient is squared before the sum, (delta_l**2)^T a_l**2.
+        `inputs` replaces a_l in delta_l^T a_l only, not in the masks.
         """
+        inputs = activations if inputs is None else inputs
         out = np.empty(self.layout.total_size)
         views = self.layout.views(out)
         for i in range(len(self._weights) - 1, -1, -1):
             a = activations[i]
             d = delta * delta if square else delta
-            np.matmul(d.T, a * a if square else a, out=views[2 * i])
+            np.matmul(d.T, a * a if square else inputs[i], out=views[2 * i])
             np.sum(d, axis=0, out=views[2 * i + 1])
             if i > 0:
                 # a = relu(previous pre-activation): a > 0 is the rectifier's mask
                 delta = (delta @ self._weights[i]) * (a > 0)
         return out
 
-    def loss_and_gradient(self, features, labels, spec: LossSpec, extra_logit_grad=None):
+    def loss_and_gradient(self, features, labels, spec: LossSpec, term=None):
         """Mean CE + (mu/2)||theta||^2 and its exact gradient, flat; the
-        gradient is a new array."""
+        gradient is a new array. An `ObjectiveTerm` extends both."""
         n = len(labels)
         logits, activations = self.forward_with_activations(features)
         logp = log_softmax(logits)
@@ -216,12 +235,14 @@ class _Network:
         delta = np.exp(logp)
         delta[np.arange(n), labels] -= 1.0
         delta /= n
-        if extra_logit_grad is not None:
-            extra_loss, extra_dlogits = extra_logit_grad(logits)
-            loss += extra_loss
-            delta = delta + extra_dlogits
-        grad = self.backward(delta, activations)
+        inputs = None
+        if term is not None:
+            loss += term.logit_term(logits, activations, delta)
+            inputs = term.weight_inputs(activations)
+        grad = self.backward(delta, activations, inputs=inputs)
         grad += spec.mu * self._params
+        if term is not None:
+            loss += term.param_term(self._params, grad)
         return loss, grad
 
 

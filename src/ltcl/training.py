@@ -79,29 +79,42 @@ def heavy_ball_settings(smoothness: float, mu: float) -> tuple[float, float]:
     return lr, beta
 
 
+def _step(theta, velocity, grad, lr: float, momentum: float) -> None:
+    """In place: grad *= lr, then the heavy-ball update (plain SGD at m = 0)."""
+    grad *= lr
+    if momentum:
+        velocity *= momentum
+        velocity -= grad
+        theta += velocity
+    else:
+        theta -= grad
+
+
 def train(
     model,
     dataset: LabeledDataset,
     spec: LossSpec,
     config: TrainConfig,
-    grad_transform=None,
+    term=None,
 ):
     """Run SGD with classical momentum; returns (trained copy, trace).
 
     The model needs `copy()`, a flat float64 `params` buffer that its
-    `loss_and_gradient` reads, and `loss_and_gradient` returning a new
-    gradient array. Training updates the copy's `params` in place.
-    grad_transform, when given, is applied to every gradient before the
-    momentum update (used for gradient-projection strategies) and may
-    modify it in place.
+    `loss_and_gradient(features, labels, spec, term)` reads, returning a
+    new gradient array. Training updates the copy's `params` in place.
+    `term` (a `models.ObjectiveTerm`) extends every step's objective; the
+    full-batch gradients for `grad_tolerance` and `final_grad_norm` are
+    of the plain objective, so the two cannot be combined.
     """
     if dataset.n_samples == 0:
         raise EmptyClassError("cannot train on an empty dataset")
+    if term is not None and config.grad_tolerance is not None:
+        raise ValueError("grad_tolerance cannot be combined with a term")
     model = model.copy()
     x, y = dataset.features, dataset.labels
     n = dataset.n_samples
     theta = model.params
-    velocity = np.zeros_like(theta)
+    velocity = np.zeros_like(theta) if config.momentum else None
     rng = np.random.default_rng(config.seed)
     losses = []
     converged = False
@@ -111,7 +124,7 @@ def train(
     for epoch in range(config.epochs):
         lr = _lr_at(config, epoch)
         if config.batch_size is None:
-            value, grad = model.loss_and_gradient(x, y, spec)
+            value, grad = model.loss_and_gradient(x, y, spec, term)
             if not math.isfinite(value):
                 raise DivergenceError(epoch)
             losses.append(value)
@@ -120,25 +133,17 @@ def train(
             if config.grad_tolerance is not None and grad_norm <= config.grad_tolerance:
                 converged = True
                 break
-            if grad_transform is not None:
-                grad = grad_transform(grad)
-            velocity *= config.momentum
-            velocity -= lr * grad
-            theta += velocity
+            _step(theta, velocity, grad, lr, config.momentum)
         else:
             order = rng.permutation(n)
             batch_losses = []
             for start in range(0, n, config.batch_size):
                 rows = order[start : start + config.batch_size]
-                value, grad = model.loss_and_gradient(x[rows], y[rows], spec)
+                value, grad = model.loss_and_gradient(x[rows], y[rows], spec, term)
                 if not math.isfinite(value):
                     raise DivergenceError(epoch)
                 batch_losses.append(value)
-                if grad_transform is not None:
-                    grad = grad_transform(grad)
-                velocity *= config.momentum
-                velocity -= lr * grad
-                theta += velocity
+                _step(theta, velocity, grad, lr, config.momentum)
             losses.append(float(np.mean(batch_losses)))
             epochs_run = epoch + 1
             if config.grad_tolerance is not None:

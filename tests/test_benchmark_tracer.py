@@ -32,16 +32,18 @@ def test_traced_gpm_run_counts_steps_and_projections(monkeypatch):
     split = datasets.head_tail_split(lt, 0.5)
     phase1 = training.TrainConfig(learning_rate=0.01, momentum=0.9, epochs=3, batch_size=16, seed=0)
     phase2 = training.TrainConfig(learning_rate=0.001, epochs=4, batch_size=2, schedule="cosine", seed=1)
-    model = models.MlpModel.initialize([6, 8, 4], seed=0)
-    spans = tracer.Tracer()
-    spans.install()
-    try:
-        continual.run_two_phase("gpm", lt, split, phase1, phase2, models.LossSpec(mu=1e-4), model=model)
-    finally:
-        spans.uninstall()
-    summary = tracer.summarize(spans.spans, spans.hook_totals, 1.0)
     steps1 = 3 * -(-split.head.n_samples // 16)
     steps2 = 4 * -(-split.tail.n_samples // 2)
-    # each train call ends with one full-batch gradient
-    assert summary["train_steps"] == steps1 + steps2 + 2
-    assert summary["calls"]["continual.gpm_project"] == 2 * steps2
+    for variant in ("ewc", "lwf", "gpm"):
+        model = models.MlpModel.initialize([6, 8, 4], seed=0)
+        spans = tracer.Tracer()
+        spans.install()
+        try:
+            continual.run_two_phase(variant, lt, split, phase1, phase2, models.LossSpec(mu=1e-4), model=model)
+        finally:
+            spans.uninstall()
+        summary = tracer.summarize(spans.spans, spans.hook_totals, 1.0)
+        # each train call ends with one full-batch gradient
+        assert summary["train_steps"] == steps1 + steps2 + 2, variant
+        projections = 2 * steps2 if variant == "gpm" else 0
+        assert summary["calls"]["continual.gpm_project"] == projections, variant

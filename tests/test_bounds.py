@@ -355,8 +355,8 @@ def test_warm_started_head_solve_certifies_same_distance():
 def test_line_search_stall_ends_unconverged(monkeypatch):
     original = models.LinearModel.loss_and_gradient
 
-    def non_finite_away_from_origin(self, features, labels, spec, extra_logit_grad=None):
-        value, grad = original(self, features, labels, spec, extra_logit_grad)
+    def non_finite_away_from_origin(self, features, labels, spec, term=None):
+        value, grad = original(self, features, labels, spec, term)
         return (value if not self.get_params().any() else float("nan")), grad
 
     monkeypatch.setattr(models.LinearModel, "loss_and_gradient", non_finite_away_from_origin)

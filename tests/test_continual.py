@@ -158,13 +158,15 @@ def test_ewc_penalty_linear_in_weight():
 
 
 def test_ewc_penalty_gradient():
-    # the penalized objective adds (w F) * (theta - anchor) to the gradient
+    # the EWC term adds (w F) * (theta - anchor) to the gradient and ewc_penalty to the value
     model = models.LinearModel(np.array([[1.0, -1.0]]), np.array([0.5]))
     state = _ewc_state(n=3, cl_weight=4.0, fisher=np.array([0.5, 2.0, 1.0]), anchor=np.array([0.0, 0.0, 1.0]))
     x, y = np.array([[0.3, 0.7]]), np.array([0])
-    _, plain = model.loss_and_gradient(x, y, SPEC)
-    _, penalized = continual._PenalizedModel(model, state).loss_and_gradient(x, y, SPEC)
+    plain_value, plain = model.loss_and_gradient(x, y, SPEC)
+    term = continual.strategy_term(state, model, SPEC, [])
+    value, penalized = model.loss_and_gradient(x, y, SPEC, term)
     assert penalized - plain == pytest.approx([4.0 * 0.5 * 1.0, 4.0 * 2.0 * -1.0, 4.0 * 1.0 * -0.5])
+    assert value == plain_value + continual.ewc_penalty(model.params, state)
 
 
 def test_ewc_penalty_shape_error():
@@ -177,9 +179,11 @@ def test_ewc_phase2_objective_equals_tail_loss_at_anchor(lt_fixture):
     lt, split, _ = lt_fixture
     model, _ = training.train(_fresh_model(), split.head, SPEC, PHASE1)
     state = continual.prepare_strategy_state("ewc", model, split.head, split.head_classes)
-    wrapped = continual._PenalizedModel(model, state)
-    value, _ = wrapped.loss_and_gradient(split.tail.features, split.tail.labels, SPEC)
+    term = continual.strategy_term(state, model, SPEC, [])
+    value, grad = model.loss_and_gradient(split.tail.features, split.tail.labels, SPEC, term)
+    _, plain = model.loss_and_gradient(split.tail.features, split.tail.labels, SPEC)
     assert value == pytest.approx(models.loss(model, split.tail, SPEC), abs=1e-12)
+    assert np.array_equal(grad, plain)
 
 
 # ---------------------------------------------------------------- lwf
@@ -209,6 +213,46 @@ def test_lwf_loss_errors():
         continual.lwf_loss(np.zeros((2, 3)), np.zeros((2, 2)), [0, 1], 1.0, 0.1)
     with pytest.raises(ValueError):
         continual.lwf_loss(np.zeros((1, 2)), np.zeros((1, 2)), [0], 0.0, 0.1)
+
+
+@pytest.mark.parametrize("variant", ["ewc", "lwf"])
+def test_term_gradient_matches_finite_differences(lt_fixture, variant):
+    lt, split, _ = lt_fixture
+    head_model, _ = training.train(_fresh_model(), split.head, SPEC, PHASE1)
+    state = continual.prepare_strategy_state(variant, head_model, split.head, split.head_classes, cl_weight=3.0)
+    model = head_model.copy()
+    model.set_params(head_model.params + 0.05 * np.random.default_rng(2).standard_normal(len(head_model.params)))
+    term = continual.strategy_term(state, model, SPEC, [])
+    x, y = split.tail.features[:7], split.tail.labels[:7]
+    _, grad = model.loss_and_gradient(x, y, SPEC, term)
+    theta = model.get_params()
+    rng = np.random.default_rng(4)
+    for i in rng.choice(len(theta), size=25, replace=False):
+        values = []
+        for h in (1e-5, -1e-5):
+            probe = theta.copy()
+            probe[i] += h
+            model.set_params(probe)
+            values.append(model.loss_and_gradient(x, y, SPEC, term)[0])
+        model.set_params(theta)
+        assert (values[0] - values[1]) / 2e-5 == pytest.approx(grad[i], rel=1e-5, abs=1e-8)
+
+
+def test_lwf_term_value_is_distillation_against_teacher(lt_fixture):
+    lt, split, _ = lt_fixture
+    teacher, _ = training.train(_fresh_model(), split.head, SPEC, PHASE1)
+    state = continual.prepare_strategy_state("lwf", teacher, split.head, split.head_classes, cl_weight=3.0)
+    student = _fresh_model(seed=9)
+    term = continual.strategy_term(state, student, SPEC, [])
+    x, y = split.tail.features[:7], split.tail.labels[:7]
+    plain, _ = student.loss_and_gradient(x, y, SPEC)
+    value, _ = student.loss_and_gradient(x, y, SPEC, term)
+    head = list(state.head_classes)
+    s_head, t_head = student.forward(x)[:, head], teacher.forward(x)[:, head]
+    labels = np.zeros(len(y), dtype=int)
+    kl = continual.lwf_loss(s_head, t_head, labels, 2.0, 3.0) - continual.lwf_loss(s_head, t_head, labels, 2.0, 0.0)
+    assert kl > 1e-3
+    assert value - plain == pytest.approx(kl, rel=1e-10)
 
 
 def test_lwf_zero_weight_matches_naive_trajectory(lt_fixture):
@@ -344,22 +388,52 @@ def test_gpm_updates_stay_out_of_bases(lt_fixture):
         assert np.max(np.abs(gram - np.eye(basis.shape[1]))) <= 1e-8
 
 
-def test_gpm_transform_projects_weight_gradients_in_place(lt_fixture):
+def test_gpm_term_projects_weight_gradients(lt_fixture):
+    # at W = W0 the term's gradient is gpm_project of the plain gradient's
+    # weight views; bias entries are untouched
     lt, split, _ = lt_fixture
-    model = _fresh_model()
-    bases = continual.gpm_collect_bases(model, split.head, 0.97, 500)
-    _, grad = model.loss_and_gradient(split.tail.features, split.tail.labels, SPEC)
-    before = grad.copy()
-    ratios = []
-    out = continual._gpm_transform(model, bases, ratios)(grad)
-    assert out is grad and len(ratios) == 1
-    for g, g0, basis in zip(model.weight_views(grad), model.weight_views(before), bases):
-        assert np.max(np.abs(g @ basis)) <= 1e-12 * np.max(np.abs(g0))
-        assert np.array_equal(g, continual.gpm_project(g0, basis))
-    weight_mask = np.zeros(len(grad), dtype=bool)
-    for view in model.weight_views(weight_mask):
-        view[...] = True
-    assert np.array_equal(grad[~weight_mask], before[~weight_mask])
+    rng = np.random.default_rng(3)
+    tail = split.tail
+    for model in (_fresh_model(), models.LinearModel.initialize(12, 6, seed=3)):
+        collected = continual.gpm_collect_bases(model, split.head, 0.97, 500)
+        dims = [w.shape[1] for w in model.weight_views(model.params)]
+        for bases in (
+            collected,
+            [np.zeros((d, 0)) for d in dims],
+            [np.linalg.qr(rng.standard_normal((d, d)))[0] for d in dims],
+        ):
+            for rows in (slice(0, 1), slice(3, 5), slice(None)):
+                x, y = tail.features[rows], tail.labels[rows]
+                _, plain = model.loss_and_gradient(x, y, SPEC)
+                ratios = []
+                state = continual.StrategyState(variant="gpm", bases=bases)
+                term = continual.strategy_term(state, model, SPEC, ratios)
+                _, grad = model.loss_and_gradient(x, y, SPEC, term)
+                assert len(ratios) == 1 and ratios[0] <= 1e-12
+                for g, g0, basis in zip(model.weight_views(grad), model.weight_views(plain), bases):
+                    scale = np.max(np.abs(g0))
+                    assert np.max(np.abs(g @ basis), initial=0.0) <= 1e-12 * scale
+                    np.testing.assert_allclose(
+                        g, continual.gpm_project(g0, basis), rtol=1e-12, atol=1e-12 * scale
+                    )
+                weight_mask = np.zeros(len(grad), dtype=bool)
+                for view in model.weight_views(weight_mask):
+                    view[...] = True
+                assert np.array_equal(grad[~weight_mask], plain[~weight_mask])
+
+
+def test_gpm_phase2_keeps_weights_on_bases(lt_fixture):
+    lt, split, test = lt_fixture
+    res = _run("gpm", lt, split, test)
+    after = res.model_after_tail.weight_views(res.model_after_tail.params)
+    before = res.model_after_head.weight_views(res.model_after_head.params)
+    moved = False
+    for w, w0, basis in zip(after, before, res.state.bases):
+        assert basis.shape[1] > 0
+        on_basis = w0 @ basis
+        assert np.max(np.abs(w @ basis - on_basis)) <= 1e-12 * np.max(np.abs(on_basis))
+        moved = moved or not np.array_equal(w, w0)
+    assert moved
 
 
 def test_ewc_anchor_unchanged_by_run(lt_fixture):

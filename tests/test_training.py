@@ -18,7 +18,7 @@ class QuadraticSurrogate:
     def get_params(self):
         return self.params.copy()
 
-    def loss_and_gradient(self, features, labels, spec):
+    def loss_and_gradient(self, features, labels, spec, term=None):
         diff = self.params[0] - self.target
         return diff * diff, np.array([2.0 * diff])
 
@@ -155,7 +155,7 @@ def test_config_validation():
         training.TrainConfig(learning_rate=0.1, schedule="linear")
 
 
-def _reference_train(model, dataset, spec, config, grad_transform=None):
+def _reference_train(model, dataset, spec, config, term=None):
     """The out-of-place heavy-ball loop: velocity = m * velocity - lr * grad,
     theta = theta + velocity, then set_params(theta). Returns the final
     parameters and the epoch losses."""
@@ -168,12 +168,10 @@ def _reference_train(model, dataset, spec, config, grad_transform=None):
     for epoch in range(config.epochs):
         lr = training._lr_at(config, epoch)
         if config.batch_size is None:
-            value, grad = model.loss_and_gradient(x, y, spec)
+            value, grad = model.loss_and_gradient(x, y, spec, term)
             losses.append(value)
             if config.grad_tolerance is not None and np.linalg.norm(grad) <= config.grad_tolerance:
                 break
-            if grad_transform is not None:
-                grad = grad_transform(grad)
             velocity = config.momentum * velocity - lr * grad
             theta = theta + velocity
             model.set_params(theta)
@@ -182,10 +180,8 @@ def _reference_train(model, dataset, spec, config, grad_transform=None):
             batch_losses = []
             for start in range(0, dataset.n_samples, config.batch_size):
                 rows = order[start : start + config.batch_size]
-                value, grad = model.loss_and_gradient(x[rows], y[rows], spec)
+                value, grad = model.loss_and_gradient(x[rows], y[rows], spec, term)
                 batch_losses.append(value)
-                if grad_transform is not None:
-                    grad = grad_transform(grad)
                 velocity = config.momentum * velocity - lr * grad
                 theta = theta + velocity
                 model.set_params(theta)
@@ -193,11 +189,11 @@ def _reference_train(model, dataset, spec, config, grad_transform=None):
     return model.get_params(), np.array(losses)
 
 
-def _assert_train_matches_reference(model, dataset, spec, config, make_transform=None):
-    transform = None if make_transform is None else make_transform()
-    trained, trace = training.train(model, dataset, spec, config, grad_transform=transform)
-    transform = None if make_transform is None else make_transform()
-    params, losses = _reference_train(model, dataset, spec, config, grad_transform=transform)
+def _assert_train_matches_reference(model, dataset, spec, config, make_term=None):
+    term = None if make_term is None else make_term()
+    trained, trace = training.train(model, dataset, spec, config, term)
+    term = None if make_term is None else make_term()
+    params, losses = _reference_train(model, dataset, spec, config, term)
     assert np.array_equal(trained.params, params)
     assert np.array_equal(trace.epoch_losses, losses)
 
@@ -208,13 +204,26 @@ def test_in_place_step_bit_identical_mlp_momentum_minibatch():
     _assert_train_matches_reference(model, _lt_dataset(), models.LossSpec(mu=0.01), cfg)
 
 
-def test_in_place_step_bit_identical_gpm_transform():
+def test_in_place_step_bit_identical_gpm_term():
     ds = _lt_dataset(seed=1)
     model = models.MlpModel.initialize([4, 7, 5], seed=3)
-    bases = continual.gpm_collect_bases(model, ds, 0.9, 100)
+    spec = models.LossSpec(mu=1e-4)
+    state = continual.StrategyState(variant="gpm", bases=continual.gpm_collect_bases(model, ds, 0.9, 100))
     cfg = training.TrainConfig(learning_rate=0.01, momentum=0.0, epochs=5, batch_size=2, schedule="cosine", seed=6)
     _assert_train_matches_reference(
-        model, ds, models.LossSpec(mu=1e-4), cfg, lambda: continual._gpm_transform(model, bases, [])
+        model, ds, spec, cfg, lambda: continual.strategy_term(state, model, spec, [])
+    )
+
+
+@pytest.mark.parametrize("variant", ["ewc", "lwf"])
+def test_in_place_step_bit_identical_with_term(variant):
+    ds = _lt_dataset(seed=5)
+    model = models.MlpModel.initialize([4, 7, 5], seed=6)
+    spec = models.LossSpec(mu=1e-4)
+    state = continual.prepare_strategy_state(variant, model, ds, range(3), cl_weight=2.0)
+    cfg = training.TrainConfig(learning_rate=0.02, momentum=0.9, epochs=4, batch_size=8, seed=8)
+    _assert_train_matches_reference(
+        model, ds, spec, cfg, lambda: continual.strategy_term(state, model, spec, [])
     )
 
 
@@ -236,3 +245,22 @@ def test_in_place_step_bit_identical_linear():
     for batch_size in (None, 16):
         cfg = training.TrainConfig(learning_rate=0.1, momentum=0.5, epochs=20, batch_size=batch_size, seed=7)
         _assert_train_matches_reference(model, ds, spec, cfg)
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+def test_step_matches_out_of_place_update(momentum):
+    rng = np.random.default_rng(9)
+    theta, velocity = rng.standard_normal(50), np.zeros(50)
+    ref_theta, ref_velocity = theta.copy(), velocity.copy()
+    for _ in range(100):
+        grad, lr = rng.standard_normal(50), rng.uniform(1e-4, 1.0)
+        ref_velocity = momentum * ref_velocity - lr * grad
+        ref_theta = ref_theta + ref_velocity
+        training._step(theta, velocity, grad, lr, momentum)
+        assert np.array_equal(theta, ref_theta)
+
+
+def test_term_with_grad_tolerance_rejected():
+    cfg = training.TrainConfig(learning_rate=0.1, epochs=2, grad_tolerance=1e-8)
+    with pytest.raises(ValueError):
+        training.train(models.LinearModel.zeros(4, 5), _lt_dataset(), models.LossSpec(), cfg, models.ObjectiveTerm())
