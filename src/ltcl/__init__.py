@@ -10,6 +10,7 @@ __version__ = "0.1.0"
 from .bounds import (
     BoundGridConfig,
     BoundReport,
+    TrainTrace,
     bound_grid,
     lemma1_bound,
     lemma2_bound,
@@ -56,13 +57,10 @@ from .models import (
     LossSpec,
     MlpModel,
     ObjectiveTerm,
-    ParamVector,
-    gradient,
     hessian,
     load_checkpoint,
     loss,
-    mlp_forward_backward,
     save_checkpoint,
     softmax_forward,
 )
-from .training import TrainConfig, TrainTrace, cosine_anneal, train
+from .training import TrainConfig, cosine_anneal, train

@@ -56,13 +56,23 @@ from .errors import (
     SymmetryError,
 )
 from .models import LinearModel, LossSpec, hessian_operator, loss
-from .training import TrainTrace
 
 # Unused here, but perfbench/tracer.py patches all three by name in this module.
 from .models import hessian, softmax_smoothness_bound  # noqa: F401
 from .training import train  # noqa: F401
 
 BOUND_SLACK = 1e-9
+
+
+@dataclass
+class TrainTrace:
+    """One Newton-CG solve: the loss after each iteration, the final
+    full-batch gradient norm, and whether it met the certificate."""
+
+    epoch_losses: np.ndarray
+    final_grad_norm: float
+    epochs_run: int
+    converged: bool
 
 
 @dataclass
@@ -132,7 +142,9 @@ def tight_bound(theta_full, theta_head, losses, mu_f, mu_g) -> float:
     return float(np.sqrt(2.0 * max(bracket, 0.0) / (mu_f + mu_g)))
 
 
-def _lemma2_from_eigenvalues(delta: float, lam_f: float, lam_g: float) -> float:
+def lemma2_bound(delta: float, lam_f: float, lam_g: float) -> float:
+    """Squared-distance bound 4*delta/(lam_f + lam_g) from the minimum
+    Hessian eigenvalues at the respective minimizers (`min_eigenvalue`)."""
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     if lam_f <= 0 or lam_g <= 0:
@@ -140,14 +152,6 @@ def _lemma2_from_eigenvalues(delta: float, lam_f: float, lam_g: float) -> float:
             f"minimum eigenvalues {lam_f}, {lam_g} must be positive"
         )
     return 4.0 * delta / (lam_f + lam_g)
-
-
-def lemma2_bound(delta: float, hessian_f_at_min, hessian_g_at_min) -> float:
-    """Squared-distance bound 4*delta/(lambda_f + lambda_g) from minimum
-    Hessian eigenvalues at the respective minimizers."""
-    return _lemma2_from_eigenvalues(
-        delta, min_eigenvalue(hessian_f_at_min), min_eigenvalue(hessian_g_at_min)
-    )
 
 
 def _check_symmetric(matrix: np.ndarray) -> np.ndarray:
@@ -424,7 +428,7 @@ def evaluate_cell(
             n_params = model_full.layout.total_size
             lam_full = min_eigenvalue(hessian_operator(model_full, full_dataset, spec), n_params)
             lam_head = min_eigenvalue(hessian_operator(model_head, split.head, spec), n_params)
-            lemma2 = float(np.sqrt(_lemma2_from_eigenvalues(delta_hat, lam_full, lam_head)))
+            lemma2 = float(np.sqrt(lemma2_bound(delta_hat, lam_full, lam_head)))
     else:
         delta_hat = float("nan")
         loose = float("nan")

@@ -17,8 +17,8 @@ import numpy as np
 from .datasets import HeadTailSplit, LabeledDataset
 from .errors import ConfigError, EmptyClassError, ShapeMismatchError
 from .metrics import MetricsReport, evaluate
-from .models import LossSpec, ObjectiveTerm, ParamVector, log_softmax, softmax_probs
-from .training import TrainConfig, TrainTrace, train
+from .models import LossSpec, ObjectiveTerm, log_softmax, softmax_probs
+from .training import TrainConfig, train
 
 VARIANTS = ("naive", "ewc", "modified_ewc", "lwf", "gpm")
 FISHER_MODES = ("model_sampled", "true_loss")
@@ -61,8 +61,8 @@ class PhaseResult:
     metrics_before: MetricsReport
     metrics_after: MetricsReport
     state: StrategyState | None = None
-    phase1_trace: TrainTrace | None = None
-    phase2_trace: TrainTrace | None = None
+    phase1_losses: np.ndarray | None = None  # per epoch
+    phase2_losses: np.ndarray | None = None
     # per step: ||update component inside the bases|| / ||update||
     gpm_projection_ratios: list = field(default_factory=list)
 
@@ -119,17 +119,11 @@ def _sample_labels(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.count_nonzero(cdf <= rng.random(len(probs))[:, None], axis=1)
 
 
-def _flat(theta) -> np.ndarray:
-    if isinstance(theta, ParamVector):
-        return theta.values
-    return np.asarray(theta, dtype=np.float64)
-
-
 def ewc_penalty(theta, state: StrategyState) -> float:
     """Quadratic pull (w/2) * sum_i F_i (theta_i - anchor_i)^2."""
     if state.variant not in ("ewc", "modified_ewc"):
         raise ValueError(f"ewc_penalty needs an EWC-family state, got {state.variant!r}")
-    theta = _flat(theta)
+    theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != state.anchor.shape:
         raise ShapeMismatchError(
             f"parameter vector {theta.shape} does not match anchor {state.anchor.shape}"
@@ -342,7 +336,7 @@ def run_two_phase(
         raise EmptyClassError("tail dataset is empty; nothing to learn in phase 2")
 
     eval_dataset = test_dataset if test_dataset is not None else dataset
-    model_head, phase1_trace = train(model, split.head, loss_spec, phase1_config)
+    model_head, phase1_losses = train(model, split.head, loss_spec, phase1_config)
     metrics_before = evaluate(model_head, eval_dataset)
 
     state = prepare_strategy_state(
@@ -359,7 +353,7 @@ def run_two_phase(
 
     ratios: list = []
     term = strategy_term(state, model_head, loss_spec, ratios)
-    model_tail, phase2_trace = train(model_head, split.tail, loss_spec, phase2_config, term)
+    model_tail, phase2_losses = train(model_head, split.tail, loss_spec, phase2_config, term)
     metrics_after = evaluate(model_tail, eval_dataset)
 
     return PhaseResult(
@@ -368,7 +362,7 @@ def run_two_phase(
         metrics_before=metrics_before,
         metrics_after=metrics_after,
         state=state,
-        phase1_trace=phase1_trace,
-        phase2_trace=phase2_trace,
+        phase1_losses=phase1_losses,
+        phase2_losses=phase2_losses,
         gpm_projection_ratios=ratios,
     )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,7 +197,10 @@ def _read_maybe_gzip(path) -> bytes:
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:2] == b"\x1f\x8b":
-        data = gzip.decompress(data)
+        try:
+            data = gzip.decompress(data)
+        except (OSError, EOFError, zlib.error) as exc:
+            raise IdxParseError(f"{path}: corrupt gzip stream ({exc})") from exc
     return data
 
 
@@ -228,6 +232,8 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
             f"image count {n_images} does not match label count {n_labels}"
         )
     n_pixels = n_images * rows * cols
+    if n_pixels == 0:
+        raise IdxParseError(f"{images_path}: no pixels ({n_images} images of {rows}x{cols})")
     if len(img) - 16 < n_pixels:
         raise IdxParseError(f"{images_path}: payload truncated ({len(img) - 16} of {n_pixels} bytes)")
     pixels = np.frombuffer(img, dtype=np.uint8, count=n_pixels, offset=16)

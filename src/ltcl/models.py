@@ -65,18 +65,6 @@ class ParamLayout:
         ] == [(s.name, s.shape) for s in other.segments]
 
 
-@dataclass
-class ParamVector:
-    """Flat view of all trainable parameters of a model."""
-
-    values: np.ndarray
-    layout: ParamLayout
-
-    def __post_init__(self):
-        if self.values.shape != (self.layout.total_size,):
-            raise ShapeMismatchError("parameter vector length disagrees with layout")
-
-
 @dataclass(frozen=True)
 class LossSpec:
     """Regularized cross-entropy settings; reduction is mean over samples."""
@@ -326,13 +314,6 @@ def loss(model, dataset: LabeledDataset, spec: LossSpec) -> float:
     return float(value + 0.5 * spec.mu * (theta @ theta))
 
 
-def gradient(model, dataset: LabeledDataset, spec: LossSpec) -> ParamVector:
-    if dataset.n_samples == 0:
-        raise ValueError("gradient of an empty dataset is undefined")
-    _, flat = model.loss_and_gradient(dataset.features, dataset.labels, spec)
-    return ParamVector(flat, model.layout)
-
-
 def hessian(model, dataset: LabeledDataset, spec: LossSpec, chunk: int = 2048) -> np.ndarray:
     """Exact Hessian of the regularized CE loss for the linear model.
 
@@ -416,21 +397,6 @@ def hessian_operator(model, dataset: LabeledDataset, spec: LossSpec):
     return apply
 
 
-def hessian_vector_product(model, dataset: LabeledDataset, spec: LossSpec, v) -> np.ndarray:
-    """Exact product H v of the regularized CE Hessian of the linear model
-    with a flat vector v; equals `hessian(model, dataset, spec) @ v`."""
-    return hessian_operator(model, dataset, spec)(v)
-
-
-def mlp_forward_backward(model: MlpModel, batch: LabeledDataset, spec: LossSpec):
-    """Loss, flat gradient, and per-layer input activations for one batch."""
-    if batch.n_samples == 0:
-        raise ValueError("empty batch")
-    _, activations = model.forward_with_activations(batch.features)
-    value, flat = model.loss_and_gradient(batch.features, batch.labels, spec)
-    return value, ParamVector(flat, model.layout), activations
-
-
 def softmax_smoothness_bound(dataset: LabeledDataset, mu: float, iters: int = 200) -> float:
     """Upper bound on the largest Hessian eigenvalue of the CE loss.
 
@@ -495,6 +461,8 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: linear checkpoint needs 2 layer sizes")
     if n_sizes < 2:
         raise CheckpointError(f"{path}: need at least input and output sizes")
+    if min(sizes) < 1:
+        raise CheckpointError(f"{path}: layer sizes must all be >= 1, found {min(sizes)}")
     # checked before any model is built, so a corrupt size field cannot
     # trigger a huge allocation
     expected = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
@@ -503,9 +471,8 @@ def load_checkpoint(path):
     found = (len(data) - offset) // 8
     if found != expected:
         raise CheckpointError(f"{path}: expected {expected} parameters, found {found}")
-    if kind == _KIND_LINEAR:
-        model = LinearModel.zeros(sizes[0], sizes[1])
-    else:
-        model = MlpModel.initialize(list(sizes), seed=0)
+    weights = [np.zeros((b, a)) for a, b in zip(sizes[:-1], sizes[1:])]
+    biases = [np.zeros(b) for b in sizes[1:]]
+    model = LinearModel(weights[0], biases[0]) if kind == _KIND_LINEAR else MlpModel(weights, biases)
     model.set_params(np.frombuffer(data, dtype="<f8", offset=offset).astype(np.float64))
     return model

@@ -1,4 +1,6 @@
-"""MNIST-scale corpus shared by the acceptance suite.
+"""Shared test helpers: the MNIST-scale corpus of the acceptance suite, an
+independent heavy-ball minimizer, and a byte-mutation strategy for fuzzing
+the file parsers.
 
 Real MNIST IDX files are used when present (set LTCL_MNIST_DIR, or put
 the four standard files under ./data/mnist). Otherwise a deterministic
@@ -14,8 +16,9 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
-from ltcl import datasets
+from ltcl import datasets, models
 
 STRUCTURE_SEED = 91
 TRAIN_SAMPLE_SEED = 11
@@ -89,3 +92,46 @@ def corpus():
         _surrogate(N_PER_CLASS_TEST, TEST_SAMPLE_SEED),
         "surrogate",
     )
+
+
+def heavy_ball_minimizer(dataset, mu, tol, max_iters, start=None):
+    """Independent oracle for the mu-regularized CE minimizer: full-batch
+    heavy ball with lr = 1/L and beta = (1 - sqrt(mu/L))^2, L from
+    `models.softmax_smoothness_bound`, stopped at ||grad|| <= tol.
+
+    Starts from `start` (zeros when None); returns (model, steps taken)
+    and fails if max_iters steps do not reach tol.
+    """
+    smoothness = models.softmax_smoothness_bound(dataset, mu)
+    lr = 1.0 / smoothness
+    beta = (1.0 - np.sqrt(mu / smoothness)) ** 2
+    model = (
+        models.LinearModel.zeros(dataset.n_features, dataset.n_classes)
+        if start is None
+        else start.copy()
+    )
+    spec = models.LossSpec(mu=mu)
+    theta = model.params  # updated in place
+    velocity = np.zeros_like(theta)
+    for steps in range(max_iters + 1):
+        _, grad = model.loss_and_gradient(dataset.features, dataset.labels, spec)
+        if np.linalg.norm(grad) <= tol:
+            return model, steps
+        velocity = beta * velocity - lr * grad
+        theta += velocity
+    raise AssertionError(f"heavy ball did not reach ||grad|| <= {tol} in {max_iters} steps")
+
+
+def _apply_edits(valid: bytes, edits, keep: int, tail: bytes) -> bytes:
+    data = bytearray(valid)
+    for index, value in edits:
+        data[index] = value
+    return bytes(data[:keep]) + tail
+
+
+def parser_inputs(valid: bytes):
+    """Arbitrary short byte strings, and copies of the valid file `valid`
+    with a few bytes overwritten, then truncated and/or extended."""
+    edits = st.lists(st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)), max_size=4)
+    mutated = st.builds(_apply_edits, st.just(valid), edits, st.integers(0, len(valid)), st.binary(max_size=16))
+    return st.binary(max_size=64) | mutated

@@ -43,7 +43,7 @@ def test_traced_gpm_run_counts_steps_and_projections(monkeypatch):
         finally:
             spans.uninstall()
         summary = tracer.summarize(spans.spans, spans.hook_totals, 1.0)
-        # each train call ends with one full-batch gradient
-        assert summary["train_steps"] == steps1 + steps2 + 2, variant
+        # one loss_and_gradient call per step, and none after the last
+        assert summary["train_steps"] == steps1 + steps2, variant
         projections = 2 * steps2 if variant == "gpm" else 0
         assert summary["calls"]["continual.gpm_project"] == projections, variant

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ltcl import bounds, datasets, models, training
+from _fixtures import heavy_ball_minimizer
+from ltcl import bounds, datasets, models
 from ltcl.errors import (
     CapacityError,
     DegenerateConvexityError,
@@ -88,7 +89,8 @@ def test_tight_bound_rejects_non_minimizers():
 
 def test_lemma2_reduces_to_lemma1_for_equal_curvature():
     h = 2.0 * np.eye(3)
-    assert bounds.lemma2_bound(0.4, h, h) == pytest.approx(
+    lam = bounds.min_eigenvalue(h)
+    assert bounds.lemma2_bound(0.4, lam, lam) == pytest.approx(
         bounds.lemma1_bound(0.4, 2.0, 2.0)
     )
 
@@ -96,13 +98,14 @@ def test_lemma2_reduces_to_lemma1_for_equal_curvature():
 def test_lemma2_diagonal_example():
     hf = np.diag([3.0, 5.0])
     hg = np.diag([4.0, 4.0])
-    assert bounds.lemma2_bound(0.1, hf, hg) == pytest.approx(4 * 0.1 / 7.0)
+    lam_f, lam_g = bounds.min_eigenvalue(hf), bounds.min_eigenvalue(hg)
+    assert bounds.lemma2_bound(0.1, lam_f, lam_g) == pytest.approx(4 * 0.1 / 7.0)
 
 
 def test_lemma2_strict_convexity_violation():
     hf = np.diag([0.0, 1.0])
     with pytest.raises(StrictConvexityError):
-        bounds.lemma2_bound(0.1, hf, np.eye(2))
+        bounds.lemma2_bound(0.1, bounds.min_eigenvalue(hf), bounds.min_eigenvalue(np.eye(2)))
 
 
 def test_lemma2_never_exceeds_lemma1_with_regularized_hessians():
@@ -112,11 +115,12 @@ def test_lemma2_never_exceeds_lemma1_with_regularized_hessians():
     rng = np.random.default_rng(0)
     model = models.LinearModel(rng.standard_normal((3, 4)) * 0.3, np.zeros(3))
     h = models.hessian(model, ds, spec)
-    assert bounds.min_eigenvalue(h) >= mu - 1e-10
+    lam = bounds.min_eigenvalue(h)
+    assert lam >= mu - 1e-10
     delta = 0.25
     # lambda_min equals mu exactly when the data term has a null direction,
     # so allow fp slack at the equality boundary
-    assert bounds.lemma2_bound(delta, h, h) <= bounds.lemma1_bound(delta, mu, mu) * (1 + 1e-9)
+    assert bounds.lemma2_bound(delta, lam, lam) <= bounds.lemma1_bound(delta, mu, mu) * (1 + 1e-9)
 
 
 def test_min_eigenvalue_examples():
@@ -325,16 +329,8 @@ def test_newton_minimizer_matches_heavy_ball():
     cfg = bounds.BoundGridConfig(head_fraction=0.5)
     newton, trace = bounds._train_to_stationarity(lt, mu, cfg)
     assert trace.converged and trace.final_grad_norm <= cfg.grad_tolerance
-    spec = models.LossSpec(mu=mu)
-    lr, beta = training.heavy_ball_settings(models.softmax_smoothness_bound(lt, mu), mu)
-    heavy, heavy_trace = training.train(
-        models.LinearModel.zeros(lt.n_features, lt.n_classes),
-        lt,
-        spec,
-        training.TrainConfig(learning_rate=lr, momentum=beta, epochs=100_000, grad_tolerance=cfg.grad_tolerance),
-    )
-    assert heavy_trace.converged
-    assert trace.epochs_run < heavy_trace.epochs_run
+    heavy, heavy_steps = heavy_ball_minimizer(lt, mu, cfg.grad_tolerance, 100_000)
+    assert trace.epochs_run < heavy_steps
     gap = np.linalg.norm(newton.get_params() - heavy.get_params())
     assert gap <= 2 * cfg.grad_tolerance / mu
 

@@ -451,6 +451,19 @@ def _write_idx_dataset(tmp_path, n_per_class, side=4, n_classes=4, seed=0, prefi
     return img_path, lab_path
 
 
+def test_bound_grid_on_corrupt_or_missing_idx_file(tmp_path, capsys):
+    img, lab = _write_idx_dataset(tmp_path, 10)
+    img.write_bytes(b"\x1f\x8bjunk")  # gzip magic, then no valid stream
+    cfg = _bound_grid_config(tmp_path / "out")
+    cfg["dataset"] = {"source": "idx", "train_images": str(img), "train_labels": str(lab)}
+    path = _write_config(tmp_path, cfg)
+    assert cli.main(["bound-grid", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "gzip" in err
+    img.unlink()
+    assert cli.main(["bound-grid", "--config", str(path)]) == 1
+
+
 def test_two_phase_from_idx_files(tmp_path):
     train_img, train_lab = _write_idx_dataset(tmp_path, 60, seed=1, prefix="train")
     test_img, test_lab = _write_idx_dataset(tmp_path, 20, seed=2, prefix="test")

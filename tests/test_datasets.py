@@ -3,9 +3,10 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from _fixtures import parser_inputs
 from ltcl import datasets, models
 from ltcl.errors import (
     CapacityError,
@@ -191,6 +192,43 @@ def test_load_idx_truncated(tmp_path):
     img, lab = _write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1], truncate_images=3)
     with pytest.raises(IdxParseError, match="truncated"):
         datasets.load_idx(img, lab)
+
+
+@pytest.mark.parametrize("payload", [b"\x1f\x8bjunk", b"\x1f\x8b\x08\x00"])
+def test_load_idx_corrupt_gzip(tmp_path, payload):
+    img, lab = _write_idx_pair(tmp_path, np.zeros((1, 2, 2)), [0])
+    img.write_bytes(payload)
+    with pytest.raises(IdxParseError, match="gzip"):
+        datasets.load_idx(img, lab)
+    with pytest.raises(FileNotFoundError):
+        datasets.load_idx(tmp_path / "missing.idx", lab)
+
+
+def test_load_idx_without_pixels(tmp_path):
+    img, lab = _write_idx_pair(tmp_path, np.zeros((2, 0, 3)), [0, 1])
+    with pytest.raises(IdxParseError, match="no pixels"):
+        datasets.load_idx(img, lab)
+
+
+_VALID_IMAGES = struct.pack(">IIII", 0x803, 3, 2, 2) + bytes(range(0, 240, 20))
+_VALID_LABELS = struct.pack(">II", 0x801, 3) + bytes([0, 2, 1])
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    images=parser_inputs(_VALID_IMAGES) | parser_inputs(gzip.compress(_VALID_IMAGES, mtime=0)),
+    labels=parser_inputs(_VALID_LABELS),
+)
+def test_load_idx_fuzz(tmp_path, images, labels):
+    # any byte string loads as a dataset or fails with IdxParseError
+    img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+    img.write_bytes(images)
+    lab.write_bytes(labels)
+    try:
+        ds = datasets.load_idx(img, lab)
+    except IdxParseError:
+        return
+    assert isinstance(ds, datasets.LabeledDataset) and ds.n_samples >= 1
 
 
 def test_synthetic_gaussian_deterministic():

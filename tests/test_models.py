@@ -1,6 +1,12 @@
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+from _fixtures import heavy_ball_minimizer, parser_inputs
 from ltcl import datasets, models
 from ltcl.errors import (
     CapacityError,
@@ -114,18 +120,11 @@ def test_gradient_matches_finite_differences(seed):
 
 
 def test_gradient_vanishes_at_minimizer():
-    from ltcl import training
-
     ds = _random_dataset(n=30, d=3, c=3, seed=5)
     spec = models.LossSpec(mu=0.1)
-    model = models.LinearModel.zeros(3, 3)
-    smooth = models.softmax_smoothness_bound(ds, 0.1)
-    lr, beta = training.heavy_ball_settings(smooth, 0.1)
-    cfg = training.TrainConfig(learning_rate=lr, momentum=beta, epochs=50_000, grad_tolerance=1e-8)
-    trained, trace = training.train(model, ds, spec, cfg)
-    assert trace.converged
-    grad = models.gradient(trained, ds, spec)
-    assert np.linalg.norm(grad.values) <= 1e-6
+    trained, _ = heavy_ball_minimizer(ds, 0.1, 1e-8, 50_000)
+    _, grad = trained.loss_and_gradient(ds.features, ds.labels, spec)
+    assert np.linalg.norm(grad) <= 1e-6
 
 
 def test_gradient_mu_linearity():
@@ -133,8 +132,8 @@ def test_gradient_mu_linearity():
     rng = np.random.default_rng(7)
     model = models.LinearModel(rng.standard_normal((3, 4)), rng.standard_normal(3))
     theta = model.get_params()
-    g1 = models.gradient(model, ds, models.LossSpec(mu=0.3)).values
-    g2 = models.gradient(model, ds, models.LossSpec(mu=0.6)).values
+    g1 = model.loss_and_gradient(ds.features, ds.labels, models.LossSpec(mu=0.3))[1]
+    g2 = model.loss_and_gradient(ds.features, ds.labels, models.LossSpec(mu=0.6))[1]
     assert np.allclose(g2 - g1, 0.3 * theta, atol=1e-12)
 
 
@@ -144,9 +143,9 @@ def test_gradient_weighted_head_tail_combination():
     split = datasets.head_tail_split(lt, 0.5)
     model = models.MlpModel.initialize([5, 6, 6], seed=4)
     spec = models.LossSpec(mu=0.05)
-    g_full = models.gradient(model, lt, spec).values
-    g_head = models.gradient(model, split.head, spec).values
-    g_tail = models.gradient(model, split.tail, spec).values
+    g_full, g_head, g_tail = (
+        model.loss_and_gradient(ds.features, ds.labels, spec)[1] for ds in (lt, split.head, split.tail)
+    )
     wh = split.head.n_samples / lt.n_samples
     wt = split.tail.n_samples / lt.n_samples
     assert np.allclose(g_full, wh * g_head + wt * g_tail, atol=1e-10)
@@ -236,7 +235,7 @@ def test_hessian_vector_product_matches_dense_hessian():
         h = models.hessian(model, ds, spec)
         for _ in range(4):
             v = rng.standard_normal(len(h))
-            hv = models.hessian_vector_product(model, ds, spec, v)
+            hv = models.hessian_operator(model, ds, spec)(v)
             assert np.max(np.abs(hv - h @ v)) <= 1e-10
 
 
@@ -252,24 +251,25 @@ def test_hessian_vector_product_matches_fd_of_gradient():
         probe.set_params(theta - step * v)
         _, gm = probe.loss_and_gradient(ds.features, ds.labels, spec)
         fd = (gp - gm) / (2 * step)
-        assert np.allclose(models.hessian_vector_product(model, ds, spec, v), fd, rtol=1e-5, atol=1e-8)
+        assert np.allclose(models.hessian_operator(model, ds, spec)(v), fd, rtol=1e-5, atol=1e-8)
 
 
 def test_hessian_vector_product_unsupported_and_shape():
     mlp = models.MlpModel.initialize([4, 5, 3], seed=0)
     with pytest.raises(UnsupportedModelError):
-        models.hessian_vector_product(mlp, _random_dataset(), models.LossSpec(), np.zeros(mlp.layout.total_size))
+        models.hessian_operator(mlp, _random_dataset(), models.LossSpec())(np.zeros(mlp.layout.total_size))
     model = models.LinearModel.zeros(4, 3)
     with pytest.raises(ShapeMismatchError):
-        models.hessian_vector_product(model, _random_dataset(), models.LossSpec(), np.zeros(7))
+        models.hessian_operator(model, _random_dataset(), models.LossSpec())(np.zeros(7))
 
 
 def test_mlp_forward_backward_contract():
     ds = _random_dataset(n=4, d=4, c=3, seed=12)
     model = models.MlpModel.initialize([4, 8, 3], seed=12)
-    value, grad, activations = models.mlp_forward_backward(model, ds, models.LossSpec(mu=0.01))
+    value, grad = model.loss_and_gradient(ds.features, ds.labels, models.LossSpec(mu=0.01))
+    _, activations = model.forward_with_activations(ds.features)
     assert np.isfinite(value)
-    assert grad.values.shape == (model.layout.total_size,)
+    assert grad.shape == (model.layout.total_size,)
     assert len(activations) == 2  # one entry per weighted layer
     assert all(a.shape[0] == 4 for a in activations)
 
@@ -423,3 +423,39 @@ def test_checkpoint_huge_layer_sizes_rejected_before_allocation(tmp_path):
     path.write_bytes(b"LTCP" + struct.pack("<III", 1, 1, 3) + struct.pack("<3I", 2**31, 2**31, 10) + bytes(8))
     with pytest.raises(CheckpointError, match="expected"):
         models.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("kind, sizes", [(0, (0, 0)), (0, (3, 0)), (1, (3, 0, 2)), (1, (0, 4, 2))])
+def test_checkpoint_zero_layer_size_rejected(tmp_path, kind, sizes):
+    n_params = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
+    path = tmp_path / "zero.ckpt"
+    path.write_bytes(
+        b"LTCP" + struct.pack(f"<III{len(sizes)}I", 1, kind, len(sizes), *sizes) + bytes(8 * n_params)
+    )
+    with pytest.raises(CheckpointError, match=">= 1"):
+        models.load_checkpoint(path)
+
+
+def _checkpoint_bytes(model) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt"
+        models.save_checkpoint(model, path)
+        return path.read_bytes()
+
+
+_VALID_LINEAR = _checkpoint_bytes(models.LinearModel.initialize(3, 2, seed=0))
+_VALID_MLP = _checkpoint_bytes(models.MlpModel.initialize([2, 3, 2], seed=0))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=parser_inputs(_VALID_LINEAR) | parser_inputs(_VALID_MLP))
+def test_load_checkpoint_fuzz(tmp_path, data):
+    # any byte string loads as a model with sizes >= 1 or fails with CheckpointError
+    path = tmp_path / "fuzz.ckpt"
+    path.write_bytes(data)
+    try:
+        model = models.load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert min(model.layer_sizes) >= 1
+    assert len(model.get_params()) * 8 < len(data)
