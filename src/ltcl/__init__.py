@@ -19,13 +19,14 @@ from .bounds import (
 )
 from .continual import (
     PhaseResult,
-    StrategyState,
     default_phase2_config,
     ewc_penalty,
     fisher_diagonal,
     gpm_collect_bases,
     gpm_project,
     lwf_loss,
+    run_head_phase,
+    run_tail_phase,
     run_two_phase,
     strategy_term,
 )

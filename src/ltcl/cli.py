@@ -28,7 +28,7 @@ from . import __version__
 from .bounds import BoundGridConfig, bound_grid
 from .continual import (
     DEFAULT_BATCH_SIZE, DEFAULT_CL_WEIGHTS, DEFAULT_ENERGY_THRESHOLD, DEFAULT_FISHER_MAX_SAMPLES,
-    DEFAULT_TEMPERATURE, VARIANTS, default_phase2_config, run_two_phase,
+    DEFAULT_TEMPERATURE, VARIANTS, default_phase2_config, run_head_phase, run_tail_phase,
 )
 from .datasets import head_tail_split, load_idx, make_longtail, mean_pool_images, synthetic_gaussian
 from .errors import ConfigError, LtclError
@@ -102,8 +102,10 @@ IDX_TWO_PHASE = {**DATASET, **dict.fromkeys(IDX_FILES, Field(str, REQUIRED, EXIS
 IDX_GRID = {**IDX_TWO_PHASE, **dict.fromkeys(IDX_FILES[2:], Field(str, ABSENT, EXISTING_FILE))}
 
 LONGTAIL = {"head_fraction": Field(float, 0.6, FRACTION), "n_max": Field(int, None, AT_LEAST_1)}
-IMBALANCE_FACTORS = (lambda fs: fs and min(fs) >= 1, "must be a list of numbers >= 1")
-MU_VALUES = (lambda mus: mus and min(mus) > 0, "must be a list of positive numbers")
+IMBALANCE_FACTORS = (lambda fs: fs and min(fs) >= 1 and len(set(fs)) == len(fs),
+                     "must be a list of distinct numbers >= 1")
+MU_VALUES = (lambda mus: mus and min(mus) > 0 and len(set(mus)) == len(mus),
+             "must be a list of distinct positive numbers")
 BOUND_GRID = {
     "mu_values": Field([float], REQUIRED, MU_VALUES),
     "grad_tolerance": Field(float, BoundGridConfig.grad_tolerance, POSITIVE),
@@ -311,7 +313,7 @@ def grid_exit_code(reports) -> int:
 
 
 def run_ltr_two_phase(cfg: dict, out_dir: Path) -> int:
-    """Run every strategy head-then-tail; a compare run also writes pairwise accuracy diffs."""
+    """Train Phase 1 once, then each strategy's Phase 2 from it; compare also writes pairwise accuracy diffs."""
     longtail = cfg["longtail"]
     source = _load_dataset(cfg, "train")
     test_dataset = _load_dataset(cfg, "test")
@@ -319,25 +321,30 @@ def run_ltr_two_phase(cfg: dict, out_dir: Path) -> int:
     split = head_tail_split(lt, longtail["head_fraction"])
     spec = LossSpec(mu=cfg["loss"]["mu"])
     phase1_config = _train_config(cfg["phase1"], "phase1", seed=cfg["seed"])
+    sizes = [lt.n_features, *cfg["model"]["hidden_sizes"], lt.n_classes]
+    model = (LinearModel.zeros(lt.n_features, lt.n_classes) if cfg["model"]["kind"] == "linear"
+             else MlpModel.initialize(sizes, seed=cfg["seed"]))
 
     def run_one(name):
         """The strategy's result, or the LtclError that ended it."""
         settings = cfg["strategy_overrides"][name]
         seed = cfg["seed"] + _PHASE2_SEED_OFFSET[name]
         phase2_config = _train_config(settings, f"strategy_overrides.{name}", seed=seed)
-        sizes = [lt.n_features, *cfg["model"]["hidden_sizes"], lt.n_classes]
-        model = (LinearModel.zeros(lt.n_features, lt.n_classes) if cfg["model"]["kind"] == "linear"
-                 else MlpModel.initialize(sizes, seed=cfg["seed"]))
         cl_settings = {key: value for key, value in settings.items() if key not in TRAIN_TYPES}
         try:
-            return run_two_phase(name, lt, split, phase1_config, phase2_config, spec, model=model,
-                                 test_dataset=test_dataset, **cl_settings)
+            return run_tail_phase(name, head_phase, split, phase2_config, spec, test_dataset,
+                                  phase1_config.seed, **cl_settings)
         except LtclError as exc:
             return exc
 
     names = cfg["strategies"]
-    with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
-        outcomes = dict(zip(names, pool.map(run_one, names)))
+    try:
+        head_phase = run_head_phase(split, phase1_config, spec, model, test_dataset)
+    except LtclError as exc:  # phase 1 failed, and with it every strategy
+        outcomes = dict.fromkeys(names, exc)
+    else:
+        with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
+            outcomes = dict(zip(names, pool.map(run_one, names)))
     results = {name: res for name, res in outcomes.items() if not isinstance(res, LtclError)}
 
     head, tail = sorted(split.head_classes), sorted(split.tail_classes)

@@ -1,21 +1,23 @@
 """Two-phase Head-to-Tail training with continual-learning strategies.
 
-Phase 1 fits the head classes only. Phase 2 fits the tail while a
-strategy's `models.ObjectiveTerm` fights forgetting: a Fisher-weighted
-pull toward the Phase-1 weights (EWC, with the Fisher taken either at
-sampled labels or at the true labels), distillation against the frozen
-Phase-1 model on head logits (LwF), or layer inputs projected out of the
-span of the Phase-1 layer inputs (GPM). The naive variant has no term and
-serves as the catastrophic-forgetting baseline.
+Phase 1 fits the head classes only, once for any number of strategies.
+Phase 2 fits the tail while a strategy's `models.ObjectiveTerm`, the one
+object that holds what the strategy kept of the Phase-1 model, fights
+forgetting: a Fisher-weighted pull toward the Phase-1 weights (EWC, with
+the Fisher taken either at sampled labels or at the true labels),
+distillation against the frozen Phase-1 model on head logits (LwF), or
+layer inputs projected out of the span of the Phase-1 layer inputs (GPM).
+The naive variant has no term and serves as the catastrophic-forgetting
+baseline.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .datasets import HeadTailSplit, LabeledDataset
-from .errors import ConfigError, EmptyClassError, ShapeMismatchError
+from .errors import EmptyClassError, ShapeMismatchError
 from .metrics import MetricsReport, evaluate
 from .models import LossSpec, ObjectiveTerm, log_softmax, softmax_probs
 from .training import TrainConfig, train
@@ -23,8 +25,8 @@ from .training import TrainConfig, train
 VARIANTS = ("naive", "ewc", "modified_ewc", "lwf", "gpm")
 FISHER_MODES = ("model_sampled", "true_loss")
 
-# Phase-2 hyperparameters per strategy: lr, momentum, schedule, penalty
-# weight, epochs. The naive baseline gets the EWC optimization budget.
+# Phase-2 TrainConfig fields per strategy (the penalty weights are
+# DEFAULT_CL_WEIGHTS). The naive baseline gets the EWC optimization budget.
 PHASE2_DEFAULTS = {
     "lwf": dict(learning_rate=0.001, momentum=0.9, schedule="constant", epochs=5),
     "ewc": dict(learning_rate=0.01, momentum=0.9, schedule="constant", epochs=90),
@@ -41,27 +43,16 @@ _LOG_FLOOR = 1e-30  # floors distillation targets only, never the primary loss
 
 
 @dataclass
-class StrategyState:
-    """Knowledge retained from Phase 1 that the Phase-2 mechanism consumes."""
-
-    variant: str
-    cl_weight: float = 0.0
-    anchor: np.ndarray | None = None
-    fisher: np.ndarray | None = None
-    teacher: object = None
-    bases: list | None = None
-    temperature: float = DEFAULT_TEMPERATURE
-    head_classes: tuple = ()
-
-
-@dataclass
 class PhaseResult:
+    """Phase 1 fills the head fields; a tail phase returns a copy with the
+    tail fields set and `state`, the strategy's term (None for naive)."""
+
     model_after_head: object
-    model_after_tail: object
     metrics_before: MetricsReport
-    metrics_after: MetricsReport
-    state: StrategyState | None = None
-    phase1_losses: np.ndarray | None = None  # per epoch
+    phase1_losses: np.ndarray  # per epoch
+    model_after_tail: object = None
+    metrics_after: MetricsReport | None = None
+    state: ObjectiveTerm | None = None
     phase2_losses: np.ndarray | None = None
     # per step: ||update component inside the bases|| / ||update||
     gpm_projection_ratios: list = field(default_factory=list)
@@ -70,15 +61,7 @@ class PhaseResult:
 def default_phase2_config(variant: str, seed: int = 0, batch_size: int | None = DEFAULT_BATCH_SIZE) -> TrainConfig:
     if variant not in PHASE2_DEFAULTS:
         raise ValueError(f"unknown strategy variant {variant!r}")
-    d = PHASE2_DEFAULTS[variant]
-    return TrainConfig(
-        learning_rate=d["learning_rate"],
-        momentum=d["momentum"],
-        epochs=d["epochs"],
-        batch_size=batch_size,
-        schedule=d["schedule"],
-        seed=seed,
-    )
+    return TrainConfig(batch_size=batch_size, seed=seed, **PHASE2_DEFAULTS[variant])
 
 
 def fisher_diagonal(model, dataset: LabeledDataset, mode: str, max_samples: int, seed: int = 0) -> np.ndarray:
@@ -119,21 +102,15 @@ def _sample_labels(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.count_nonzero(cdf <= rng.random(len(probs))[:, None], axis=1)
 
 
-def ewc_penalty(theta, state: StrategyState) -> float:
+def ewc_penalty(theta, anchor, fisher, cl_weight) -> float:
     """Quadratic pull (w/2) * sum_i F_i (theta_i - anchor_i)^2."""
-    if state.variant not in ("ewc", "modified_ewc"):
-        raise ValueError(f"ewc_penalty needs an EWC-family state, got {state.variant!r}")
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != state.anchor.shape:
+    if theta.shape != anchor.shape:
         raise ShapeMismatchError(
-            f"parameter vector {theta.shape} does not match anchor {state.anchor.shape}"
+            f"parameter vector {theta.shape} does not match anchor {anchor.shape}"
         )
-    diff = theta - state.anchor
-    return 0.5 * state.cl_weight * float(state.fisher @ (diff * diff))
-
-
-def _soften(logits: np.ndarray, temperature: float) -> np.ndarray:
-    return softmax_probs(logits / temperature)
+    diff = theta - anchor
+    return 0.5 * cl_weight * float(fisher @ (diff * diff))
 
 
 def lwf_loss(student_logits, teacher_logits, true_labels, temperature, cl_weight) -> float:
@@ -149,7 +126,7 @@ def lwf_loss(student_logits, teacher_logits, true_labels, temperature, cl_weight
     n = len(student_logits)
     logp = log_softmax(student_logits)
     ce = -logp[np.arange(n), np.asarray(true_labels)].mean()
-    targets = _soften(teacher_logits, temperature)
+    targets = softmax_probs(teacher_logits / temperature)
     student_soft_logp = log_softmax(student_logits / temperature)
     kl = (targets * (np.log(np.maximum(targets, _LOG_FLOOR)) - student_soft_logp)).sum(axis=1)
     return float(ce + cl_weight * temperature**2 * kl.mean())
@@ -207,26 +184,26 @@ class _EwcTerm(ObjectiveTerm):
     """ewc_penalty's value, and (w F) * (theta - anchor) added to the
     gradient, with w F formed once and theta - anchor once per step."""
 
-    def __init__(self, state: StrategyState):
-        self.state = state
-        self.weighted_fisher = state.cl_weight * state.fisher
+    def __init__(self, anchor, fisher, cl_weight: float):
+        self.anchor, self.fisher, self.cl_weight = anchor, fisher, cl_weight
+        self.weighted_fisher = cl_weight * fisher
 
     def param_term(self, params, grad) -> float:
-        diff = params - self.state.anchor
+        diff = params - self.anchor
         grad += self.weighted_fisher * diff
-        return 0.5 * self.state.cl_weight * float(self.state.fisher @ (diff * diff))
+        return 0.5 * self.cl_weight * float(self.fisher @ (diff * diff))
 
 
 class _LwfTerm(ObjectiveTerm):
     """Distillation against the frozen teacher on the head logits."""
 
-    def __init__(self, state: StrategyState):
-        self.state = state
-        self.head_cols = np.array(state.head_classes, dtype=np.intp)
+    def __init__(self, teacher, head_classes, temperature: float, cl_weight: float):
+        self.teacher, self.temperature, self.cl_weight = teacher, temperature, cl_weight
+        self.head_cols = np.array(sorted(int(c) for c in head_classes), dtype=np.intp)
 
     def logit_term(self, logits, inputs, delta) -> float:
-        cols, temperature, cl_weight = self.head_cols, self.state.temperature, self.state.cl_weight
-        targets = _soften(self.state.teacher.forward(inputs[0])[:, cols], temperature)
+        cols, temperature, cl_weight = self.head_cols, self.temperature, self.cl_weight
+        targets = softmax_probs(self.teacher.forward(inputs[0])[:, cols] / temperature)
         logq = log_softmax(logits[:, cols] / temperature)
         kl = (targets * (np.log(np.maximum(targets, _LOG_FLOOR)) - logq)).sum(axis=1)
         delta[:, cols] += cl_weight * temperature * (np.exp(logq) - targets) / len(logits)
@@ -240,9 +217,9 @@ class _GpmTerm(ObjectiveTerm):
     W0 B and mu (W - M) is the projection of mu W. Every step appends
     ||G_w B|| / ||G|| of the full gradient G to `ratios`."""
 
-    def __init__(self, model, bases, mu: float, ratios: list):
+    def __init__(self, model, bases, mu: float):
         self.bases = bases
-        self.ratios = ratios
+        self.ratios = []
         self.weight_views = model.weight_views
         self.mu_m = np.zeros(model.layout.total_size)
         for m, w0, basis in zip(model.weight_views(self.mu_m), model.weight_views(model.params), bases):
@@ -261,56 +238,60 @@ class _GpmTerm(ObjectiveTerm):
         return 0.0
 
 
-def strategy_term(state: StrategyState, model, spec: LossSpec, ratios: list) -> ObjectiveTerm | None:
-    """state's Phase-2 term for training `model` from its current params,
-    or None (naive); GPM appends one in-span ratio per step to `ratios`."""
-    if state.variant in ("ewc", "modified_ewc"):
-        return _EwcTerm(state)
-    if state.variant == "lwf":
-        return _LwfTerm(state)
-    if state.variant == "gpm":
-        return _GpmTerm(model, state.bases, spec.mu, ratios)
-    return None
-
-
-def prepare_strategy_state(
-    variant: str,
-    model,
-    head_dataset: LabeledDataset,
-    head_classes,
-    cl_weight: float | None = None,
-    temperature: float = DEFAULT_TEMPERATURE,
-    energy_threshold: float = DEFAULT_ENERGY_THRESHOLD,
-    fisher_max_samples: int = DEFAULT_FISHER_MAX_SAMPLES,
-    fisher_seed: int = 0,
-) -> StrategyState:
+def strategy_term(
+    variant: str, model, head_dataset: LabeledDataset, head_classes, spec: LossSpec, *,
+    cl_weight: float | None = None, temperature: float = DEFAULT_TEMPERATURE,
+    energy_threshold: float = DEFAULT_ENERGY_THRESHOLD, fisher_max_samples: int = DEFAULT_FISHER_MAX_SAMPLES,
+    seed: int = 0,
+) -> ObjectiveTerm | None:
+    """The variant's Phase-2 term, holding what it keeps of the Phase-1
+    `model`, or None (naive). Fisher and GPM subsample head_dataset with
+    `seed`; the term copies what it keeps, so `model` may change later."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown strategy variant {variant!r}")
     if cl_weight is None:
         cl_weight = DEFAULT_CL_WEIGHTS.get(variant, 0.0)
-    state = StrategyState(
-        variant=variant,
-        cl_weight=cl_weight,
-        temperature=temperature,
-        head_classes=tuple(sorted(int(c) for c in head_classes)),
-    )
     if variant in ("ewc", "modified_ewc"):
         mode = "model_sampled" if variant == "ewc" else "true_loss"
-        state.anchor = model.get_params()
-        state.fisher = fisher_diagonal(
-            model, head_dataset, mode, fisher_max_samples, seed=fisher_seed
-        )
-    elif variant == "lwf":
-        state.teacher = model.copy()
-    elif variant == "gpm":
-        if not hasattr(model, "forward_with_activations"):
-            raise ConfigError(
-                "strategy", "gpm requires a model that retains layer input activations"
-            )
-        state.bases = gpm_collect_bases(
-            model, head_dataset, energy_threshold, fisher_max_samples, seed=fisher_seed
-        )
-    return state
+        fisher = fisher_diagonal(model, head_dataset, mode, fisher_max_samples, seed=seed)
+        return _EwcTerm(model.get_params(), fisher, cl_weight)
+    if variant == "lwf":
+        return _LwfTerm(model.copy(), head_classes, temperature, cl_weight)
+    if variant == "gpm":
+        bases = gpm_collect_bases(model, head_dataset, energy_threshold, fisher_max_samples, seed=seed)
+        return _GpmTerm(model, bases, spec.mu)
+    return None
+
+
+def run_head_phase(
+    split: HeadTailSplit, phase1_config: TrainConfig, spec: LossSpec, model, eval_dataset: LabeledDataset
+) -> PhaseResult:
+    """Phase 1: train a copy of `model` on the head and evaluate it. Any
+    number of tail phases may start from the result; none changes it."""
+    if split.tail.n_samples == 0:
+        raise EmptyClassError("tail dataset is empty; nothing to learn in phase 2")
+    model_head, phase1_losses = train(model, split.head, spec, phase1_config)
+    return PhaseResult(model_head, evaluate(model_head, eval_dataset), phase1_losses)
+
+
+def run_tail_phase(
+    variant: str, head: PhaseResult, split: HeadTailSplit, phase2_config: TrainConfig, spec: LossSpec,
+    eval_dataset: LabeledDataset, seed: int, **settings,
+) -> PhaseResult:
+    """Phase 2: train a copy of the head model on the tail under the
+    strategy_term built with `seed` and `settings` (its keywords), and
+    return a copy of `head` with the tail fields set."""
+    model_head = head.model_after_head
+    term = strategy_term(variant, model_head, split.head, split.head_classes, spec, seed=seed, **settings)
+    model_tail, phase2_losses = train(model_head, split.tail, spec, phase2_config, term)
+    return replace(
+        head,
+        model_after_tail=model_tail,
+        metrics_after=evaluate(model_tail, eval_dataset),
+        state=term,
+        phase2_losses=phase2_losses,
+        gpm_projection_ratios=term.ratios if isinstance(term, _GpmTerm) else [],
+    )
 
 
 def run_two_phase(
@@ -330,39 +311,10 @@ def run_two_phase(
     """Train Phase 1 on the head, then Phase 2 on the tail with the
     strategy's mechanism active. Metrics are taken on test_dataset when
     given, otherwise on the full training dataset."""
-    if strategy_variant not in VARIANTS:
-        raise ValueError(f"unknown strategy variant {strategy_variant!r}")
-    if split.tail.n_samples == 0:
-        raise EmptyClassError("tail dataset is empty; nothing to learn in phase 2")
-
     eval_dataset = test_dataset if test_dataset is not None else dataset
-    model_head, phase1_losses = train(model, split.head, loss_spec, phase1_config)
-    metrics_before = evaluate(model_head, eval_dataset)
-
-    state = prepare_strategy_state(
-        strategy_variant,
-        model_head,
-        split.head,
-        split.head_classes,
-        cl_weight=cl_weight,
-        temperature=temperature,
-        energy_threshold=energy_threshold,
+    head = run_head_phase(split, phase1_config, loss_spec, model, eval_dataset)
+    return run_tail_phase(
+        strategy_variant, head, split, phase2_config, loss_spec, eval_dataset, phase1_config.seed,
+        cl_weight=cl_weight, temperature=temperature, energy_threshold=energy_threshold,
         fisher_max_samples=fisher_max_samples,
-        fisher_seed=phase1_config.seed,
-    )
-
-    ratios: list = []
-    term = strategy_term(state, model_head, loss_spec, ratios)
-    model_tail, phase2_losses = train(model_head, split.tail, loss_spec, phase2_config, term)
-    metrics_after = evaluate(model_tail, eval_dataset)
-
-    return PhaseResult(
-        model_after_head=model_head,
-        model_after_tail=model_tail,
-        metrics_before=metrics_before,
-        metrics_after=metrics_after,
-        state=state,
-        phase1_losses=phase1_losses,
-        phase2_losses=phase2_losses,
-        gpm_projection_ratios=ratios,
     )

@@ -41,7 +41,12 @@ def per_class_accuracy(model, test_dataset: LabeledDataset) -> np.ndarray:
     if np.any(counts == 0):
         missing = int(np.flatnonzero(counts == 0)[0])
         raise CoverageError(f"test set has no samples for class {missing}")
-    predictions = np.argmax(model.forward(test_dataset.features), axis=1)
+    logits = model.forward(test_dataset.features)
+    if logits.shape[1] != test_dataset.n_classes:
+        raise ShapeMismatchError(
+            f"model predicts {logits.shape[1]} classes, test set has {test_dataset.n_classes}"
+        )
+    predictions = np.argmax(logits, axis=1)
     accuracy = np.zeros(test_dataset.n_classes)
     for c in range(test_dataset.n_classes):
         rows = test_dataset.labels == c

@@ -61,14 +61,13 @@ def two_phase_runs(mnist_scale_corpus):
     phase1 = training.TrainConfig(
         learning_rate=0.01, momentum=0.9, epochs=8, batch_size=64, seed=TWO_PHASE_SEED
     )
+    model = models.MlpModel.initialize([lt.n_features, 64, lt.n_classes], seed=TWO_PHASE_SEED)
+    head = continual.run_head_phase(split, phase1, spec, model, test)
     results = {}
     for variant in continual.VARIANTS:
-        model = models.MlpModel.initialize([lt.n_features, 64, lt.n_classes], seed=TWO_PHASE_SEED)
         batch = 2 if variant == "gpm" else 8
         phase2 = continual.default_phase2_config(variant, seed=TWO_PHASE_SEED + 1, batch_size=batch)
-        results[variant] = continual.run_two_phase(
-            variant, lt, split, phase1, phase2, spec, model=model, test_dataset=test
-        )
+        results[variant] = continual.run_tail_phase(variant, head, split, phase2, spec, test, phase1.seed)
     single_phase, _ = training.train(
         models.MlpModel.initialize([lt.n_features, 64, lt.n_classes], seed=TWO_PHASE_SEED),
         lt,

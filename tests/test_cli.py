@@ -7,7 +7,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltcl import cli
+from ltcl import cli, continual
 from ltcl.errors import ConfigError
 
 
@@ -100,6 +100,12 @@ def test_invalid_values_rejected(tmp_path):
         cfg = _bound_grid_config(tmp_path / "out")
         cfg["bound_grid"][field] = value
         with pytest.raises(ConfigError, match=f"bound_grid.{field}"):
+            cli.validate_config(cfg)
+    # a repeated value used to write one cell twice, with different delta_hat
+    for section, field in [("longtail", "imbalance_factors"), ("bound_grid", "mu_values")]:
+        cfg = _bound_grid_config(tmp_path / "out")
+        cfg[section][field] = [0.1, 5, 0.1] if field == "mu_values" else [5, 20, 5.0]
+        with pytest.raises(ConfigError, match=f"{section}.{field}.*distinct"):
             cli.validate_config(cfg)
     cfg = _bound_grid_config(tmp_path / "out")
     cfg["seed"] = -1
@@ -464,11 +470,10 @@ def test_bound_grid_on_corrupt_or_missing_idx_file(tmp_path, capsys):
     assert cli.main(["bound-grid", "--config", str(path)]) == 1
 
 
-def test_two_phase_from_idx_files(tmp_path):
-    train_img, train_lab = _write_idx_dataset(tmp_path, 60, seed=1, prefix="train")
-    test_img, test_lab = _write_idx_dataset(tmp_path, 20, seed=2, prefix="test")
-    out = tmp_path / "out"
-    cfg = {
+def _idx_two_phase_config(tmp_path, out, train_classes=4, test_classes=4):
+    train_img, train_lab = _write_idx_dataset(tmp_path, 60, n_classes=train_classes, seed=1, prefix="train")
+    test_img, test_lab = _write_idx_dataset(tmp_path, 20, n_classes=test_classes, seed=2, prefix="test")
+    return {
         "schema_version": 1,
         "kind": "ltr_two_phase",
         "seed": 9,
@@ -487,12 +492,45 @@ def test_two_phase_from_idx_files(tmp_path):
         "strategies": ["naive", "gpm"],
         "strategy_overrides": {"naive": {"epochs": 20}, "gpm": {"epochs": 20}},
     }
-    path = _write_config(tmp_path, cfg, name="idx.yaml")
+
+
+def test_two_phase_from_idx_files(tmp_path):
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, _idx_two_phase_config(tmp_path, out), name="idx.yaml")
     assert cli.main(["two-phase", "--config", str(path)]) == 0
     summary = (out / "summary.csv").read_text().strip().split("\n")
     assert len(summary) == 3
     metrics_lines = (out / "metrics_gpm.csv").read_text().strip().split("\n")
     assert len(metrics_lines) == 1 + 4
+
+
+@pytest.mark.parametrize("train_classes, test_classes", [(6, 5), (5, 6)])
+def test_test_set_with_other_class_count_fails_each_strategy(tmp_path, train_classes, test_classes):
+    # a wider model once indexed past the accuracy vector; a narrower one
+    # averaged over a class it cannot predict and wrote truncated metrics
+    out = tmp_path / "out"
+    cfg = _idx_two_phase_config(tmp_path, out, train_classes, test_classes)
+    assert cli.main(["two-phase", "--config", str(_write_config(tmp_path, cfg))]) == 3
+    rows = (out / "summary.csv").read_text().strip().split("\n")[1:]
+    detail = f"model predicts {train_classes} classes, test set has {test_classes}"
+    assert len(rows) == 2 and all(f"failed: {detail}" in row for row in rows)
+    assert not list(out.glob("metrics_*.csv"))
+
+
+def test_compare_trains_phase_1_once(tmp_path, monkeypatch):
+    calls = []
+    train = continual.train
+
+    def counting_train(*args, **kwargs):
+        calls.append(args[1].n_samples)  # the head or the tail set
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(continual, "train", counting_train)
+    strategies = ["naive", "ewc", "lwf"]
+    cfg = _two_phase_config(tmp_path / "out", kind="compare", strategies=strategies)
+    assert cli.main(["compare", "--config", str(_write_config(tmp_path, cfg)), "--workers", "2"]) == 0
+    assert len(calls) == 1 + len(strategies)
+    assert calls[0] > calls[1] and len(set(calls[1:])) == 1
 
 
 def test_seed_override_changes_outputs(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ltcl import continual, datasets, metrics, models, training
-from ltcl.errors import ConfigError, ShapeMismatchError
+from ltcl.errors import ShapeMismatchError
 
 
 @pytest.fixture(scope="module")
@@ -128,58 +128,48 @@ def test_fisher_seeded_subsample_deterministic(lt_fixture):
 
 # ---------------------------------------------------------------- ewc penalty
 
-def _ewc_state(n=4, cl_weight=2.0, fisher=None, anchor=None):
-    return continual.StrategyState(
-        variant="ewc",
-        cl_weight=cl_weight,
-        anchor=np.zeros(n) if anchor is None else anchor,
-        fisher=np.ones(n) if fisher is None else fisher,
-    )
+def _ewc_args(n=4, cl_weight=2.0, fisher=None, anchor=None):
+    """(anchor, fisher, cl_weight) for ewc_penalty and _EwcTerm."""
+    return np.zeros(n) if anchor is None else anchor, np.ones(n) if fisher is None else fisher, cl_weight
 
 
 def test_ewc_penalty_zero_at_anchor():
-    state = _ewc_state()
-    assert continual.ewc_penalty(state.anchor, state) == 0.0
+    anchor, fisher, cl_weight = _ewc_args()
+    assert continual.ewc_penalty(anchor, anchor, fisher, cl_weight) == 0.0
 
 
 def test_ewc_penalty_direct_value():
-    state = _ewc_state(n=3, cl_weight=2.0)
     theta = np.array([1.0, 1.0, 1.0])  # ||theta - 0||^2 = 3
-    assert continual.ewc_penalty(theta, state) == pytest.approx(3.0)
+    assert continual.ewc_penalty(theta, *_ewc_args(n=3, cl_weight=2.0)) == pytest.approx(3.0)
 
 
 def test_ewc_penalty_linear_in_weight():
-    state1 = _ewc_state(cl_weight=1.5)
-    state2 = _ewc_state(cl_weight=3.0)
     theta = np.array([0.3, -0.2, 0.9, 0.1])
-    assert continual.ewc_penalty(theta, state2) == pytest.approx(
-        2 * continual.ewc_penalty(theta, state1)
+    assert continual.ewc_penalty(theta, *_ewc_args(cl_weight=3.0)) == pytest.approx(
+        2 * continual.ewc_penalty(theta, *_ewc_args(cl_weight=1.5))
     )
 
 
 def test_ewc_penalty_gradient():
     # the EWC term adds (w F) * (theta - anchor) to the gradient and ewc_penalty to the value
     model = models.LinearModel(np.array([[1.0, -1.0]]), np.array([0.5]))
-    state = _ewc_state(n=3, cl_weight=4.0, fisher=np.array([0.5, 2.0, 1.0]), anchor=np.array([0.0, 0.0, 1.0]))
+    args = _ewc_args(n=3, cl_weight=4.0, fisher=np.array([0.5, 2.0, 1.0]), anchor=np.array([0.0, 0.0, 1.0]))
     x, y = np.array([[0.3, 0.7]]), np.array([0])
     plain_value, plain = model.loss_and_gradient(x, y, SPEC)
-    term = continual.strategy_term(state, model, SPEC, [])
-    value, penalized = model.loss_and_gradient(x, y, SPEC, term)
+    value, penalized = model.loss_and_gradient(x, y, SPEC, continual._EwcTerm(*args))
     assert penalized - plain == pytest.approx([4.0 * 0.5 * 1.0, 4.0 * 2.0 * -1.0, 4.0 * 1.0 * -0.5])
-    assert value == plain_value + continual.ewc_penalty(model.params, state)
+    assert value == plain_value + continual.ewc_penalty(model.params, *args)
 
 
 def test_ewc_penalty_shape_error():
-    state = _ewc_state(n=3)
     with pytest.raises(ShapeMismatchError):
-        continual.ewc_penalty(np.zeros(5), state)
+        continual.ewc_penalty(np.zeros(5), *_ewc_args(n=3))
 
 
 def test_ewc_phase2_objective_equals_tail_loss_at_anchor(lt_fixture):
     lt, split, _ = lt_fixture
     model, _ = training.train(_fresh_model(), split.head, SPEC, PHASE1)
-    state = continual.prepare_strategy_state("ewc", model, split.head, split.head_classes)
-    term = continual.strategy_term(state, model, SPEC, [])
+    term = continual.strategy_term("ewc", model, split.head, split.head_classes, SPEC)
     value, grad = model.loss_and_gradient(split.tail.features, split.tail.labels, SPEC, term)
     _, plain = model.loss_and_gradient(split.tail.features, split.tail.labels, SPEC)
     assert value == pytest.approx(models.loss(model, split.tail, SPEC), abs=1e-12)
@@ -219,10 +209,9 @@ def test_lwf_loss_errors():
 def test_term_gradient_matches_finite_differences(lt_fixture, variant):
     lt, split, _ = lt_fixture
     head_model, _ = training.train(_fresh_model(), split.head, SPEC, PHASE1)
-    state = continual.prepare_strategy_state(variant, head_model, split.head, split.head_classes, cl_weight=3.0)
+    term = continual.strategy_term(variant, head_model, split.head, split.head_classes, SPEC, cl_weight=3.0)
     model = head_model.copy()
     model.set_params(head_model.params + 0.05 * np.random.default_rng(2).standard_normal(len(head_model.params)))
-    term = continual.strategy_term(state, model, SPEC, [])
     x, y = split.tail.features[:7], split.tail.labels[:7]
     _, grad = model.loss_and_gradient(x, y, SPEC, term)
     theta = model.get_params()
@@ -241,13 +230,12 @@ def test_term_gradient_matches_finite_differences(lt_fixture, variant):
 def test_lwf_term_value_is_distillation_against_teacher(lt_fixture):
     lt, split, _ = lt_fixture
     teacher, _ = training.train(_fresh_model(), split.head, SPEC, PHASE1)
-    state = continual.prepare_strategy_state("lwf", teacher, split.head, split.head_classes, cl_weight=3.0)
+    term = continual.strategy_term("lwf", teacher, split.head, split.head_classes, SPEC, cl_weight=3.0)
     student = _fresh_model(seed=9)
-    term = continual.strategy_term(state, student, SPEC, [])
     x, y = split.tail.features[:7], split.tail.labels[:7]
     plain, _ = student.loss_and_gradient(x, y, SPEC)
     value, _ = student.loss_and_gradient(x, y, SPEC, term)
-    head = list(state.head_classes)
+    head = sorted(split.head_classes)
     s_head, t_head = student.forward(x)[:, head], teacher.forward(x)[:, head]
     labels = np.zeros(len(y), dtype=int)
     kl = continual.lwf_loss(s_head, t_head, labels, 2.0, 3.0) - continual.lwf_loss(s_head, t_head, labels, 2.0, 0.0)
@@ -405,11 +393,9 @@ def test_gpm_term_projects_weight_gradients(lt_fixture):
             for rows in (slice(0, 1), slice(3, 5), slice(None)):
                 x, y = tail.features[rows], tail.labels[rows]
                 _, plain = model.loss_and_gradient(x, y, SPEC)
-                ratios = []
-                state = continual.StrategyState(variant="gpm", bases=bases)
-                term = continual.strategy_term(state, model, SPEC, ratios)
+                term = continual._GpmTerm(model, bases, SPEC.mu)
                 _, grad = model.loss_and_gradient(x, y, SPEC, term)
-                assert len(ratios) == 1 and ratios[0] <= 1e-12
+                assert len(term.ratios) == 1 and term.ratios[0] <= 1e-12
                 for g, g0, basis in zip(model.weight_views(grad), model.weight_views(plain), bases):
                     scale = np.max(np.abs(g0))
                     assert np.max(np.abs(g @ basis), initial=0.0) <= 1e-12 * scale
@@ -478,6 +464,26 @@ def test_two_phase_deterministic(lt_fixture):
         )
 
 
+def test_tail_phases_share_one_head_phase(lt_fixture):
+    lt, split, test = lt_fixture
+    head = continual.run_head_phase(split, PHASE1, SPEC, _fresh_model(), test)
+    head_params = head.model_after_head.get_params()
+    for variant in continual.VARIANTS:
+        phase2 = continual.default_phase2_config(variant, seed=6)
+        shared = continual.run_tail_phase(variant, head, split, phase2, SPEC, test, PHASE1.seed)
+        alone = _run(variant, lt, split, test, phase2=phase2)
+        assert np.array_equal(shared.model_after_tail.params, alone.model_after_tail.params), variant
+        assert np.array_equal(shared.metrics_after.per_class_accuracy, alone.metrics_after.per_class_accuracy)
+        assert shared.metrics_after.avg_class_accuracy == alone.metrics_after.avg_class_accuracy
+        assert np.array_equal(shared.gpm_projection_ratios, alone.gpm_projection_ratios)
+        assert bool(shared.gpm_projection_ratios) == (variant == "gpm")
+        assert shared.model_after_head is head.model_after_head
+        assert not np.shares_memory(shared.model_after_tail.params, head_params)
+    # no tail phase trained, anchored to or distilled from the shared head in place
+    assert np.array_equal(head.model_after_head.params, head_params)
+    assert head.model_after_tail is None and head.state is None and head.gpm_projection_ratios == []
+
+
 def test_two_phase_empty_tail_rejected(lt_fixture):
     lt, _, test = lt_fixture
     split_all_head = datasets.head_tail_split(lt, 1.0)
@@ -500,17 +506,6 @@ def test_gpm_runs_on_linear_model(lt_fixture):
     )
     assert len(res.state.bases) == 1
     assert max(res.gpm_projection_ratios) <= 1e-6
-
-
-def test_gpm_requires_activation_support(lt_fixture):
-    lt, split, _ = lt_fixture
-
-    class OpaqueModel:
-        def get_params(self):
-            return np.zeros(3)
-
-    with pytest.raises(ConfigError):
-        continual.prepare_strategy_state("gpm", OpaqueModel(), split.head, split.head_classes)
 
 
 def test_default_configs_follow_hyperparameter_table():

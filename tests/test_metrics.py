@@ -55,6 +55,15 @@ def test_per_class_accuracy_coverage_error():
         metrics.per_class_accuracy(FixedPredictor(np.zeros((2, 3))), ds)
 
 
+@pytest.mark.parametrize("n_logits", [3, 5])
+def test_per_class_accuracy_class_count_mismatch(n_logits):
+    # more logits than classes would index past the accuracy vector; fewer
+    # would average over classes the model cannot predict
+    ds = _balanced_test_set()
+    with pytest.raises(ShapeMismatchError, match=f"model predicts {n_logits} classes, test set has 4"):
+        metrics.per_class_accuracy(FixedPredictor(np.zeros((ds.n_samples, n_logits))), ds)
+
+
 def test_per_class_accuracy_scale_invariant():
     rng = np.random.default_rng(3)
     ds = _balanced_test_set(n_classes=5, n_per_class=8, n_features=6, seed=3)

@@ -190,11 +190,9 @@ def test_in_place_step_bit_identical_gpm_term():
     ds = _lt_dataset(seed=1)
     model = models.MlpModel.initialize([4, 7, 5], seed=3)
     spec = models.LossSpec(mu=1e-4)
-    state = continual.StrategyState(variant="gpm", bases=continual.gpm_collect_bases(model, ds, 0.9, 100))
+    bases = continual.gpm_collect_bases(model, ds, 0.9, 100)
     cfg = training.TrainConfig(learning_rate=0.01, momentum=0.0, epochs=5, batch_size=2, schedule="cosine", seed=6)
-    _assert_train_matches_reference(
-        model, ds, spec, cfg, lambda: continual.strategy_term(state, model, spec, [])
-    )
+    _assert_train_matches_reference(model, ds, spec, cfg, lambda: continual._GpmTerm(model, bases, spec.mu))
 
 
 @pytest.mark.parametrize("variant", ["ewc", "lwf"])
@@ -202,10 +200,9 @@ def test_in_place_step_bit_identical_with_term(variant):
     ds = _lt_dataset(seed=5)
     model = models.MlpModel.initialize([4, 7, 5], seed=6)
     spec = models.LossSpec(mu=1e-4)
-    state = continual.prepare_strategy_state(variant, model, ds, range(3), cl_weight=2.0)
     cfg = training.TrainConfig(learning_rate=0.02, momentum=0.9, epochs=4, batch_size=8, seed=8)
     _assert_train_matches_reference(
-        model, ds, spec, cfg, lambda: continual.strategy_term(state, model, spec, [])
+        model, ds, spec, cfg, lambda: continual.strategy_term(variant, model, ds, range(3), spec, cl_weight=2.0)
     )
 
 
