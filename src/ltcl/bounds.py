@@ -13,12 +13,14 @@ Three bounds are computed for a pair of strongly convex objectives f
 Each minimum eigenvalue is computed matrix-free: Lanczos with full
 reorthogonalisation on the exact Hessian-vector product
 (`models.hessian_operator`), so no dense Hessian is formed and Lemma 2
-has no parameter-count limit. The reported lambda is the smallest Ritz
-value. It is at or above the true lambda_min (Cauchy interlacing), and
-it lies within the stopping residual LANCZOS_TOL * |largest Ritz value|
-of an eigenvalue. It exceeds lambda_min = mu by at most 4.3e-12 over the
-18 eigensolves of the pooled acceptance grid, and by at most 2.6e-8 on
-the smaller pooled grid of perfbench's lemma2_cli workload.
+has no parameter-count limit. The Ritz values come from the Lanczos
+tridiagonal by Sturm-count bisection, not by a dense eigensolve. The
+reported lambda is the smallest Ritz value. It is at or above the true
+lambda_min (Cauchy interlacing), and it lies within the stopping
+residual LANCZOS_TOL * |largest Ritz value| of an eigenvalue. It exceeds
+lambda_min = mu by at most 4.3e-12 over the 18 eigensolves of the pooled
+acceptance grid, and by at most 2.5e-8 on the smaller pooled grid of
+perfbench's lemma2_cli workload.
 
 The grid experiment certifies both minimizers per (imbalance factor,
 mu) cell by truncated Newton-CG (Nocedal & Wright, Numerical
@@ -55,10 +57,10 @@ from .errors import (
     StrictConvexityError,
     SymmetryError,
 )
-from .models import LinearModel, LossSpec, hessian_operator, loss
+from .models import LinearModel, LossSpec, hessian_operator
 
-# Unused here, but perfbench/tracer.py patches all three by name in this module.
-from .models import hessian, softmax_smoothness_bound  # noqa: F401
+# Unused here, but perfbench/tracer.py patches all four by name in this module.
+from .models import hessian, loss, softmax_smoothness_bound  # noqa: F401
 from .training import train  # noqa: F401
 
 BOUND_SLACK = 1e-9
@@ -126,15 +128,16 @@ def lemma1_bound(delta: float, mu_f: float, mu_g: float) -> float:
 def tight_bound(theta_full, theta_head, losses, mu_f, mu_g) -> float:
     """Distance bound from exact loss-gap evaluations at the two minimizers.
 
-    losses(theta) returns the pair (loss_full(theta), loss_head(theta)).
-    Requires theta_full and theta_head to be certified minimizers of
-    loss_full and loss_head; the bracketed gap sum is then non-negative.
+    losses(stack) maps a stack of parameter vectors, one per row, to the
+    arrays (loss_full, loss_head) of their values; both minimizers go in
+    one 2-row stack. Requires theta_full and theta_head to be certified
+    minimizers of loss_full and loss_head; the bracketed gap sum is then
+    non-negative.
     """
     if mu_f + mu_g <= 0:
         raise DegenerateConvexityError("mu_f + mu_g must be positive")
-    full_at_full, head_at_full = losses(theta_full)
-    full_at_head, head_at_head = losses(theta_head)
-    bracket = (head_at_full - full_at_full) + (full_at_head - head_at_head)
+    full, head = losses(np.stack([theta_full, theta_head]))
+    bracket = (head[0] - full[0]) + (full[1] - head[1])
     if bracket < -BOUND_SLACK:
         raise MinimizerCertificationError(
             f"gap sum {bracket} is negative; inputs are not minimizers of their objectives"
@@ -169,61 +172,173 @@ LANCZOS_SEED = 0
 # The smallest Ritz pair has converged when its residual is at most
 # LANCZOS_TOL times the largest Ritz value in magnitude.
 LANCZOS_TOL = 1e-8
-LANCZOS_CHECK_EVERY = 10  # steps between eigensolves of the tridiagonal T
+LANCZOS_CHECK_EVERY = 10  # steps between Ritz checks of the tridiagonal T
 LANCZOS_MAX_ITERS = 1000
-LANCZOS_BLOCK = 64  # basis rows allocated at a time
+LANCZOS_ROWS = 64  # basis rows allocated first; the basis doubles when full
+
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 
-def _basis_rows(blocks: list, k: int) -> list:
-    full, rest = divmod(k, LANCZOS_BLOCK)
-    return blocks[:full] + ([blocks[full][:rest]] if rest else [])
+def _sturm_count(alphas, beta_sq, x: float, pivmin: float) -> int:
+    """Number of eigenvalues below x of the symmetric tridiagonal with
+    diagonal `alphas` and squared off-diagonal `beta_sq[1:]` (beta_sq[0]
+    is 0): the negative pivots of the LDL^T factorisation of T - x I,
+    with pivots smaller than pivmin in magnitude taken as -pivmin."""
+    count = 0
+    d = 1.0
+    for a, b2 in zip(alphas, beta_sq):
+        d = (a - x) - b2 / d
+        if d < pivmin:
+            if d > -pivmin:
+                d = -pivmin
+            count += 1
+    return count
+
+
+def _ritz_bracket(alphas, beta_sq, index: int, near: float, far: float, tol: float, pivmin: float):
+    """Bracket (lo, hi) of width at most tol of T's index-th smallest
+    eigenvalue (from 0), which lies between near and far. Steps of tol,
+    16 tol, 256 tol, ... walk from near towards far until one passes the
+    eigenvalue, and the last step is bisected: a bracket end holds at most
+    index eigenvalues below lo and more than index below hi. The cost grows
+    with the log of the distance from near, so a near end from an earlier
+    check makes it small."""
+    side = 1.0 if far > near else -1.0
+    step = tol
+    while True:
+        x = near + side * step
+        if side * (far - x) <= 0:
+            x = far
+            break
+        if (_sturm_count(alphas, beta_sq, x, pivmin) > index) == (side > 0):
+            break
+        near, step = x, 16.0 * step
+    lo, hi = min(near, x), max(near, x)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if _sturm_count(alphas, beta_sq, mid, pivmin) > index:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _last_component(alphas, betas, theta: float, norm: float) -> float:
+    """|last component| of the unit eigenvector of T for the eigenvalue
+    theta: one step of inverse iteration, U z = (1, ..., 1) after
+    Gaussian elimination with partial pivoting of (T - theta I) / norm
+    (Wilkinson's start, as in EISPACK's tinvit). Scaled by norm = ||T||,
+    the pivots are O(1), and a zero pivot is replaced by eps."""
+    k = len(alphas)
+    if norm == 0.0:
+        return 1.0  # T = 0 is 1 x 1: a zero off-diagonal ends Lanczos
+    shifted = [(a - theta) / norm for a in alphas]
+    offdiag = [b / norm for b in betas] + [0.0]
+    diag, sup1, sup2 = [0.0] * k, [0.0] * k, [0.0] * k
+    d, e = shifted[0], offdiag[0]
+    for i in range(k - 1):
+        sub, next_d, next_e = offdiag[i], shifted[i + 1], offdiag[i + 1]
+        if abs(d) >= abs(sub):
+            diag[i], sup1[i] = d or _EPS, e
+            d, e = next_d - (sub / diag[i]) * e, next_e
+        else:
+            ratio = d / sub
+            diag[i], sup1[i], sup2[i] = sub, next_d, next_e
+            d, e = e - ratio * next_d, -ratio * next_e
+    diag[k - 1] = d or _EPS
+    z = [0.0] * (k + 2)
+    for i in range(k - 1, -1, -1):
+        z[i] = (1.0 - sup1[i] * z[i + 1] - sup2[i] * z[i + 2]) / diag[i]
+    return abs(z[k - 1]) / math.hypot(*z)
+
+
+def _ritz_check(alphas, betas, hints):
+    """The smallest Ritz value theta_1, the largest theta_k, and the last
+    component s_k of theta_1's unit eigenvector, for the Lanczos
+    tridiagonal T with diagonal `alphas` and off-diagonal `betas`.
+
+    Both values come by Sturm-count bisection (Parlett, The Symmetric
+    Eigenvalue Problem, 1998) to within 2 eps ||T||, from the Gershgorin
+    interval. `hints` holds an upper bound on theta_1 and a lower bound
+    on theta_k from an earlier check: by interlacing theta_1 never rises
+    and theta_k never falls as T grows, so each is a tighter bracket end.
+    Returns (theta_1, theta_k, s_k, hints for the next check).
+    """
+    k = len(alphas)
+    beta_sq = [0.0] + [b * b for b in betas]
+    a, b = np.array(alphas), np.array(betas)
+    radius = np.zeros(k)
+    radius[1:] += b
+    radius[:-1] += b
+    lo, hi = float((a - radius).min()), float((a + radius).max())
+    norm = max(abs(lo), abs(hi))
+    pivmin = _TINY * max(1.0, max(beta_sq))
+    # a zero T keeps the bracket [0, 0] and gives 0.0; the floor on tol
+    # keeps the steps of `_ritz_bracket` growing when ||T|| is subnormal
+    slack = 2.0 * k * _EPS * norm
+    lo, hi = lo - slack, hi + slack
+    tol = 2.0 * _EPS * norm + _TINY
+    low_hint, high_hint = hints
+    if not (lo < low_hint < hi and _sturm_count(alphas, beta_sq, low_hint, pivmin) >= 1):
+        low_hint = hi
+    if not (lo < high_hint < hi and _sturm_count(alphas, beta_sq, high_hint, pivmin) <= k - 1):
+        high_hint = lo
+    low = _ritz_bracket(alphas, beta_sq, 0, low_hint, lo, tol, pivmin)
+    high = _ritz_bracket(alphas, beta_sq, k - 1, high_hint, hi, tol, pivmin)
+    theta_1, theta_k = 0.5 * (low[0] + low[1]), 0.5 * (high[0] + high[1])
+    s_k = _last_component(alphas, betas, theta_1, norm)
+    return theta_1, theta_k, s_k, (low[1], high[0])
 
 
 def _lanczos_min(apply, dim: int) -> float:
     """Smallest Ritz value of Lanczos (1950) with full reorthogonalisation
     (classical Gram-Schmidt, applied twice) on the symmetric map `apply`.
 
-    T is eigensolved every LANCZOS_CHECK_EVERY steps, at the dimension
-    and on breakdown (an off-diagonal below the tolerance); the run ends
-    when the residual beta_k*|s_k| of the smallest Ritz pair is at most
-    LANCZOS_TOL times the largest Ritz value in magnitude, or at the
-    dimension, where T holds the whole spectrum. A Ritz value within
-    dim * eps * |largest Ritz value| of zero is returned as 0.0. The
-    basis grows in blocks of LANCZOS_BLOCK rows, so memory follows the
-    steps taken.
+    T is checked (`_ritz_check`) every LANCZOS_CHECK_EVERY steps, at the
+    dimension and on breakdown (an off-diagonal below the tolerance); the
+    run ends when the residual beta_k*|s_k| of the smallest Ritz pair is
+    at most LANCZOS_TOL times the largest Ritz value in magnitude, or at
+    the dimension, where T holds the whole spectrum. A Ritz value within
+    dim * eps * |largest Ritz value| of zero is returned as 0.0. The basis
+    is one array of LANCZOS_ROWS rows that doubles when full, so memory
+    follows the steps taken.
     """
     if dim < 1:
         raise ShapeMismatchError("the smallest eigenvalue of an empty matrix is undefined")
     q = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
-    blocks = [np.empty((LANCZOS_BLOCK, dim))]
-    blocks[0][0] = q / np.linalg.norm(q)
+    basis = np.empty((min(LANCZOS_ROWS, dim), dim))
+    basis[0] = q / np.linalg.norm(q)
     alphas: list = []
     betas: list = []
+    hints = (math.inf, -math.inf)
     alpha_max = 0.0
     for k in range(1, min(dim, LANCZOS_MAX_ITERS) + 1):
-        rows = _basis_rows(blocks, k)
-        current = rows[-1][-1]
+        rows = basis[:k]
+        current = basis[k - 1]
         w = np.array(apply(current), dtype=np.float64)  # a copy: w is updated in place
         alphas.append(float(current @ w))
         alpha_max = max(alpha_max, abs(alphas[-1]))
         for _ in range(2):
-            coeffs = [block @ w for block in rows]
-            for block, c in zip(rows, coeffs):
-                w -= c @ block
+            w -= (rows @ w) @ rows
         beta = float(np.linalg.norm(w))
         if not math.isfinite(beta):
             raise EigensolverError(f"non-finite Lanczos vector at step {k}")
         if k % LANCZOS_CHECK_EVERY == 0 or k == dim or beta <= LANCZOS_TOL * alpha_max:
-            ritz, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
-            scale = max(abs(ritz[0]), abs(ritz[-1]))
-            if beta * abs(vectors[-1, 0]) <= LANCZOS_TOL * scale or k == dim:
+            theta_1, theta_k, s_k, hints = _ritz_check(alphas, betas, hints)
+            scale = max(abs(theta_1), abs(theta_k))
+            if beta * s_k <= LANCZOS_TOL * scale or k == dim:
                 # below the rounding error of the products the sign is not
                 # determined, so a singular matrix is reported as such
-                zero = abs(ritz[0]) <= dim * np.finfo(np.float64).eps * scale
-                return 0.0 if zero else float(ritz[0])
-        if k % LANCZOS_BLOCK == 0:
-            blocks.append(np.empty((LANCZOS_BLOCK, dim)))
-        blocks[k // LANCZOS_BLOCK][k % LANCZOS_BLOCK] = w / beta
+                zero = abs(theta_1) <= dim * _EPS * scale
+                return 0.0 if zero else float(theta_1)
+        if k == len(basis):
+            grown = np.empty((min(2 * k, dim), dim))
+            grown[:k] = basis
+            basis = grown
+        basis[k] = w / beta
         betas.append(beta)
     raise EigensolverError(
         f"Lanczos did not converge in {LANCZOS_MAX_ITERS} steps on a {dim}-dimensional operator"
@@ -259,8 +374,8 @@ def loss_gap_surrogate(
 ) -> float:
     """Sampled stand-in for the global max of |loss_full - loss_head|.
 
-    losses(theta) returns the pair (loss_full(theta), loss_head(theta)).
-    Evaluates the gap at both minimizers plus seeded interpolates and
+    losses(stack) maps a stack of parameter vectors, one per row, to the
+    arrays (loss_full, loss_head) of their values. Evaluates the gap at both minimizers plus seeded interpolates and
     perturbations of the segment between them. The true global maximum
     is unbounded for cross-entropy, so this surrogate only feeds the
     loose and lemma2 bounds; the tight bound needs no delta.
@@ -268,15 +383,63 @@ def loss_gap_surrogate(
     rng = np.random.default_rng(seed)
     segment = theta_head - theta_full
     scale = 0.05 * float(np.linalg.norm(segment))
-    probes = [theta_full, theta_head]
-    for _ in range(n_probes):
+    probes = np.empty((n_probes + 2, len(segment)))
+    probes[0], probes[1] = theta_full, theta_head
+    for point in probes[2:]:
         t = rng.uniform(0.0, 1.0)
-        point = theta_full + t * segment
+        point[...] = theta_full + t * segment
         if scale > 0:
             direction = rng.standard_normal(len(segment))
-            point = point + scale * direction / np.linalg.norm(direction)
-        probes.append(point)
-    return max(abs(full - head) for full, head in map(losses, probes))
+            point += scale * direction / np.linalg.norm(direction)
+    full, head = losses(probes)
+    return float(np.max(np.abs(full - head)))
+
+
+# Entries (512 KB) of each temporary of the probe losses: probes go
+# through the data in blocks whose logits and copied weights both stay
+# below this, so the probes hold little more memory than their stack.
+PROBE_BLOCK = 1 << 16
+
+
+def _mean_cross_entropy(dataset: LabeledDataset, weights: np.ndarray, biases: np.ndarray) -> np.ndarray:
+    """Mean cross-entropy of the dataset under each linear model of a
+    stack, weights (m, c, d) and biases (m, c). Each block of models takes
+    one product with the features, class-major: (block * c, n) logits."""
+    m, c, d = weights.shape
+    x, labels = dataset.features, dataset.labels
+    n = len(x)
+    samples = np.arange(n)
+    out = np.empty(m)
+    block = max(1, PROBE_BLOCK // (c * max(n, d)))
+    for start in range(0, m, block):
+        stop = min(start + block, m)
+        logits = (weights[start:stop].reshape(-1, d) @ x.T).reshape(stop - start, c, n)
+        logits += biases[start:stop, :, None]
+        logits -= logits.max(axis=1, keepdims=True)
+        picked = logits[:, labels, samples]
+        np.exp(logits, out=logits)
+        out[start:stop] = (np.log(logits.sum(axis=1)) - picked).mean(axis=1)
+    return out
+
+
+def _probe_losses(split, mu: float):
+    """The `losses` of the bound functions for a head/tail split: each
+    stack row's regularized CE loss on the full data and on the head.
+    Head and tail rows each go through the stack once; both losses carry
+    the same regulariser, so their weighted mean is the full loss."""
+    c, d = split.head.n_classes, split.head.n_features
+    n_head, n_tail = split.head.n_samples, split.tail.n_samples
+
+    def losses(stack):
+        weights, biases = stack[:, : c * d].reshape(-1, c, d), stack[:, c * d :]
+        penalty = 0.5 * mu * np.einsum("ij,ij->i", stack, stack)
+        head = _mean_cross_entropy(split.head, weights, biases) + penalty
+        if n_tail == 0:
+            return head, head
+        tail = _mean_cross_entropy(split.tail, weights, biases) + penalty
+        return (n_head * head + n_tail * tail) / (n_head + n_tail), head
+
+    return losses
 
 
 @dataclass(frozen=True)
@@ -400,19 +563,7 @@ def evaluate_cell(
     theta_head = model_head.get_params()
     measured = float(np.linalg.norm(theta_full - theta_head))
 
-    probe = model_full.copy()
-    n_head, n_tail = split.head.n_samples, split.tail.n_samples
-
-    def losses(theta):
-        # Head and tail rows each pass through the model once; both losses
-        # carry the same regulariser, so their weighted mean is loss_full.
-        probe.set_params(theta)
-        head = loss(probe, split.head, spec)
-        if n_tail == 0:
-            return head, head
-        tail = loss(probe, split.tail, spec)
-        return (n_head * head + n_tail * tail) / (n_head + n_tail), head
-
+    losses = _probe_losses(split, mu)
     if trace_full.converged and trace_head.converged:
         delta_hat = loss_gap_surrogate(
             losses,

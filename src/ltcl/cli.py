@@ -318,7 +318,6 @@ def run_ltr_two_phase(cfg: dict, out_dir: Path) -> int:
     source = _load_dataset(cfg, "train")
     test_dataset = _load_dataset(cfg, "test")
     lt = make_longtail(source, longtail["imbalance_factor"], seed=cfg["seed"], n_max=longtail["n_max"])
-    split = head_tail_split(lt, longtail["head_fraction"])
     spec = LossSpec(mu=cfg["loss"]["mu"])
     phase1_config = _train_config(cfg["phase1"], "phase1", seed=cfg["seed"])
     sizes = [lt.n_features, *cfg["model"]["hidden_sizes"], lt.n_classes]
@@ -339,20 +338,21 @@ def run_ltr_two_phase(cfg: dict, out_dir: Path) -> int:
 
     names = cfg["strategies"]
     try:
+        split = head_tail_split(lt, longtail["head_fraction"])
         head_phase = run_head_phase(split, phase1_config, spec, model, test_dataset)
-    except LtclError as exc:  # phase 1 failed, and with it every strategy
+    except LtclError as exc:  # no head class, or phase 1 failed: every strategy fails with it
         outcomes = dict.fromkeys(names, exc)
     else:
         with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
             outcomes = dict(zip(names, pool.map(run_one, names)))
     results = {name: res for name, res in outcomes.items() if not isinstance(res, LtclError)}
 
-    head, tail = sorted(split.head_classes), sorted(split.tail_classes)
     summary_rows = []
     for name, res in outcomes.items():
         if name not in results:
             summary_rows.append((name, None, None, None, None, None, None, f"failed: {res}"))
             continue
+        head, tail = sorted(split.head_classes), sorted(split.tail_classes)
         before, after = res.metrics_before, res.metrics_after
         acc_before, acc_after = before.per_class_accuracy, after.per_class_accuracy
         head_before, head_after = float(acc_before[head].mean()), float(acc_after[head].mean())

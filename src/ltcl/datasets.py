@@ -10,6 +10,7 @@ import gzip
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -175,12 +176,18 @@ def make_longtail(
 
 
 def head_tail_split(dataset: LabeledDataset, head_class_fraction: float) -> HeadTailSplit:
-    """Assign the floor(C * fraction) largest classes to the head."""
+    """Assign the floor(C * fraction) largest classes to the head; raise
+    EmptyClassError when that is no class."""
     if not 0.0 < head_class_fraction <= 1.0:
         raise ValueError(
             f"head_class_fraction must be in (0, 1], got {head_class_fraction}"
         )
     n_head = int(np.floor(dataset.n_classes * head_class_fraction))
+    if n_head == 0:
+        raise EmptyClassError(
+            f"head fraction {head_class_fraction} of {dataset.n_classes} classes leaves the head "
+            f"empty: floor({dataset.n_classes} * {head_class_fraction}) = 0"
+        )
     order = np.lexsort((np.arange(dataset.n_classes), -dataset.class_counts))
     head_classes = frozenset(int(c) for c in order[:n_head])
     tail_classes = frozenset(int(c) for c in order[n_head:])
@@ -261,17 +268,22 @@ def synthetic_gaussian(
 
 
 def mean_pool_images(dataset: LabeledDataset, factor: int = 2) -> LabeledDataset:
-    """Mean-pool square row-major images by an integer factor."""
+    """Mean-pool square row-major images by an integer factor.
+
+    Each pooled pixel sums every row of its window left to right, then
+    the row sums top to bottom, and divides by factor**2: for factor 2,
+    ((a00 + a01) + (a10 + a11)) / 4. Strided slice sums give the same
+    values as `.mean(axis=(2, 4))` on the window view, in a fraction of
+    its time.
+    """
     side = int(round(np.sqrt(dataset.n_features)))
     if side * side != dataset.n_features:
         raise ShapeMismatchError(f"features of length {dataset.n_features} are not square images")
     if side % factor != 0:
         raise ShapeMismatchError(f"image side {side} not divisible by pool factor {factor}")
     out = side // factor
-    pooled = (
-        dataset.features.reshape(-1, out, factor, out, factor)
-        .mean(axis=(2, 4))
-        .reshape(-1, out * out)
-    )
+    window = dataset.features.reshape(-1, out, factor, out, factor)
+    rows = [reduce(np.add, (window[:, :, i, :, j] for j in range(factor))) for i in range(factor)]
+    pooled = (reduce(np.add, rows) / (factor * factor)).reshape(-1, out * out)
     return LabeledDataset.from_arrays(pooled, dataset.labels, n_classes=dataset.n_classes)
 

@@ -364,12 +364,13 @@ def hessian_operator(model, dataset: LabeledDataset, spec: LossSpec):
     """The map v -> H v for the regularized CE Hessian H of the linear model
     at its current parameters, in the layout order of `hessian`.
 
-    Pearlmutter's R-operator: with R = X V_w^T + v_b the directional
-    derivative of the logits, each sample's softmax curvature
-    diag(p) - p p^T maps its row of R to S = P*R - P*rowsum(P*R), and
-    X^T carries S back to the weights. The class probabilities are
-    computed once here, so each product costs two matmuls and no dense
-    Hessian is formed.
+    Pearlmutter's R-operator: with R = V_w X^T + v_b the directional
+    derivative of the logits, class-major (c, n), each sample's softmax
+    curvature diag(p) - p p^T maps its column of R to
+    S = P*R - P*colsum(P*R), and S X carries it back to the weights. The
+    class probabilities are computed once here, transposed to (c, n), so
+    each product costs two matmuls on views of X, no copy of it, and no
+    dense Hessian is formed.
     """
     if not isinstance(model, LinearModel):
         raise UnsupportedModelError("Hessian-vector products are only available for the linear model")
@@ -378,21 +379,25 @@ def hessian_operator(model, dataset: LabeledDataset, spec: LossSpec):
     x = dataset.features
     n = len(x)
     c, d = model.n_classes, model.n_features
-    probs = softmax_probs(model.forward(x))
+    n_params = model.layout.total_size
+    probs_t = np.ascontiguousarray(softmax_probs(model.forward(x)).T)
 
     def apply(v) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
-        if v.shape != (model.layout.total_size,):
-            raise ShapeMismatchError(
-                f"expected a vector of length {model.layout.total_size}, got {v.shape}"
-            )
+        if v.shape != (n_params,):
+            raise ShapeMismatchError(f"expected a vector of length {n_params}, got {v.shape}")
         v_w, v_b = v[: c * d].reshape(c, d), v[c * d :]
-        s = probs * (x @ v_w.T + v_b)
-        s -= probs * s.sum(axis=1, keepdims=True)
+        s = v_w @ x.T
+        s += v_b[:, None]
+        s *= probs_t
+        s -= probs_t * s.sum(axis=0)
         s /= n
-        return np.concatenate(
-            [(s.T @ x + spec.mu * v_w).ravel(), s.sum(axis=0) + spec.mu * v_b]
-        )
+        out = np.empty(n_params)
+        out_w = out[: c * d].reshape(c, d)
+        np.matmul(s, x, out=out_w)
+        out_w += spec.mu * v_w
+        np.add(s.sum(axis=1), spec.mu * v_b, out=out[c * d :])
+        return out
 
     return apply
 

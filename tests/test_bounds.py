@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from ltcl.errors import (
     CapacityError,
     DegenerateConvexityError,
     EigensolverError,
+    EmptyClassError,
     MinimizerCertificationError,
     ShapeMismatchError,
     StrictConvexityError,
@@ -24,8 +27,9 @@ def _quadratic_pair(gamma):
 
 
 def _pair(f, g):
-    """The (loss_full, loss_head) callable that the bound functions take."""
-    return lambda x: (f(x), g(x))
+    """The losses callable that the bound functions take: a stack of
+    points, one per row, to the arrays (loss_full, loss_head)."""
+    return lambda stack: (np.array([f(x) for x in stack]), np.array([g(x) for x in stack]))
 
 
 def _grid_delta(f, g, lo=-2.0, hi=2.0, step=1e-4):
@@ -126,6 +130,8 @@ def test_lemma2_never_exceeds_lemma1_with_regularized_hessians():
 def test_min_eigenvalue_examples():
     assert bounds.min_eigenvalue(np.eye(5)) == pytest.approx(1.0)
     assert bounds.min_eigenvalue(np.diag([0.2, 7.0, 3.0])) == pytest.approx(0.2)
+    assert bounds.min_eigenvalue(np.zeros((3, 3))) == 0.0
+    assert bounds.min_eigenvalue(np.diag([0.0, 1.0, 2.0])) == 0.0
 
 
 def test_min_eigenvalue_symmetry_error():
@@ -185,6 +191,48 @@ def test_min_eigenvalue_cap_hit_raises(monkeypatch):
         bounds.min_eigenvalue(m)
     with pytest.raises(ShapeMismatchError):
         bounds.min_eigenvalue(lambda v: v)
+
+
+def _tridiagonal(kind, k, rng):
+    if kind == "random":
+        return rng.standard_normal(k), np.abs(rng.standard_normal(k - 1))
+    if kind == "clustered":  # every eigenvalue within about 5e-3 of 1
+        return 1.0 + 1e-3 * rng.standard_normal(k), 1e-3 * rng.uniform(0.1, 1.0, k - 1)
+    return -5.0 - rng.random(k), rng.uniform(0.1, 1.0, k - 1)  # negative spectrum
+
+
+@pytest.mark.parametrize("kind", ["random", "clustered", "negative"])
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 57, 340])
+def test_ritz_check_matches_eigh(kind, k):
+    # the bisection Ritz values and the inverse-iteration eigenvector entry
+    # against LAPACK: with no brackets, with those an earlier check leaves,
+    # and with brackets on the wrong side, which must be detected
+    rng = np.random.default_rng(1000 * k + len(kind))
+    for _ in range(3):
+        alphas, betas = _tridiagonal(kind, k, rng)
+        ritz, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        scale = max(abs(ritz[0]), abs(ritz[-1]))
+        alphas, betas = list(alphas), list(betas)
+        hints = (math.inf, -math.inf)
+        if k > 1:  # brackets from the leading (k-1) x (k-1) block, as Lanczos leaves them
+            hints = bounds._ritz_check(alphas[:-1], betas[:-1], hints)[3]
+        wrong = (ritz[0] - 0.5 * scale, ritz[-1] + 0.5 * scale)  # on the far side of each value
+        for start in ((math.inf, -math.inf), hints, wrong):
+            theta_1, theta_k, s_k, _ = bounds._ritz_check(alphas, betas, start)
+            assert abs(theta_1 - ritz[0]) <= 1e-12 * scale
+            assert abs(theta_k - ritz[-1]) <= 1e-12 * scale
+            assert abs(s_k - abs(vectors[-1, 0])) <= 1e-8
+
+
+def test_lanczos_never_calls_eigh(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((40, 40))
+    sym = 0.5 * (a + a.T)
+    assert bounds.min_eigenvalue(sym) == pytest.approx(float(np.linalg.eigvalsh(sym)[0]), abs=1e-10)
 
 
 def _small_longtail(if_value=50.0):
@@ -275,15 +323,48 @@ def test_evaluate_cell_probe_losses_match_direct_evaluation():
     spec = models.LossSpec(mu=mu)
     probe = full_model.copy()
 
-    def direct(theta):
-        probe.set_params(theta)
-        return models.loss(probe, lt, spec), models.loss(probe, head, spec)
+    def direct(stack):
+        full, head_losses = [], []
+        for theta in stack:
+            probe.set_params(theta)
+            full.append(models.loss(probe, lt, spec))
+            head_losses.append(models.loss(probe, head, spec))
+        return np.array(full), np.array(head_losses)
 
     theta_f, theta_h = full_model.get_params(), head_model.get_params()
     tight = bounds.tight_bound(theta_f, theta_h, direct, mu, mu)
     delta = bounds.loss_gap_surrogate(direct, theta_f, theta_h, cfg.delta_probes, cfg.probe_seed)
     assert report.tight_bound == pytest.approx(tight, rel=1e-9)
     assert report.delta == pytest.approx(delta, rel=1e-9)
+
+
+@pytest.mark.parametrize("head_fraction", [0.5, 1.0], ids=["split", "empty-tail"])
+def test_probe_losses_match_per_probe_loss(head_fraction, monkeypatch):
+    # the stacked products against models.loss on one parameter vector at
+    # a time; 37 probes in blocks of 5 leave a partial last block
+    lt = _small_longtail()
+    split = datasets.head_tail_split(lt, head_fraction)
+    monkeypatch.setattr(bounds, "PROBE_BLOCK", 5 * lt.n_classes * split.head.n_samples)
+    mu = 0.05
+    spec = models.LossSpec(mu=mu)
+    model = models.LinearModel.zeros(lt.n_features, lt.n_classes)
+    stack = np.random.default_rng(4).standard_normal((37, model.layout.total_size))
+    full, head = bounds._probe_losses(split, mu)(stack)
+    for theta, f, h in zip(stack, full, head):
+        model.set_params(theta)
+        assert f == pytest.approx(models.loss(model, lt, spec), rel=1e-12)
+        assert h == pytest.approx(models.loss(model, split.head, spec), rel=1e-12)
+    if head_fraction == 1.0:
+        assert np.array_equal(full, head)
+
+
+def test_evaluate_cell_empty_head_raises():
+    # 10 classes at head_fraction 0.05 give floor(0.5) = 0 head classes;
+    # the cell used to come back unconverged with NaN bounds and no reason
+    lt = datasets.make_longtail(datasets.synthetic_gaussian(10, 4, 30, 2.5, seed=6), 5.0, seed=7)
+    cfg = bounds.BoundGridConfig(head_fraction=0.05)
+    with pytest.raises(EmptyClassError, match="head fraction 0.05 of 10 classes"):
+        bounds.evaluate_cell(lt, 5.0, 0.05, cfg)
 
 
 def test_evaluate_cell_empty_tail():

@@ -154,6 +154,17 @@ def test_bad_overrides_and_unreadable_configs_exit_1(tmp_path, capsys, flags, na
     assert not out.exists()
 
 
+def test_empty_head_grid_exits_3_and_names_the_fraction(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _bound_grid_config(out)
+    cfg["dataset"]["n_classes"] = 10
+    cfg["longtail"]["head_fraction"] = 0.05  # floor(10 * 0.05) = 0 head classes
+    assert cli.main(["bound-grid", "--config", str(_write_config(tmp_path, cfg))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "head fraction 0.05 of 10 classes" in err
+    assert not (out / "bounds.csv").exists()
+
+
 def test_pool_factor_not_dividing_the_image_exits_3(tmp_path, capsys):
     cfg = _bound_grid_config(tmp_path / "out")
     cfg["dataset"]["pool_factor"] = 3  # 6 features are no square image

@@ -126,6 +126,14 @@ def test_head_tail_split_fraction_one():
     assert len(split.head_classes) == 4
 
 
+def test_head_tail_split_empty_head_raises():
+    # floor(10 * 0.05) = 0 head classes: the split would train on no rows
+    src = _balanced(n_classes=10, n_per_class=10)
+    with pytest.raises(EmptyClassError, match=r"head fraction 0\.05 of 10 classes"):
+        datasets.head_tail_split(src, 0.05)
+    assert len(datasets.head_tail_split(src, 0.1).head_classes) == 1
+
+
 def test_head_tail_split_bad_fraction():
     src = _balanced(n_classes=4, n_per_class=10)
     for fraction in (0.0, -0.1, 1.5):
@@ -256,6 +264,19 @@ def test_mean_pool_images():
         datasets.mean_pool_images(ds, 3)  # side 4 is not divisible by 3
     with pytest.raises(ShapeMismatchError):
         datasets.mean_pool_images(datasets.LabeledDataset.from_arrays(np.zeros((1, 8)), [0]), 2)
+
+
+@pytest.mark.parametrize("factor", [2, 4, 7])
+def test_mean_pool_images_equals_mean_over_windows(factor):
+    # the slice sums reproduce numpy's two-axis mean exactly, on 8-bit
+    # pixels scaled to [0, 1] as load_idx reads them and on arbitrary floats
+    rng = np.random.default_rng(factor)
+    pixels = rng.integers(0, 256, size=(300, 784)).astype(np.float64) / 255.0
+    for features in (pixels, rng.standard_normal((300, 784))):
+        ds = datasets.LabeledDataset.from_arrays(features, np.zeros(300, dtype=int))
+        out = 28 // factor
+        expected = features.reshape(-1, out, factor, out, factor).mean(axis=(2, 4)).reshape(-1, out * out)
+        assert np.array_equal(datasets.mean_pool_images(ds, factor).features, expected)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

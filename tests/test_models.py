@@ -239,6 +239,29 @@ def test_hessian_vector_product_matches_dense_hessian():
             assert np.max(np.abs(hv - h @ v)) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "n, d, c",
+    [(30, 4, 2), (6, 20, 3), (80, 5, 4), (1, 7, 3)],
+    ids=["two-classes", "n<d", "n>d", "one-row"],
+)
+def test_hessian_vector_product_shapes_match_dense_hessian(n, d, c):
+    # the class-major product against the dense Hessian, across the shapes
+    # that change which side of X the products run along
+    rng = np.random.default_rng(n * 100 + d)
+    ds = _random_dataset(n=n, d=d, c=c, seed=n + d)
+    model = models.LinearModel(rng.standard_normal((c, d)) * 0.7, rng.standard_normal(c) * 0.3)
+    spec = models.LossSpec(mu=0.02)
+    h = models.hessian(model, ds, spec)
+    apply = models.hessian_operator(model, ds, spec)
+    for _ in range(3):
+        v = rng.standard_normal(len(h))
+        before = v.copy()
+        hv = apply(v)
+        assert hv.shape == v.shape
+        assert np.max(np.abs(hv - h @ v)) <= 1e-10
+        assert np.array_equal(v, before)  # the input is never written
+
+
 def test_hessian_vector_product_matches_fd_of_gradient():
     ds, model, spec, rng = _hvp_case(11)
     theta = model.get_params()
