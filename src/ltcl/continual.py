@@ -147,6 +147,8 @@ def gpm_collect_bases(
     """
     if not 0.0 < energy_threshold <= 1.0:
         raise ValueError(f"energy_threshold must be in (0, 1], got {energy_threshold}")
+    if max_samples < 1:
+        raise ValueError(f"max_samples must be >= 1, got {max_samples}")
     if head_dataset.n_samples == 0:
         raise ValueError("cannot collect bases from an empty dataset")
     rng = np.random.default_rng(seed)
@@ -249,8 +251,12 @@ def strategy_term(
     `seed`; the term copies what it keeps, so `model` may change later."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown strategy variant {variant!r}")
+    if temperature <= 0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
     if cl_weight is None:
         cl_weight = DEFAULT_CL_WEIGHTS.get(variant, 0.0)
+    if cl_weight < 0:
+        raise ValueError(f"cl_weight must be >= 0, got {cl_weight}")
     if variant in ("ewc", "modified_ewc"):
         mode = "model_sampled" if variant == "ewc" else "true_loss"
         fisher = fisher_diagonal(model, head_dataset, mode, fisher_max_samples, seed=seed)
@@ -303,18 +309,14 @@ def run_two_phase(
     loss_spec: LossSpec,
     model,
     test_dataset: LabeledDataset | None = None,
-    cl_weight: float | None = None,
-    temperature: float = DEFAULT_TEMPERATURE,
-    energy_threshold: float = DEFAULT_ENERGY_THRESHOLD,
-    fisher_max_samples: int = DEFAULT_FISHER_MAX_SAMPLES,
+    **settings,
 ) -> PhaseResult:
     """Train Phase 1 on the head, then Phase 2 on the tail with the
-    strategy's mechanism active. Metrics are taken on test_dataset when
-    given, otherwise on the full training dataset."""
+    strategy's mechanism active; `settings` are strategy_term's keywords.
+    Metrics are taken on test_dataset when given, otherwise on the full
+    training dataset."""
     eval_dataset = test_dataset if test_dataset is not None else dataset
     head = run_head_phase(split, phase1_config, loss_spec, model, eval_dataset)
     return run_tail_phase(
-        strategy_variant, head, split, phase2_config, loss_spec, eval_dataset, phase1_config.seed,
-        cl_weight=cl_weight, temperature=temperature, energy_threshold=energy_threshold,
-        fisher_max_samples=fisher_max_samples,
+        strategy_variant, head, split, phase2_config, loss_spec, eval_dataset, phase1_config.seed, **settings
     )

@@ -10,7 +10,7 @@ import gzip
 import struct
 import zlib
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -24,22 +24,19 @@ IDX_IMAGES_MAGIC = 0x00000803
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Dense feature matrix plus integer class labels and per-class counts."""
+    """Dense feature matrix plus integer class labels in 0..n_classes-1."""
 
     features: np.ndarray  # (n_samples, n_features) float64
     labels: np.ndarray  # (n_samples,) int64
-    class_counts: np.ndarray  # (n_classes,) int64
+    n_classes: int
 
     def __post_init__(self):
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         if self.labels.ndim != 1 or len(self.labels) != len(self.features):
             raise ValueError("labels must be 1-D with one entry per sample")
-        counts = np.bincount(self.labels, minlength=self.n_classes) if self.n_samples else np.zeros(self.n_classes, dtype=np.int64)
-        if self.n_samples and self.labels.max() >= self.n_classes:
-            raise ValueError("label exceeds class count")
-        if not np.array_equal(counts, self.class_counts):
-            raise ValueError("class_counts does not match labels")
+        if self.n_samples and not 0 <= self.labels.min() <= self.labels.max() < self.n_classes:
+            raise ValueError(f"labels must lie in 0..{self.n_classes - 1}")
         # One BLAS pass: the squared norm is finite unless an entry is NaN or
         # infinite, or the sum overflows; only then is every entry checked.
         flat = self.features.ravel()
@@ -54,8 +51,7 @@ class LabeledDataset:
         labels = np.ascontiguousarray(labels, dtype=np.int64)
         if n_classes is None:
             n_classes = int(labels.max()) + 1 if len(labels) else 0
-        counts = np.bincount(labels, minlength=n_classes).astype(np.int64)
-        return cls(features, labels, counts)
+        return cls(features, labels, n_classes)
 
     @property
     def n_samples(self) -> int:
@@ -65,9 +61,10 @@ class LabeledDataset:
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.class_counts)
+    @cached_property
+    def class_counts(self) -> np.ndarray:
+        """(n_classes,) int64 sample count of each class."""
+        return np.bincount(self.labels, minlength=self.n_classes)
 
     def subset(self, indices) -> "LabeledDataset":
         """Row subset keeping the full label space."""
@@ -75,22 +72,6 @@ class LabeledDataset:
         return LabeledDataset.from_arrays(
             self.features[indices], self.labels[indices], n_classes=self.n_classes
         )
-
-
-@dataclass(frozen=True)
-class LongTailProfile:
-    """Exponential per-class sample budget for a requested imbalance factor."""
-
-    imbalance_factor: float
-    n_max: int
-    per_class_targets: np.ndarray
-
-    def __post_init__(self):
-        t = self.per_class_targets
-        if np.any(t[:-1] < t[1:]):
-            raise ValueError("per-class targets must be non-increasing")
-        if t[0] != self.n_max:
-            raise ValueError("first target must equal n_max")
 
 
 @dataclass(frozen=True)
@@ -121,8 +102,9 @@ def gamma(imbalance_factor: float) -> float:
     return imbalance_factor / (1.0 + imbalance_factor)
 
 
-def longtail_profile(n_classes: int, n_max: int, imbalance_factor: float) -> LongTailProfile:
-    """Per-class targets n_max * IF^(-c/(C-1)), truncated to integers.
+def longtail_profile(n_classes: int, n_max: int, imbalance_factor: float) -> np.ndarray:
+    """(n_classes,) int64 per-class targets n_max * IF^(-c/(C-1)),
+    truncated to integers, so non-increasing from n_max.
 
     Truncation matches the usual exponential LT construction, so the
     last class gets int(n_max / IF) samples.
@@ -142,7 +124,7 @@ def longtail_profile(n_classes: int, n_max: int, imbalance_factor: float) -> Lon
             f"imbalance factor {imbalance_factor} leaves class {n_classes - 1} empty "
             f"(n_max={n_max})"
         )
-    return LongTailProfile(float(imbalance_factor), int(n_max), targets)
+    return targets
 
 
 def make_longtail(
@@ -161,10 +143,10 @@ def make_longtail(
         raise EmptyClassError("source dataset has an empty class")
     if n_max is None:
         n_max = int(dataset.class_counts.min())
-    profile = longtail_profile(dataset.n_classes, n_max, imbalance_factor)
+    targets = longtail_profile(dataset.n_classes, n_max, imbalance_factor)
     rng = np.random.default_rng(seed)
     keep = []
-    for c, target in enumerate(profile.per_class_targets):
+    for c, target in enumerate(targets):
         rows = np.flatnonzero(dataset.labels == c)
         if len(rows) < target:
             raise CapacityError(

@@ -24,45 +24,30 @@ from .errors import (
 )
 
 HESSIAN_PARAM_GUARD = 5000
+HESSIAN_CHUNK = 2048  # rows per pass of the dense Hessian
 CHECKPOINT_MAGIC = b"LTCP"
 CHECKPOINT_VERSION = 1
 _KIND_LINEAR = 0
 _KIND_MLP = 1
 
 
-@dataclass(frozen=True)
-class ParamSegment:
-    name: str
-    shape: tuple
-    offset: int
-    size: int
-
-
 class ParamLayout:
-    """Maps named parameter arrays to slices of one flat vector."""
+    """Maps a list of array shapes to consecutive slices of one flat vector;
+    offsets holds each slice's start and, last, the total size."""
 
-    def __init__(self, spec):
-        self.segments = []
-        offset = 0
-        for name, shape in spec:
-            shape = tuple(shape)
-            size = int(np.prod(shape))
-            self.segments.append(ParamSegment(name, shape, offset, size))
-            offset += size
-        self.total_size = offset
+    def __init__(self, shapes):
+        self.shapes = [tuple(shape) for shape in shapes]
+        self.offsets = np.cumsum([0] + [int(np.prod(shape)) for shape in self.shapes]).tolist()
+        self.total_size = self.offsets[-1]
 
     def views(self, flat: np.ndarray) -> list:
-        """Reshaped views of flat, one per segment, in layout order."""
+        """Reshaped views of flat, one per shape, in layout order."""
         if flat.shape != (self.total_size,):
             raise ShapeMismatchError(
                 f"expected flat vector of length {self.total_size}, got {flat.shape}"
             )
-        return [flat[s.offset : s.offset + s.size].reshape(s.shape) for s in self.segments]
-
-    def __eq__(self, other):
-        return isinstance(other, ParamLayout) and [
-            (s.name, s.shape) for s in self.segments
-        ] == [(s.name, s.shape) for s in other.segments]
+        slices = zip(self.offsets, self.offsets[1:])
+        return [flat[start:end].reshape(shape) for shape, (start, end) in zip(self.shapes, slices)]
 
 
 @dataclass(frozen=True)
@@ -114,17 +99,15 @@ class _Network:
     buffer.
     """
 
-    def _bind(self, weights, biases, names) -> None:
+    def _bind(self, weights, biases) -> None:
         arrays = []
-        spec = []
-        for w, b, (w_name, b_name) in zip(weights, biases, names):
+        for w, b in zip(weights, biases):
             w = np.asarray(w, dtype=np.float64)
             b = np.asarray(b, dtype=np.float64)
             if w.ndim != 2 or b.shape != (w.shape[0],):
                 raise ShapeMismatchError("each layer needs (out, in) weights and an (out,) bias")
             arrays += [w, b]
-            spec += [(w_name, w.shape), (b_name, b.shape)]
-        self.layout = ParamLayout(spec)
+        self.layout = ParamLayout(a.shape for a in arrays)
         self._params = np.empty(self.layout.total_size)
         views = self.layout.views(self._params)
         for view, array in zip(views, arrays):
@@ -242,7 +225,7 @@ class LinearModel(_Network):
     loss_and_gradient = _Network.loss_and_gradient
 
     def __init__(self, weights, biases):
-        self._bind([weights], [biases], [("weights", "bias")])
+        self._bind([weights], [biases])
 
     @classmethod
     def zeros(cls, n_features: int, n_classes: int) -> "LinearModel":
@@ -275,7 +258,7 @@ class MlpModel(_Network):
     def __init__(self, weights, biases):
         if len(weights) != len(biases) or not len(weights):
             raise ShapeMismatchError("need matching weight/bias lists")
-        self._bind(weights, biases, [(f"w{i}", f"b{i}") for i in range(len(weights))])
+        self._bind(weights, biases)
 
     @classmethod
     def initialize(cls, layer_sizes, seed: int) -> "MlpModel":
@@ -299,11 +282,6 @@ class MlpModel(_Network):
         return self._biases
 
 
-def softmax_forward(model, features) -> np.ndarray:
-    """Class-probability matrix; rows sum to one."""
-    return softmax_probs(model.forward(features))
-
-
 def loss(model, dataset: LabeledDataset, spec: LossSpec) -> float:
     if dataset.n_samples == 0:
         raise ValueError("loss of an empty dataset is undefined")
@@ -314,7 +292,7 @@ def loss(model, dataset: LabeledDataset, spec: LossSpec) -> float:
     return float(value + 0.5 * spec.mu * (theta @ theta))
 
 
-def hessian(model, dataset: LabeledDataset, spec: LossSpec, chunk: int = 2048) -> np.ndarray:
+def hessian(model, dataset: LabeledDataset, spec: LossSpec) -> np.ndarray:
     """Exact Hessian of the regularized CE loss for the linear model.
 
     Ordering follows the model layout: all weight coordinates row-major,
@@ -335,14 +313,14 @@ def hessian(model, dataset: LabeledDataset, spec: LossSpec, chunk: int = 2048) -
     aug = d + 1
     probs = softmax_probs(model.forward(dataset.features))
     h_aug = np.zeros((c * aug, c * aug))
-    for start in range(0, n, chunk):
+    for start in range(0, n, HESSIAN_CHUNK):
         x = np.hstack(
             [
-                dataset.features[start : start + chunk],
-                np.ones((min(chunk, n - start), 1)),
+                dataset.features[start : start + HESSIAN_CHUNK],
+                np.ones((min(HESSIAN_CHUNK, n - start), 1)),
             ]
         )
-        p = probs[start : start + chunk]
+        p = probs[start : start + HESSIAN_CHUNK]
         for a in range(c):
             block = x.T @ (p[:, a : a + 1] * x)
             h_aug[a * aug : (a + 1) * aug, a * aug : (a + 1) * aug] += block

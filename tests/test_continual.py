@@ -78,7 +78,7 @@ def _fisher_loop(model, dataset, mode, max_samples, seed):
     for i in rows:
         x = dataset.features[i : i + 1]
         if mode == "model_sampled":
-            p = models.softmax_forward(model, x)[0]
+            p = models.softmax_probs(model.forward(x))[0]
             label = int(rng.choice(len(p), p=p))
         else:
             label = int(dataset.labels[i])
@@ -303,6 +303,28 @@ def test_gpm_bases_threshold_validation(lt_fixture):
     empty = datasets.LabeledDataset.from_arrays(np.zeros((0, 12)), np.zeros(0, dtype=int), n_classes=6)
     with pytest.raises(ValueError):
         continual.gpm_collect_bases(_fresh_model(), empty, 0.9, 10)
+
+
+def test_gpm_bases_reject_zero_samples(lt_fixture):
+    # no sampled row would give empty bases, and GPM would train as naive
+    _, split, _ = lt_fixture
+    with pytest.raises(ValueError, match="max_samples"):
+        continual.gpm_collect_bases(_fresh_model(), split.head, 0.97, 0)
+
+
+@pytest.mark.parametrize("temperature", [0.0, -1.0])
+def test_strategy_term_rejects_non_positive_temperature(lt_fixture, temperature):
+    # a zero temperature divides the logits by zero: a NaN loss at the first step
+    _, split, _ = lt_fixture
+    with pytest.raises(ValueError, match="temperature"):
+        continual.strategy_term("lwf", _fresh_model(), split.head, split.head_classes, SPEC, temperature=temperature)
+
+
+@pytest.mark.parametrize("variant", ["ewc", "modified_ewc", "lwf"])
+def test_strategy_term_rejects_negative_cl_weight(lt_fixture, variant):
+    _, split, _ = lt_fixture
+    with pytest.raises(ValueError, match="cl_weight"):
+        continual.strategy_term(variant, _fresh_model(), split.head, split.head_classes, SPEC, cl_weight=-5.0)
 
 
 def test_gpm_project_empty_basis():

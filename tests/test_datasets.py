@@ -44,18 +44,18 @@ def test_gamma_range(if_value):
 
 
 def test_longtail_profile_if100():
-    profile = datasets.longtail_profile(10, 1000, 100.0)
-    assert profile.per_class_targets.tolist() == [
+    targets = datasets.longtail_profile(10, 1000, 100.0)
+    assert targets.tolist() == [
         1000, 599, 359, 215, 129, 77, 46, 27, 16, 10,
     ]
-    t = profile.per_class_targets
+    t = targets
     assert np.all(t[:-1] >= t[1:])
     assert t[0] == 1000 and t[-1] == 10
 
 
 def test_longtail_profile_balanced():
-    profile = datasets.longtail_profile(7, 123, 1.0)
-    assert np.all(profile.per_class_targets == 123)
+    targets = datasets.longtail_profile(7, 123, 1.0)
+    assert np.all(targets == 123)
 
 
 def test_longtail_profile_empty_tail():
@@ -70,7 +70,7 @@ def _balanced(n_classes=10, n_per_class=300, n_features=8, seed=0):
 def test_make_longtail_counts_match_profile():
     src = _balanced()
     lt = datasets.make_longtail(src, 100.0, seed=3)
-    expected = datasets.longtail_profile(10, 300, 100.0).per_class_targets
+    expected = datasets.longtail_profile(10, 300, 100.0)
     assert np.array_equal(lt.class_counts, expected)
 
 
@@ -102,7 +102,7 @@ def test_make_longtail_deterministic():
     if_value=st.floats(min_value=1.0, max_value=20.0),
 )
 def test_make_longtail_measured_if_within_rounding(n_classes, n_max, if_value):
-    targets = datasets.longtail_profile(n_classes, n_max, if_value).per_class_targets
+    targets = datasets.longtail_profile(n_classes, n_max, if_value)
     measured = targets[0] / targets[-1]
     n_min = targets[-1]
     assert if_value * (1 - 2 / n_min) <= measured <= if_value * (1 + 2 / n_min)
@@ -289,6 +289,15 @@ def test_non_finite_features_rejected(bad):
     # overflow are still finite
     assert datasets.LabeledDataset.from_arrays(np.zeros((0, 3)), [], n_classes=2).n_samples == 0
     assert datasets.LabeledDataset.from_arrays(np.full((4, 3), 1e200), [0, 1, 0, 1]).n_samples == 4
+
+
+@pytest.mark.parametrize(
+    "labels, n_classes", [([0, 5], 3), ([0, 3], 3), ([-1, 0], None), ([-1, 0], 2)],
+    ids=["above-explicit", "at-explicit", "negative", "negative-explicit"],
+)
+def test_labels_outside_class_range_rejected(labels, n_classes):
+    with pytest.raises(ValueError, match="labels must lie in"):
+        datasets.LabeledDataset.from_arrays(np.zeros((2, 3)), labels, n_classes=n_classes)
 
 
 def test_loss_decomposition_identity():

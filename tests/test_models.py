@@ -42,20 +42,20 @@ def _fd_gradient(model, ds, spec, h=1e-5):
 
 def test_softmax_uniform_at_zero_params():
     model = models.LinearModel.zeros(4, 5)
-    probs = models.softmax_forward(model, np.random.default_rng(0).standard_normal((7, 4)))
+    probs = models.softmax_probs(model.forward(np.random.default_rng(0).standard_normal((7, 4))))
     assert np.allclose(probs, 0.2, atol=1e-12)
 
 
 def test_softmax_overflow_safe():
     model = models.LinearModel(np.array([[1000.0], [0.0]]), np.zeros(2))
-    probs = models.softmax_forward(model, np.array([[1.0]]))
+    probs = models.softmax_probs(model.forward(np.array([[1.0]])))
     assert np.all(np.isfinite(probs))
     assert probs[0] == pytest.approx([1.0, 0.0], abs=1e-9)
 
 
 def test_softmax_hand_value():
     model = models.LinearModel(np.eye(3), np.zeros(3))
-    probs = models.softmax_forward(model, np.array([[1.0, 2.0, 3.0]]))
+    probs = models.softmax_probs(model.forward(np.array([[1.0, 2.0, 3.0]])))
     assert probs[0] == pytest.approx([0.09003057, 0.24472847, 0.66524096], abs=1e-7)
 
 
@@ -64,7 +64,7 @@ def test_softmax_rows_sum_to_one_many_draws():
     x = rng.standard_normal((10, 6))
     for _ in range(1000):
         model = models.LinearModel(rng.standard_normal((4, 6)) * 3, rng.standard_normal(4))
-        probs = models.softmax_forward(model, x)
+        probs = models.softmax_probs(model.forward(x))
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-9)
         assert np.all(probs >= 0)
 
@@ -310,10 +310,10 @@ def test_param_vector_roundtrip():
     flat = model.get_params()
     assert model.layout.total_size == len(flat) == len(model.params)
     arrays = [a for pair in zip(model.weights, model.biases) for a in pair]
-    for segment, array in zip(model.layout.segments, arrays):
+    for shape, offset, array in zip(model.layout.shapes, model.layout.offsets, arrays):
         assert np.shares_memory(array, model.params)
-        assert array.shape == segment.shape and array.size == segment.size
-        assert np.array_equal(array.ravel(), flat[segment.offset : segment.offset + segment.size])
+        assert array.shape == shape
+        assert np.array_equal(array.ravel(), flat[offset : offset + array.size])
     assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), flat)
 
 
