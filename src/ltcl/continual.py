@@ -184,16 +184,21 @@ def gpm_project(gradient_for_layer: np.ndarray, basis: np.ndarray | None) -> np.
 
 class _EwcTerm(ObjectiveTerm):
     """ewc_penalty's value, and (w F) * (theta - anchor) added to the
-    gradient, with w F formed once and theta - anchor once per step."""
+    gradient, with w F formed once and theta - anchor once per step, in
+    two buffers made once, so one term serves one training run at a time."""
 
     def __init__(self, anchor, fisher, cl_weight: float):
         self.anchor, self.fisher, self.cl_weight = anchor, fisher, cl_weight
         self.weighted_fisher = cl_weight * fisher
+        self._diff, self._square = np.empty_like(anchor), np.empty_like(anchor)
 
-    def param_term(self, params, grad) -> float:
-        diff = params - self.anchor
-        grad += self.weighted_fisher * diff
-        return 0.5 * self.cl_weight * float(self.fisher @ (diff * diff))
+    def param_term(self, params, out) -> float:
+        diff, square = self._diff, self._square
+        np.subtract(params, self.anchor, out=diff)
+        np.multiply(diff, diff, out=square)
+        diff *= self.weighted_fisher
+        out.grad += diff
+        return 0.5 * self.cl_weight * float(self.fisher @ square)
 
 
 class _LwfTerm(ObjectiveTerm):
@@ -222,7 +227,6 @@ class _GpmTerm(ObjectiveTerm):
     def __init__(self, model, bases, mu: float):
         self.bases = bases
         self.ratios = []
-        self.weight_views = model.weight_views
         self.mu_m = np.zeros(model.layout.total_size)
         for m, w0, basis in zip(model.weight_views(self.mu_m), model.weight_views(model.params), bases):
             m[...] = mu * ((w0 @ basis) @ basis.T)
@@ -230,12 +234,13 @@ class _GpmTerm(ObjectiveTerm):
     def weight_inputs(self, inputs) -> list:
         return [gpm_project(a, basis) for a, basis in zip(inputs, self.bases)]
 
-    def param_term(self, params, grad) -> float:
+    def param_term(self, params, out) -> float:
+        grad = out.grad
         grad -= self.mu_m
         inside_sq = 0.0
-        for g, basis in zip(self.weight_views(grad), self.bases):
-            inside_sq += float(np.sum((g @ basis) ** 2))
-        norm = float(np.linalg.norm(grad))
+        for g, basis in zip(out.views[0::2], self.bases):
+            inside_sq += float(np.add.reduce((g @ basis) ** 2, axis=None))
+        norm = float(np.sqrt(grad @ grad))  # np.linalg.norm's own sum, without its wrapper
         self.ratios.append(np.sqrt(inside_sq) / norm if norm > 0 else 0.0)
         return 0.0
 

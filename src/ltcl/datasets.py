@@ -15,7 +15,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import (
-    CapacityError, EmptyClassError, IdxParseError, NonFiniteInputError, ShapeMismatchError,
+    CapacityError, DatasetError, EmptyClassError, IdxParseError, NonFiniteInputError, ShapeMismatchError,
 )
 
 IDX_LABELS_MAGIC = 0x00000801
@@ -31,12 +31,17 @@ class LabeledDataset:
     n_classes: int
 
     def __post_init__(self):
+        if self.features.dtype != np.float64:
+            raise DatasetError(f"features must be float64, got {self.features.dtype}")
+        # bincount needs integers that cast safely to the platform index type
+        if self.labels.dtype.kind not in "iu" or not np.can_cast(self.labels.dtype, np.intp):
+            raise DatasetError(f"labels must be integers, got {self.labels.dtype}")
         if self.features.ndim != 2:
-            raise ValueError("features must be a 2-D matrix")
+            raise ShapeMismatchError("features must be a 2-D matrix")
         if self.labels.ndim != 1 or len(self.labels) != len(self.features):
-            raise ValueError("labels must be 1-D with one entry per sample")
+            raise ShapeMismatchError("labels must be 1-D with one entry per sample")
         if self.n_samples and not 0 <= self.labels.min() <= self.labels.max() < self.n_classes:
-            raise ValueError(f"labels must lie in 0..{self.n_classes - 1}")
+            raise DatasetError(f"labels must lie in 0..{self.n_classes - 1}")
         # One BLAS pass: the squared norm is finite unless an entry is NaN or
         # infinite, or the sum overflows; only then is every entry checked.
         flat = self.features.ravel()

@@ -25,6 +25,10 @@ class ShapeMismatchError(LtclError, ValueError):
     """Array shapes are incompatible for the requested operation."""
 
 
+class DatasetError(LtclError, ValueError):
+    """A dataset's features are not float64, or its labels are not integers in range."""
+
+
 class NonFiniteInputError(LtclError, ValueError):
     """Input data contains NaN or infinite values."""
 

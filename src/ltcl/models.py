@@ -62,8 +62,10 @@ class LossSpec:
 
 
 def log_softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    # the ufunc reductions that ndarray.max and .sum wrap, called directly
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    shifted -= np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+    return shifted
 
 
 def softmax_probs(logits):
@@ -82,9 +84,22 @@ class ObjectiveTerm:
         """The a_l of each weight gradient delta_l^T a_l (inputs[0] = features)."""
         return inputs
 
-    def param_term(self, params, grad) -> float:
-        """Adjusts the flat gradient in place; returns the term."""
+    def param_term(self, params, out) -> float:
+        """Adjusts out.grad, the flat gradient, in place (out.views are its
+        layout views); returns the term."""
         return 0.0
+
+
+class GradientWorkspace:
+    """The buffers one training run reuses at every step, made from the
+    flat parameter vector: the gradient `grad`, a parameter-sized
+    `scratch` vector, and `views`, the layout views of `grad`, which the
+    model that fills it sets on first use."""
+
+    def __init__(self, params):
+        self.grad = np.empty_like(params)
+        self.scratch = np.empty_like(params)
+        self.views = None
 
 
 class _Network:
@@ -164,15 +179,16 @@ class _Network:
         last = len(self._weights) - 1
         for i, (w, b) in enumerate(zip(self._weights, self._biases)):
             activations.append(a)
-            a = a @ w.T + b
+            a = a @ w.T
+            a += b
             if i < last:
-                a = np.maximum(a, 0.0)
+                np.maximum(a, 0.0, out=a)
         return a, activations
 
     def forward(self, features) -> np.ndarray:
         return self.forward_with_activations(features)[0]
 
-    def backward(self, delta, activations, square: bool = False, inputs=None) -> np.ndarray:
+    def backward(self, delta, activations, square: bool = False, inputs=None, out=None) -> np.ndarray:
         """Back-propagate per-sample logit derivatives through the layers.
 
         delta has one row per sample. Returns the flat layout-order sum over
@@ -181,39 +197,47 @@ class _Network:
         layer l's output and a_l its input. With square=True every
         per-sample gradient is squared before the sum, (delta_l**2)^T a_l**2.
         `inputs` replaces a_l in delta_l^T a_l only, not in the masks.
+        The sum fills `out.grad`, of a new `GradientWorkspace` by default.
         """
         inputs = activations if inputs is None else inputs
-        out = np.empty(self.layout.total_size)
-        views = self.layout.views(out)
+        if out is None:
+            out = GradientWorkspace(self._params)
+        if out.views is None:
+            out.views = self.layout.views(out.grad)
+        views = out.views
         for i in range(len(self._weights) - 1, -1, -1):
             a = activations[i]
             d = delta * delta if square else delta
             np.matmul(d.T, a * a if square else inputs[i], out=views[2 * i])
-            np.sum(d, axis=0, out=views[2 * i + 1])
+            np.add.reduce(d, axis=0, out=views[2 * i + 1])
             if i > 0:
                 # a = relu(previous pre-activation): a > 0 is the rectifier's mask
                 delta = (delta @ self._weights[i]) * (a > 0)
-        return out
+        return out.grad
 
-    def loss_and_gradient(self, features, labels, spec: LossSpec, term=None):
-        """Mean CE + (mu/2)||theta||^2 and its exact gradient, flat; the
-        gradient is a new array. An `ObjectiveTerm` extends both."""
+    def loss_and_gradient(self, features, labels, spec: LossSpec, term=None, out=None):
+        """Mean CE + (mu/2)||theta||^2 and its exact gradient, flat. The
+        gradient fills `out`, a `GradientWorkspace`, and is its `grad`; by
+        default it is a new array. An `ObjectiveTerm` extends both."""
+        if out is None:
+            out = GradientWorkspace(self._params)
         n = len(labels)
+        rows = np.arange(n)
         logits, activations = self.forward_with_activations(features)
         logp = log_softmax(logits)
-        loss = -logp[np.arange(n), labels].mean()
+        loss = -(np.add.reduce(logp[rows, labels]) / n)  # the mean, without its wrapper
         loss += 0.5 * spec.mu * float(self._params @ self._params)
         delta = np.exp(logp)
-        delta[np.arange(n), labels] -= 1.0
+        delta[rows, labels] -= 1.0
         delta /= n
         inputs = None
         if term is not None:
             loss += term.logit_term(logits, activations, delta)
             inputs = term.weight_inputs(activations)
-        grad = self.backward(delta, activations, inputs=inputs)
-        grad += spec.mu * self._params
+        grad = self.backward(delta, activations, inputs=inputs, out=out)
+        grad += np.multiply(self._params, spec.mu, out=out.scratch)
         if term is not None:
-            loss += term.param_term(self._params, grad)
+            loss += term.param_term(self._params, out)
         return loss, grad
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .datasets import LabeledDataset
 from .errors import DivergenceError, EmptyClassError, ScheduleExhaustedError
-from .models import LossSpec
+from .models import GradientWorkspace, LossSpec
 
 SCHEDULES = ("constant", "cosine")
 
@@ -79,8 +79,10 @@ def train(
     (trained copy, epoch_losses), the mean batch loss of each epoch.
 
     The model needs `copy()`, a flat float64 `params` buffer that its
-    `loss_and_gradient(features, labels, spec, term)` reads, returning a
-    new gradient array. Training updates the copy's `params` in place.
+    `loss_and_gradient(features, labels, spec, term, out=workspace)`
+    reads. `workspace` is one `models.GradientWorkspace`, made from
+    `params` once per call; the model fills its `grad` and returns
+    (loss, grad). Training updates the copy's `params` in place.
     `term` (a `models.ObjectiveTerm`) extends every step's objective.
     """
     if dataset.n_samples == 0:
@@ -90,6 +92,7 @@ def train(
     n = dataset.n_samples
     theta = model.params
     velocity = np.zeros_like(theta) if config.momentum else None
+    workspace = GradientWorkspace(theta)
     rng = np.random.default_rng(config.seed)
     losses = []
 
@@ -102,7 +105,7 @@ def train(
             batches = [order[i : i + config.batch_size] for i in range(0, n, config.batch_size)]
         batch_losses = []
         for rows in batches:
-            value, grad = model.loss_and_gradient(x[rows], y[rows], spec, term)
+            value, grad = model.loss_and_gradient(x[rows], y[rows], spec, term, out=workspace)
             if not math.isfinite(value):
                 raise DivergenceError(epoch)
             batch_losses.append(value)

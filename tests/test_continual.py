@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,16 @@ def test_ewc_penalty_gradient():
     value, penalized = model.loss_and_gradient(x, y, SPEC, continual._EwcTerm(*args))
     assert penalized - plain == pytest.approx([4.0 * 0.5 * 1.0, 4.0 * 2.0 * -1.0, 4.0 * 1.0 * -0.5])
     assert value == plain_value + continual.ewc_penalty(model.params, *args)
+
+
+def test_ewc_term_value_equals_penalty_exactly():
+    rng = np.random.default_rng(4)
+    anchor, fisher, theta = rng.standard_normal(50), rng.random(50), rng.standard_normal(50)
+    workspace = models.GradientWorkspace(theta)
+    workspace.grad[...] = 0.0
+    value = continual._EwcTerm(anchor, fisher, 3.0).param_term(theta, workspace)
+    assert value == continual.ewc_penalty(theta, anchor, fisher, 3.0)
+    assert np.array_equal(workspace.grad, 3.0 * fisher * (theta - anchor))
 
 
 def test_ewc_penalty_shape_error():
@@ -551,3 +563,67 @@ def test_head_weight_norms_exceed_tail_after_naive_lt_training(lt_fixture):
     head = sorted(split.head_classes)
     tail = sorted(split.tail_classes)
     assert norms[head].mean() > norms[tail].mean()
+
+
+# ---------------------------------------------------------- gradient workspace
+
+def _model_and_term(kind, variant, ds):
+    """A model moved off the Phase-1 point its term keeps, and the term."""
+    if kind == "linear":
+        model = models.LinearModel.initialize(ds.n_features, ds.n_classes, seed=1)
+    else:
+        model = models.MlpModel.initialize([ds.n_features, 9, ds.n_classes], seed=1)
+    term = None if variant is None else continual.strategy_term(variant, model, ds, range(2), SPEC, cl_weight=2.0)
+    rng = np.random.default_rng(2)
+    model.set_params(model.params + 0.05 * rng.standard_normal(model.params.shape))
+    return model, term
+
+
+@pytest.mark.parametrize("variant", [None, "ewc", "lwf", "gpm"])
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_workspace_gradient_bit_identical_to_allocating_call(kind, variant):
+    ds = datasets.synthetic_gaussian(4, 6, 30, 2.0, seed=3)
+    model, term = _model_and_term(kind, variant, ds)
+    workspace = models.GradientWorkspace(model.params)
+    for rows in (slice(0, 8), slice(8, 10), slice(None)):
+        x, y = ds.features[rows], ds.labels[rows]
+        # every entry must be written, whatever the previous step left
+        workspace.grad[...] = np.nan
+        workspace.scratch[...] = np.nan
+        value, grad = model.loss_and_gradient(x, y, SPEC, term, out=workspace)
+        assert grad is workspace.grad
+        ref_value, ref_grad = model.loss_and_gradient(x, y, SPEC, term)
+        assert value == ref_value
+        assert np.array_equal(grad, ref_grad)
+        _, again = model.loss_and_gradient(x, y, SPEC, term)
+        assert not np.shares_memory(ref_grad, again)
+        if variant == "gpm":
+            assert term.ratios[-3] == term.ratios[-2] == term.ratios[-1]
+
+
+@pytest.mark.parametrize("variant", [None, "ewc", "gpm"])
+def test_workspace_step_allocates_less_than_one_parameter_vector(variant):
+    # 25 731 parameters (206 KB) against 3.2 KB of batch-2 input
+    ds = datasets.synthetic_gaussian(3, 200, 10, 2.0, seed=0)
+    model = models.MlpModel.initialize([200, 128, 3], seed=0)
+    term = None if variant is None else continual.strategy_term(variant, model, ds, range(2), SPEC)
+    workspace = models.GradientWorkspace(model.params)
+    x, y = ds.features[:2], ds.labels[:2]
+    model.loss_and_gradient(x, y, SPEC, term, out=workspace)  # sets the layout views
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        model.loss_and_gradient(x, y, SPEC, term, out=workspace)
+        growth = tracemalloc.get_traced_memory()[1] - start
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        model.loss_and_gradient(x, y, SPEC, term)
+        allocating_growth = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert growth < model.params.nbytes
+    # the allocating call makes a new gradient, so tracing sees numpy's arrays
+    assert allocating_growth >= model.params.nbytes

@@ -10,8 +10,10 @@ from _fixtures import parser_inputs
 from ltcl import datasets, models
 from ltcl.errors import (
     CapacityError,
+    DatasetError,
     EmptyClassError,
     IdxParseError,
+    LtclError,
     NonFiniteInputError,
     ShapeMismatchError,
 )
@@ -298,6 +300,38 @@ def test_non_finite_features_rejected(bad):
 def test_labels_outside_class_range_rejected(labels, n_classes):
     with pytest.raises(ValueError, match="labels must lie in"):
         datasets.LabeledDataset.from_arrays(np.zeros((2, 3)), labels, n_classes=n_classes)
+
+
+@pytest.mark.parametrize(
+    "features, labels",
+    [
+        (np.zeros((2, 3)), np.array([0.0, 1.0])),
+        (np.zeros((2, 3)), np.array([True, False])),
+        (np.zeros((2, 3)), np.array([0, 1], dtype=np.uint64)),
+        (np.zeros((2, 3), dtype=np.float32), np.array([0, 1])),
+        (np.zeros((2, 3), dtype=np.int64), np.array([0, 1])),
+    ],
+    ids=["float-labels", "bool-labels", "uint64-labels", "float32-features", "int-features"],
+)
+def test_direct_construction_rejects_wrong_dtypes(features, labels):
+    # before the check, float labels were accepted and the first
+    # class_counts read raised numpy's TypeError
+    with pytest.raises(DatasetError, match="must be"):
+        datasets.LabeledDataset(features, labels, 2)
+
+
+def test_direct_construction_errors_are_ltcl_value_errors():
+    cases = [
+        (np.zeros(3), np.array([0, 1, 0])),  # 1-D features
+        (np.zeros((2, 3)), np.array([0, 1, 0])),  # one label too many
+        (np.zeros((2, 3)), np.array([0, 2])),  # label out of range
+    ]
+    for features, labels in cases:
+        with pytest.raises(LtclError) as info:
+            datasets.LabeledDataset(features, labels, 2)
+        assert isinstance(info.value, ValueError)
+    ds = datasets.LabeledDataset(np.zeros((2, 3)), np.array([0, 1], dtype=np.int32), 2)
+    assert ds.class_counts.tolist() == [1, 1]
 
 
 def test_loss_decomposition_identity():

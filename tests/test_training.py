@@ -6,7 +6,8 @@ from ltcl.errors import DivergenceError, ScheduleExhaustedError
 
 
 class QuadraticSurrogate:
-    """1-D objective (x - target)^2 on the flat buffer `params`; ignores the dataset."""
+    """1-D objective (x - target)^2 on the flat buffer `params`; ignores the
+    dataset and fills the gradient workspace that `train` passes."""
 
     def __init__(self, x0=0.0, target=3.0):
         self.params = np.array([x0], dtype=np.float64)
@@ -18,9 +19,10 @@ class QuadraticSurrogate:
     def get_params(self):
         return self.params.copy()
 
-    def loss_and_gradient(self, features, labels, spec, term=None):
+    def loss_and_gradient(self, features, labels, spec, term, out):
         diff = self.params[0] - self.target
-        return diff * diff, np.array([2.0 * diff])
+        out.grad[0] = 2.0 * diff
+        return diff * diff, out.grad
 
 
 def _dummy_dataset(n=1):
