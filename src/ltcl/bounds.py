@@ -55,7 +55,6 @@ from .errors import (
     MinimizerCertificationError,
     ShapeMismatchError,
     StrictConvexityError,
-    SymmetryError,
 )
 from .models import LinearModel, LossSpec, hessian_operator
 
@@ -82,7 +81,6 @@ class BoundReport:
 
     imbalance_factor: float
     mu_full: float
-    mu_head: float
     measured_distance: float
     delta: float
     loose_bound: float
@@ -154,15 +152,6 @@ def lemma2_bound(delta: float, lam_f: float, lam_g: float) -> float:
             f"minimum eigenvalues {lam_f}, {lam_g} must be positive"
         )
     return 4.0 * delta / (lam_f + lam_g)
-
-
-def _check_symmetric(matrix: np.ndarray) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise SymmetryError("matrix must be square")
-    if matrix.size and np.max(np.abs(matrix - matrix.T)) > 1e-8:
-        raise SymmetryError("matrix is not symmetric within 1e-8")
-    return matrix
 
 
 # Lanczos settings. The start vector comes from a fixed seed, so the
@@ -292,18 +281,24 @@ def _ritz_check(alphas, betas, hints):
     return theta_1, theta_k, s_k, (low[1], high[0])
 
 
-def _lanczos_min(apply, dim: int) -> float:
-    """Smallest Ritz value of Lanczos (1950) with full reorthogonalisation
-    (classical Gram-Schmidt, applied twice) on the symmetric map `apply`.
+def min_eigenvalue(apply, dim: int) -> float:
+    """Smallest eigenvalue of a symmetric linear map v -> A v of dimension
+    `dim` (e.g. `models.hessian_operator`): the smallest Ritz value of
+    Lanczos (1950) with full reorthogonalisation (classical Gram-Schmidt,
+    applied twice).
 
     T is checked (`_ritz_check`) every LANCZOS_CHECK_EVERY steps, at the
     dimension and on breakdown (an off-diagonal below the tolerance); the
     run ends when the residual beta_k*|s_k| of the smallest Ritz pair is
     at most LANCZOS_TOL times the largest Ritz value in magnitude, or at
-    the dimension, where T holds the whole spectrum. A Ritz value within
+    the dimension, where T holds the whole spectrum. By interlacing the
+    value is at or above the true lambda_min, and an eigenvalue lies
+    within that residual of it (Lanczos finds the extreme eigenvalues
+    first, so in practice that is lambda_min). A Ritz value within
     dim * eps * |largest Ritz value| of zero is returned as 0.0. The basis
     is one array of LANCZOS_ROWS rows that doubles when full, so memory
-    follows the steps taken.
+    follows the steps taken. Raises EigensolverError rather than return an
+    unconverged value after LANCZOS_MAX_ITERS steps.
     """
     if dim < 1:
         raise ShapeMismatchError("the smallest eigenvalue of an empty matrix is undefined")
@@ -342,26 +337,6 @@ def _lanczos_min(apply, dim: int) -> float:
     raise EigensolverError(
         f"Lanczos did not converge in {LANCZOS_MAX_ITERS} steps on a {dim}-dimensional operator"
     )
-
-
-def min_eigenvalue(matrix, dim: int | None = None) -> float:
-    """Smallest eigenvalue of a symmetric matrix, or of a symmetric linear
-    map v -> A v of dimension `dim` (e.g. `models.hessian_operator`).
-
-    The value is the smallest Lanczos Ritz value. By interlacing it is at
-    or above the true lambda_min, and on convergence an eigenvalue lies
-    within the stopping residual LANCZOS_TOL * |largest Ritz value| of it
-    (Lanczos finds the extreme eigenvalues first, so in practice that is
-    lambda_min). A value within rounding of zero is returned as 0.0.
-    Raises EigensolverError rather than return an unconverged value
-    after LANCZOS_MAX_ITERS steps.
-    """
-    if callable(matrix):
-        if dim is None:
-            raise ShapeMismatchError("an operator needs its dimension")
-        return _lanczos_min(matrix, dim)
-    matrix = _check_symmetric(matrix)
-    return _lanczos_min(matrix.__matmul__, matrix.shape[0])
 
 
 def loss_gap_surrogate(
@@ -585,7 +560,6 @@ def evaluate_cell(
     return BoundReport(
         imbalance_factor=float(imbalance),
         mu_full=float(mu),
-        mu_head=float(mu),
         measured_distance=measured,
         delta=delta_hat,
         loose_bound=loose,

@@ -1,10 +1,11 @@
 """Config-driven experiment runner: bound-grid, two-phase, compare, plot-data.
 
-Configs are YAML (or JSON) with a strict schema, in which unknown keys are
-errors. The tables GRID and TWO_PHASE, with the tables they nest, and the
-dataset tables SYNTHETIC, IDX_GRID and IDX_TWO_PHASE give every field's
-type, default and check. --seed and --workers replace the config values
-before validation. Every run writes a manifest with the fully resolved
+Configs are YAML (or JSON) with one rule: each table lists exactly the
+keys its run reads, and any other key is an error. The tables GRID and
+TWO_PHASE, with the tables they nest, give every field's type, default and
+check; a dataset's table follows its source and the run's kind, a model's
+its kind. --seed and --workers replace the config values before
+validation. Every run writes a manifest with the fully resolved
 config; rerunning from it reproduces the CSV outputs byte for byte.
 
 Exit codes: 0 success, 1 validation error (an unreadable config
@@ -27,8 +28,7 @@ import yaml
 from . import __version__
 from .bounds import BoundGridConfig, bound_grid
 from .continual import (
-    DEFAULT_BATCH_SIZE, DEFAULT_CL_WEIGHTS, DEFAULT_ENERGY_THRESHOLD, DEFAULT_FISHER_MAX_SAMPLES,
-    DEFAULT_TEMPERATURE, VARIANTS, default_phase2_config, run_head_phase, run_tail_phase,
+    DEFAULT_BATCH_SIZE, STRATEGY_SETTINGS, VARIANTS, default_phase2_config, run_head_phase, run_tail_phase,
 )
 from .datasets import head_tail_split, load_idx, make_longtail, mean_pool_images, synthetic_gaussian
 from .errors import ConfigError, LtclError
@@ -52,18 +52,25 @@ _PHASE2_SEED_OFFSET = {name: i + 1 for i, name in enumerate(VARIANTS)}
 _TEST_SEED_OFFSET = 999_983
 
 REQUIRED = object()  # no default: the field must be given
-ABSENT = object()  # no default: the field is left out of the resolved config unless given
 
 
 class Field(NamedTuple):
-    """A config table maps each key to a Field, or to None for a key of another kind or
-    source, accepted and left out. type is int, float, str, bool, dict, a nested table or
-    [T] (a list of T). A missing or null value takes the default. check is (test, message):
-    a value failing test is rejected with message, in which {} stands for the value."""
+    """A config table maps each key its run reads to a Field. type is int, float, str,
+    bool, a nested table, a Choice of nested tables or [T] (a list of T). A missing or
+    null value takes the default. check is (test, message): a value failing test is
+    rejected with message, in which {} stands for the value."""
 
     type: object
     default: object = None
     check: tuple | None = None
+
+
+class Choice(NamedTuple):
+    """Nested tables picked by the value of one key of the mapping. Any other value
+    picks the first table, whose field for that key rejects it."""
+
+    key: str
+    tables: dict
 
 
 def _one_of(*options):
@@ -82,24 +89,25 @@ HEADER = {
     "seed": Field(int, 0, AT_LEAST_0),  # numpy seeds are non-negative
     "workers": Field(int, 1, AT_LEAST_1),
     "output_dir": Field(str),
-    "dataset": Field(dict, REQUIRED),  # resolved by its source in validate_config
 }
 
 DATASET = {"source": Field(str, REQUIRED, _one_of("synthetic", "idx")),
            "pool_factor": Field(int, None, AT_LEAST_1)}
-SYNTHETIC_FIELDS = {
+SYNTHETIC = {
+    **DATASET,
     "n_classes": Field(int, 10, AT_LEAST_1),
     "n_features": Field(int, 64, AT_LEAST_1),
     "n_per_class": Field(int, 500, AT_LEAST_1),
     "class_separation": Field(float, 3.0, POSITIVE),
-    "test_n_per_class": Field(int, 200, AT_LEAST_1),
 }
-IDX_FILES = ("train_images", "train_labels", "test_images", "test_labels")
-SYNTHETIC = {**DATASET, **SYNTHETIC_FIELDS, **dict.fromkeys(IDX_FILES)}
-IDX_TWO_PHASE = {**DATASET, **dict.fromkeys(IDX_FILES, Field(str, REQUIRED, EXISTING_FILE)),
-                 **dict.fromkeys(SYNTHETIC_FIELDS)}
-# a bound grid has no test set
-IDX_GRID = {**IDX_TWO_PHASE, **dict.fromkeys(IDX_FILES[2:], Field(str, ABSENT, EXISTING_FILE))}
+IDX_FILE = Field(str, REQUIRED, EXISTING_FILE)
+IDX = {**DATASET, "train_images": IDX_FILE, "train_labels": IDX_FILE}
+# a bound grid reads no test set
+GRID_DATASET = Choice("source", {"synthetic": SYNTHETIC, "idx": IDX})
+TWO_PHASE_DATASET = Choice("source", {
+    "synthetic": {**SYNTHETIC, "test_n_per_class": Field(int, 200, AT_LEAST_1)},
+    "idx": {**IDX, "test_images": IDX_FILE, "test_labels": IDX_FILE},
+})
 
 LONGTAIL = {"head_fraction": Field(float, 0.6, FRACTION), "n_max": Field(int, None, AT_LEAST_1)}
 IMBALANCE_FACTORS = (lambda fs: fs and min(fs) >= 1 and len(set(fs)) == len(fs),
@@ -125,83 +133,78 @@ def _train_table(defaults: dict) -> dict:
     return {name: Field(kind, defaults[name]) for name, kind in TRAIN_TYPES.items()}
 
 
+# a strategy's table holds the settings it reads, each typed as its default
+CL_CHECKS = {"cl_weight": AT_LEAST_0, "temperature": POSITIVE, "energy_threshold": FRACTION,
+             "fisher_max_samples": AT_LEAST_1}
 STRATEGY_OVERRIDES = {
     name: Field({
         **_train_table(vars(default_phase2_config(name))),
-        "cl_weight": Field(float, DEFAULT_CL_WEIGHTS.get(name, 0.0), AT_LEAST_0),
-        "temperature": Field(float, DEFAULT_TEMPERATURE, POSITIVE),
-        "energy_threshold": Field(float, DEFAULT_ENERGY_THRESHOLD, FRACTION),
-        "fisher_max_samples": Field(int, DEFAULT_FISHER_MAX_SAMPLES, AT_LEAST_1),
+        **{key: Field(type(default), default, CL_CHECKS[key]) for key, default in settings.items()},
     }, {})
-    for name in VARIANTS
+    for name, settings in STRATEGY_SETTINGS.items()
 }
 STRATEGIES = (lambda names: names and set(names) <= set(VARIANTS) and len(set(names)) == len(names),
               f"must be a non-empty list of distinct strategies from {VARIANTS}")
-TWO_PHASE_SECTIONS = {
+MLP = {"kind": Field(str, "mlp", _one_of("mlp", "linear")),
+       "hidden_sizes": Field([int], [64], (lambda sizes: sizes and min(sizes) >= 1,
+                                           "must be a list of positive integers"))}
+# a linear model has no hidden layers
+MODEL = Choice("kind", {"mlp": MLP, "linear": {"kind": MLP["kind"]}})
+GRID = {
+    **HEADER,
+    "dataset": Field(GRID_DATASET, REQUIRED),
+    "longtail": Field({**LONGTAIL, "imbalance_factors": Field([float], REQUIRED, IMBALANCE_FACTORS)},
+                      REQUIRED),
+    "bound_grid": Field(BOUND_GRID, REQUIRED),
+}
+TWO_PHASE = {
+    **HEADER,
+    "dataset": Field(TWO_PHASE_DATASET, REQUIRED),
+    "longtail": Field({**LONGTAIL, "imbalance_factor": Field(float, REQUIRED, AT_LEAST_1)}, REQUIRED),
     "loss": Field({"mu": Field(float, 1e-4, AT_LEAST_0)}, {}),
-    # hidden_sizes is checked in validate_config: only an MLP uses it
-    "model": Field(
-        {"kind": Field(str, "mlp", _one_of("mlp", "linear")), "hidden_sizes": Field([int], [64])}, {}
-    ),
+    "model": Field(MODEL, {}),
     "phase1": Field(_train_table(PHASE1_DEFAULTS), {}),
     "strategies": Field([str], REQUIRED, STRATEGIES),
     "strategy_overrides": Field(STRATEGY_OVERRIDES, {}),
 }
-NOT_FOR_GRID = Field(object, ABSENT, (lambda v: False, "not valid for kind bound_grid"))
-# a bound grid rejects a two-phase section that is not null; a two-phase
-# run ignores a bound_grid section
-GRID = {
-    **HEADER,
-    "longtail": Field({**LONGTAIL, "imbalance_factors": Field([float], REQUIRED, IMBALANCE_FACTORS),
-                       "imbalance_factor": None}, REQUIRED),
-    "bound_grid": Field(BOUND_GRID, REQUIRED),
-    **dict.fromkeys(TWO_PHASE_SECTIONS, NOT_FOR_GRID),
-}
-TWO_PHASE = {
-    **HEADER,
-    "longtail": Field({**LONGTAIL, "imbalance_factor": Field(float, REQUIRED, AT_LEAST_1),
-                       "imbalance_factors": None}, REQUIRED),
-    **TWO_PHASE_SECTIONS,
-    "bound_grid": None,
-}
+CONFIG = Choice("kind", {"bound_grid": GRID, "ltr_two_phase": TWO_PHASE, "compare": TWO_PHASE})
 
 
 def _typed(value, kind, where: str):
     """value as kind: an int widens to float, a bool is never a number and
     a float must be finite."""
-    shape = dict if isinstance(kind, dict) else list if isinstance(kind, list) else kind
+    shape = dict if isinstance(kind, (dict, Choice)) else list if isinstance(kind, list) else kind
     if shape is float and type(value) is int and abs(value) < 2**1023:  # a larger int stays int
         value = float(value)
     if not isinstance(value, shape) or (shape is not bool and isinstance(value, bool)):
         raise ConfigError(where or "<root>", f"expected {shape.__name__}, got {type(value).__name__}")
     if shape is float and not math.isfinite(value):
         raise ConfigError(where, "must be finite")
+    if isinstance(kind, Choice):  # a value that is no table name picks the first table
+        kind = kind.tables.get(str(value.get(kind.key)), next(iter(kind.tables.values())))
     if isinstance(kind, dict):
         return _resolve(value, kind, where)
     return [_typed(v, kind[0], where) for v in value] if isinstance(kind, list) else value
 
 
 def _resolve(raw: dict, table: dict, path: str) -> dict:
-    """Walk one table over one mapping: reject unknown keys, then type,
-    default and check each field in table order."""
-    for key in raw:
-        if key not in table:
-            raise ConfigError(f"{path}.{key}" if path else str(key), "unknown key")
+    """Walk one table over one mapping: type, default and check each field
+    in table order, then reject any other key. The fields come first
+    because a Choice picks the table by a value not yet checked."""
     out = {}
     for name, field in table.items():
-        if field is None:  # a key of another kind or dataset source
-            continue
         where = f"{path}.{name}" if path else name
         value = field.default if raw.get(name) is None else raw[name]
         if value is REQUIRED:
             raise ConfigError(where, "missing required field")
-        if value is ABSENT:
-            continue
         if value is not None:
             value = _typed(value, field.type, where)
             if field.check and not field.check[0](value):
                 raise ConfigError(where, field.check[1].format(value))
         out[name] = value
+    for key in raw:
+        if key not in table:
+            raise ConfigError(f"{path}.{key}" if path else str(key), "unknown key")
     return out
 
 
@@ -228,19 +231,9 @@ def load_config(path) -> dict:
 
 def validate_config(raw: dict) -> dict:
     """Validate a raw config mapping and return it with defaults resolved."""
-    grid = isinstance(raw, dict) and raw.get("kind") == "bound_grid"
-    cfg = _typed(raw, GRID if grid else TWO_PHASE, "")
-    idx_table = IDX_GRID if grid else IDX_TWO_PHASE
-    dataset_table = idx_table if cfg["dataset"].get("source") == "idx" else SYNTHETIC
-    cfg["dataset"] = _resolve(cfg["dataset"], dataset_table, "dataset")
-    if grid:
+    cfg = _typed(raw, CONFIG, "")
+    if cfg["kind"] == "bound_grid":
         return cfg
-
-    model = cfg["model"]
-    if model["kind"] == "linear":
-        model["hidden_sizes"] = []
-    elif not model["hidden_sizes"] or min(model["hidden_sizes"]) < 1:
-        raise ConfigError("model.hidden_sizes", "must be a list of positive integers")
     _train_config(cfg["phase1"], "phase1")
     overrides = cfg["strategy_overrides"]
     for name, settings in overrides.items():  # unused strategies are checked too
@@ -320,9 +313,11 @@ def run_ltr_two_phase(cfg: dict, out_dir: Path) -> int:
     lt = make_longtail(source, longtail["imbalance_factor"], seed=cfg["seed"], n_max=longtail["n_max"])
     spec = LossSpec(mu=cfg["loss"]["mu"])
     phase1_config = _train_config(cfg["phase1"], "phase1", seed=cfg["seed"])
-    sizes = [lt.n_features, *cfg["model"]["hidden_sizes"], lt.n_classes]
-    model = (LinearModel.zeros(lt.n_features, lt.n_classes) if cfg["model"]["kind"] == "linear"
-             else MlpModel.initialize(sizes, seed=cfg["seed"]))
+    if cfg["model"]["kind"] == "linear":
+        model = LinearModel.zeros(lt.n_features, lt.n_classes)
+    else:
+        sizes = [lt.n_features, *cfg["model"]["hidden_sizes"], lt.n_classes]
+        model = MlpModel.initialize(sizes, seed=cfg["seed"])
 
     def run_one(name):
         """The strategy's result, or the LtclError that ended it."""
@@ -343,6 +338,7 @@ def run_ltr_two_phase(cfg: dict, out_dir: Path) -> int:
     except LtclError as exc:  # no head class, or phase 1 failed: every strategy fails with it
         outcomes = dict.fromkeys(names, exc)
     else:
+        save_checkpoint(head_phase.model_after_head, out_dir / "model_head.ckpt")
         with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
             outcomes = dict(zip(names, pool.map(run_one, names)))
     results = {name: res for name, res in outcomes.items() if not isinstance(res, LtclError)}
@@ -364,7 +360,6 @@ def run_ltr_two_phase(cfg: dict, out_dir: Path) -> int:
                    transfer.per_class_delta, transfer.per_class_region,
                    before.per_class_weight_norm, after.per_class_weight_norm)
         _write_csv(out_dir / f"metrics_{name}.csv", METRICS_CSV_HEADER, rows)
-        save_checkpoint(res.model_after_head, out_dir / f"model_{name}_head.ckpt")
         save_checkpoint(res.model_after_tail, out_dir / f"model_{name}_tail.ckpt")
     _write_csv(out_dir / "summary.csv", SUMMARY_CSV_HEADER, summary_rows)
 

@@ -25,8 +25,8 @@ from .training import TrainConfig, train
 VARIANTS = ("naive", "ewc", "modified_ewc", "lwf", "gpm")
 FISHER_MODES = ("model_sampled", "true_loss")
 
-# Phase-2 TrainConfig fields per strategy (the penalty weights are
-# DEFAULT_CL_WEIGHTS). The naive baseline gets the EWC optimization budget.
+# Phase-2 TrainConfig fields per strategy (its other settings are in
+# STRATEGY_SETTINGS). The naive baseline gets the EWC optimization budget.
 PHASE2_DEFAULTS = {
     "lwf": dict(learning_rate=0.001, momentum=0.9, schedule="constant", epochs=5),
     "ewc": dict(learning_rate=0.01, momentum=0.9, schedule="constant", epochs=90),
@@ -34,11 +34,17 @@ PHASE2_DEFAULTS = {
     "gpm": dict(learning_rate=0.001, momentum=0.0, schedule="cosine", epochs=100),
     "naive": dict(learning_rate=0.01, momentum=0.9, schedule="constant", epochs=90),
 }
-DEFAULT_CL_WEIGHTS = {"lwf": 0.01, "ewc": 10.0, "modified_ewc": 1000.0}
+# The settings strategy_term reads for each strategy, with their defaults:
+# the penalty or distillation weight, the distillation temperature, GPM's
+# energy threshold, and the head samples drawn for the Fisher or the bases.
+STRATEGY_SETTINGS = {
+    "naive": {},
+    "ewc": {"cl_weight": 10.0, "fisher_max_samples": 2000},
+    "modified_ewc": {"cl_weight": 1000.0, "fisher_max_samples": 2000},
+    "lwf": {"cl_weight": 0.01, "temperature": 2.0},
+    "gpm": {"energy_threshold": 0.97, "fisher_max_samples": 2000},
+}
 DEFAULT_BATCH_SIZE = 64
-DEFAULT_TEMPERATURE = 2.0
-DEFAULT_ENERGY_THRESHOLD = 0.97
-DEFAULT_FISHER_MAX_SAMPLES = 2000
 _LOG_FLOOR = 1e-30  # floors distillation targets only, never the primary loss
 
 
@@ -246,30 +252,33 @@ class _GpmTerm(ObjectiveTerm):
 
 
 def strategy_term(
-    variant: str, model, head_dataset: LabeledDataset, head_classes, spec: LossSpec, *,
-    cl_weight: float | None = None, temperature: float = DEFAULT_TEMPERATURE,
-    energy_threshold: float = DEFAULT_ENERGY_THRESHOLD, fisher_max_samples: int = DEFAULT_FISHER_MAX_SAMPLES,
-    seed: int = 0,
+    variant: str, model, head_dataset: LabeledDataset, head_classes, spec: LossSpec, *, seed: int = 0, **settings
 ) -> ObjectiveTerm | None:
     """The variant's Phase-2 term, holding what it keeps of the Phase-1
-    `model`, or None (naive). Fisher and GPM subsample head_dataset with
-    `seed`; the term copies what it keeps, so `model` may change later."""
+    `model`, or None (naive). `settings` override the variant's
+    STRATEGY_SETTINGS; one it does not read raises ValueError. Fisher and
+    GPM subsample head_dataset with `seed`; the term copies what it keeps,
+    so `model` may change later."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown strategy variant {variant!r}")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    if cl_weight is None:
-        cl_weight = DEFAULT_CL_WEIGHTS.get(variant, 0.0)
-    if cl_weight < 0:
-        raise ValueError(f"cl_weight must be >= 0, got {cl_weight}")
+    unread = sorted(set(settings) - set(STRATEGY_SETTINGS[variant]))
+    if unread:
+        raise ValueError(f"strategy {variant!r} does not read {', '.join(unread)}")
+    settings = {**STRATEGY_SETTINGS[variant], **settings}
+    if settings.get("temperature", 1.0) <= 0:
+        raise ValueError(f"temperature must be positive, got {settings['temperature']}")
+    if settings.get("cl_weight", 0.0) < 0:
+        raise ValueError(f"cl_weight must be >= 0, got {settings['cl_weight']}")
     if variant in ("ewc", "modified_ewc"):
         mode = "model_sampled" if variant == "ewc" else "true_loss"
-        fisher = fisher_diagonal(model, head_dataset, mode, fisher_max_samples, seed=seed)
-        return _EwcTerm(model.get_params(), fisher, cl_weight)
+        fisher = fisher_diagonal(model, head_dataset, mode, settings["fisher_max_samples"], seed=seed)
+        return _EwcTerm(model.get_params(), fisher, settings["cl_weight"])
     if variant == "lwf":
-        return _LwfTerm(model.copy(), head_classes, temperature, cl_weight)
+        return _LwfTerm(model.copy(), head_classes, settings["temperature"], settings["cl_weight"])
     if variant == "gpm":
-        bases = gpm_collect_bases(model, head_dataset, energy_threshold, fisher_max_samples, seed=seed)
+        bases = gpm_collect_bases(
+            model, head_dataset, settings["energy_threshold"], settings["fisher_max_samples"], seed=seed
+        )
         return _GpmTerm(model, bases, spec.mu)
     return None
 

@@ -45,20 +45,12 @@ class DivergenceError(LtclError, RuntimeError):
         super().__init__(message or f"loss became non-finite at epoch {epoch}")
 
 
-class ScheduleExhaustedError(LtclError, ValueError):
-    """A learning-rate schedule was queried past its final step."""
-
-
 class DegenerateConvexityError(LtclError, ValueError):
     """Both strong-convexity parameters are zero; the bound is undefined."""
 
 
 class StrictConvexityError(LtclError, ValueError):
     """A Hessian has a non-positive minimum eigenvalue."""
-
-
-class SymmetryError(LtclError, ValueError):
-    """A matrix required to be symmetric is not."""
 
 
 class MinimizerCertificationError(LtclError, ValueError):

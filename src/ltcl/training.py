@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset
-from .errors import DivergenceError, EmptyClassError, ScheduleExhaustedError
+from .errors import DivergenceError, EmptyClassError
 from .models import GradientWorkspace, LossSpec
 
 SCHEDULES = ("constant", "cosine")
@@ -41,20 +41,14 @@ class TrainConfig:
             raise ValueError(f"unknown schedule {self.schedule!r}")
 
 
-def cosine_anneal(lr0: float, lr_min: float, t: int, period: int) -> float:
-    """Cosine decay from lr0 at t=0 to lr_min at t=period."""
-    if period < 1:
-        raise ValueError("period must be >= 1")
-    if t < 0 or t > period:
-        raise ScheduleExhaustedError(f"step {t} outside schedule horizon {period}")
-    return lr_min + 0.5 * (lr0 - lr_min) * (1.0 + math.cos(math.pi * t / period))
-
-
 def _lr_at(config: TrainConfig, epoch: int) -> float:
+    """The learning rate of `epoch`: constant, or a cosine decay from
+    learning_rate at the first epoch to lr_min at the last."""
     if config.schedule == "constant":
         return config.learning_rate
     period = max(config.epochs - 1, 1)
-    return cosine_anneal(config.learning_rate, config.lr_min, epoch, period)
+    lr0, lr_min = config.learning_rate, config.lr_min
+    return lr_min + 0.5 * (lr0 - lr_min) * (1.0 + math.cos(math.pi * epoch / period))
 
 
 def _step(theta, velocity, grad, lr: float, momentum: float) -> None:

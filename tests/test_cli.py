@@ -302,7 +302,7 @@ def test_compare_workers_deterministic(tmp_path):
     assert cli.main(["compare", "--config", str(path), "--workers", "1"]) == 0
     assert cli.main(["compare", "--config", str(path), "--workers", "3", "--out", str(tmp_path / "w3")]) == 0
     first = {p.name: p.read_bytes() for p in (tmp_path / "w1").iterdir() if p.name != "manifest.json"}
-    assert len(first) == 1 + 3 * 5 + 10  # summary; metrics and two checkpoints each; pair diffs
+    assert len(first) == 1 + 1 + 2 * 5 + 10  # summary, head ckpt; metrics, tail ckpt each; pair diffs
     for name, blob in first.items():
         assert (tmp_path / "w3" / name).read_bytes() == blob, name
     manifest = json.loads((tmp_path / "w3" / "manifest.json").read_text())
@@ -318,7 +318,8 @@ def test_two_phase_run_outputs(tmp_path):
     assert len(summary) == 3  # naive + ewc
     assert (out / "metrics_naive.csv").exists()
     assert (out / "metrics_ewc.csv").exists()
-    assert (out / "model_naive_head.ckpt").exists()
+    assert (out / "model_head.ckpt").exists()  # Phase 1 runs once, so its checkpoint is written once
+    assert not list(out.glob("model_*_head.ckpt"))
     assert (out / "model_ewc_tail.ckpt").exists()
 
     metrics_lines = (out / "metrics_naive.csv").read_text().strip().split("\n")
@@ -406,7 +407,6 @@ def test_grid_exit_codes():
         return BoundReport(
             imbalance_factor=10.0,
             mu_full=0.01,
-            mu_head=0.01,
             measured_distance=measured,
             delta=0.1,
             loose_bound=10.0,
@@ -551,3 +551,103 @@ def test_seed_override_changes_outputs(tmp_path):
     assert cli.main(["two-phase", "--config", str(path)]) == 0
     assert cli.main(["two-phase", "--config", str(path), "--out", str(out2), "--seed", "99"]) == 0
     assert (out1 / "summary.csv").read_bytes() != (out2 / "summary.csv").read_bytes()
+
+
+# ------------------------------------------------- one rule: a key the run does not read is an error
+
+def _idx_grid_config(tmp_path, out):
+    img, lab = _write_idx_dataset(tmp_path, 30)
+    cfg = _bound_grid_config(out)
+    cfg["dataset"] = {"source": "idx", "train_images": str(img), "train_labels": str(lab), "pool_factor": 2}
+    return cfg
+
+
+CONFIGS = {
+    "grid": lambda tmp_path, out: _bound_grid_config(out),
+    "idx_grid": _idx_grid_config,
+    "two_phase": lambda tmp_path, out: _two_phase_config(out),
+    "idx_two_phase": _idx_two_phase_config,  # a linear model
+    "compare": lambda tmp_path, out: _two_phase_config(out, kind="compare", strategies=list(cli.VARIANTS)),
+}
+COMMANDS = {"bound_grid": "bound-grid", "ltr_two_phase": "two-phase", "compare": "compare"}
+IMAGES = "<an IDX image file>"
+UNREAD_KEYS = [
+    *[("two_phase", ("strategy_overrides", name, key), 1)
+      for name in cli.VARIANTS
+      for key in ("cl_weight", "temperature", "energy_threshold", "fisher_max_samples")
+      if key not in continual.STRATEGY_SETTINGS[name]],
+    ("grid", ("strategies",), ["naive"]),
+    ("grid", ("loss",), {"mu": 0.1}),
+    ("idx_grid", ("dataset", "test_images"), IMAGES),
+    ("grid", ("dataset", "test_n_per_class"), 20),
+    ("grid", ("longtail", "imbalance_factor"), 10),
+    ("two_phase", ("bound_grid",), {"mu_values": [0.1]}),
+    ("two_phase", ("longtail", "imbalance_factors"), [10]),
+    ("two_phase", ("dataset", "train_images"), IMAGES),
+    ("idx_grid", ("dataset", "n_classes"), 4),
+    ("idx_two_phase", ("model", "hidden_sizes"), [8]),
+]
+
+
+@pytest.mark.parametrize("base, keys, value", UNREAD_KEYS, ids=[".".join(case[1]) for case in UNREAD_KEYS])
+def test_a_key_the_run_does_not_read_exits_1_and_is_named(tmp_path, capsys, base, keys, value):
+    out = tmp_path / "out"
+    cfg = CONFIGS[base](tmp_path, out)
+    if keys[0] == "strategy_overrides":
+        cfg["strategies"] = [keys[1]]
+    section = cfg
+    for key in keys[:-1]:
+        section = section[key]
+    section[keys[-1]] = str(_write_idx_dataset(tmp_path, 5, prefix="extra")[0]) if value is IMAGES else value
+    command = COMMANDS[cfg["kind"]]
+    assert cli.main([command, "--config", str(_write_config(tmp_path, cfg, name="rule.yaml"))]) == 1
+    assert capsys.readouterr().err == f"error: config field '{'.'.join(keys)}': unknown key\n"
+    assert not out.exists()
+
+
+class _ReadRecorder(dict):
+    """A resolved config that adds the path of every key read from it to `reads`."""
+
+    def __init__(self, mapping, reads, path=()):
+        super().__init__(
+            (key, _ReadRecorder(value, reads, path + (key,)) if isinstance(value, dict) else value)
+            for key, value in mapping.items()
+        )
+        self.reads, self.path = reads, path
+
+    def __getitem__(self, key):
+        self.reads.add(self.path + (key,))
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads.add(self.path + (key,))
+        return super().get(key, default)
+
+    def items(self):
+        self.reads.update(self.path + (key,) for key in self)
+        return super().items()
+
+
+@pytest.mark.parametrize("base", sorted(CONFIGS))
+def test_every_resolved_key_is_read_by_its_run(tmp_path, monkeypatch, base):
+    out = tmp_path / "out"
+    cfg = CONFIGS[base](tmp_path, out)
+    resolved = cli.validate_config(copy.deepcopy(cfg))
+    reads, read_by_run = set(), set()
+    validate = cli.validate_config
+    monkeypatch.setattr(cli, "validate_config", lambda raw: _ReadRecorder(validate(raw), reads))
+
+    def recorded(run):
+        def wrapper(cfg, out_dir):
+            code = run(cfg, out_dir)
+            read_by_run.update(reads)  # before main writes the manifest, which reads every key
+            return code
+        return wrapper
+
+    for name in ("run_bound_grid", "run_ltr_two_phase"):
+        monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
+    assert cli.main([COMMANDS[cfg["kind"]], "--config", str(_write_config(tmp_path, cfg))]) == 0
+    # a strategy's settings all go to strategy_term, which rejects one it
+    # does not read; schema_version is read by validation alone
+    assert set(_key_paths(resolved)) - read_by_run == {("schema_version",)}
+    assert json.loads((out / "manifest.json").read_text())["resolved_config"] == resolved

@@ -339,6 +339,22 @@ def test_strategy_term_rejects_negative_cl_weight(lt_fixture, variant):
         continual.strategy_term(variant, _fresh_model(), split.head, split.head_classes, SPEC, cl_weight=-5.0)
 
 
+UNREAD_SETTINGS = [
+    (variant, key)
+    for variant in continual.VARIANTS
+    for key in ("cl_weight", "temperature", "energy_threshold", "fisher_max_samples")
+    if key not in continual.STRATEGY_SETTINGS[variant]
+]
+
+
+@pytest.mark.parametrize("variant, key", UNREAD_SETTINGS)
+def test_strategy_term_rejects_a_setting_its_variant_does_not_read(lt_fixture, variant, key):
+    # a setting the variant ignores would reach the manifest and change nothing
+    _, split, _ = lt_fixture
+    with pytest.raises(ValueError, match=f"'{variant}' does not read {key}"):
+        continual.strategy_term(variant, _fresh_model(), split.head, split.head_classes, SPEC, **{key: 1})
+
+
 def test_gpm_project_empty_basis():
     g = np.arange(6.0).reshape(2, 3)
     out = continual.gpm_project(g, np.zeros((3, 0)))
@@ -551,7 +567,13 @@ def test_default_configs_follow_hyperparameter_table():
     assert (mewc.learning_rate, mewc.momentum, mewc.epochs) == (0.01, 0.9, 90)
     gpm = continual.default_phase2_config("gpm")
     assert (gpm.learning_rate, gpm.momentum, gpm.epochs, gpm.schedule) == (0.001, 0.0, 100, "cosine")
-    assert continual.DEFAULT_CL_WEIGHTS == {"lwf": 0.01, "ewc": 10.0, "modified_ewc": 1000.0}
+    assert continual.STRATEGY_SETTINGS == {
+        "naive": {},
+        "ewc": {"cl_weight": 10.0, "fisher_max_samples": 2000},
+        "modified_ewc": {"cl_weight": 1000.0, "fisher_max_samples": 2000},
+        "lwf": {"cl_weight": 0.01, "temperature": 2.0},
+        "gpm": {"energy_threshold": 0.97, "fisher_max_samples": 2000},
+    }
 
 
 def test_head_weight_norms_exceed_tail_after_naive_lt_training(lt_fixture):
@@ -573,7 +595,8 @@ def _model_and_term(kind, variant, ds):
         model = models.LinearModel.initialize(ds.n_features, ds.n_classes, seed=1)
     else:
         model = models.MlpModel.initialize([ds.n_features, 9, ds.n_classes], seed=1)
-    term = None if variant is None else continual.strategy_term(variant, model, ds, range(2), SPEC, cl_weight=2.0)
+    settings = {"cl_weight": 2.0} if variant in ("ewc", "lwf") else {}  # GPM reads no weight
+    term = None if variant is None else continual.strategy_term(variant, model, ds, range(2), SPEC, **settings)
     rng = np.random.default_rng(2)
     model.set_params(model.params + 0.05 * rng.standard_normal(model.params.shape))
     return model, term

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ltcl import bounds, continual, datasets, models, training
-from ltcl.errors import DivergenceError, ScheduleExhaustedError
+from ltcl.errors import DivergenceError
 
 
 class QuadraticSurrogate:
@@ -109,14 +109,12 @@ def test_minimizer_unique_across_inits():
 
 
 def test_cosine_anneal_endpoints():
-    assert training.cosine_anneal(0.1, 0.0, 0, 10) == pytest.approx(0.1)
-    assert training.cosine_anneal(0.1, 0.01, 10, 10) == pytest.approx(0.01)
-    assert training.cosine_anneal(0.001, 0.0, 5, 10) == pytest.approx(0.0005)
+    def cosine(lr0, lr_min):  # 11 epochs: a period of 10
+        return training.TrainConfig(learning_rate=lr0, lr_min=lr_min, epochs=11, schedule="cosine")
 
-
-def test_cosine_anneal_exhausted():
-    with pytest.raises(ScheduleExhaustedError):
-        training.cosine_anneal(0.1, 0.0, 11, 10)
+    assert training._lr_at(cosine(0.1, 0.0), 0) == pytest.approx(0.1)
+    assert training._lr_at(cosine(0.1, 0.01), 10) == pytest.approx(0.01)
+    assert training._lr_at(cosine(0.001, 0.0), 5) == pytest.approx(0.0005)
 
 
 def test_cosine_schedule_in_train():
