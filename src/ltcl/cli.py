@@ -235,10 +235,12 @@ def validate_config(raw: dict) -> dict:
     if cfg["kind"] == "bound_grid":
         return cfg
     _train_config(cfg["phase1"], "phase1")
-    overrides = cfg["strategy_overrides"]
-    for name, settings in overrides.items():  # unused strategies are checked too
+    for name in raw.get("strategy_overrides") or {}:  # a strategy that does not run reads no table
+        if name not in cfg["strategies"]:
+            raise ConfigError(f"strategy_overrides.{name}", "strategy is not in strategies")
+    cfg["strategy_overrides"] = {name: cfg["strategy_overrides"][name] for name in cfg["strategies"]}
+    for name, settings in cfg["strategy_overrides"].items():
         _train_config(settings, f"strategy_overrides.{name}")
-    cfg["strategy_overrides"] = {name: overrides[name] for name in cfg["strategies"]}
     return cfg
 
 

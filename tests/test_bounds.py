@@ -308,16 +308,30 @@ def test_evaluate_cell_degenerate_if_one():
     assert np.isfinite(report.measured_distance)
 
 
-def test_evaluate_cell_probe_losses_match_direct_evaluation():
+def _record_solves(monkeypatch):
+    """Record the (start parameters, model) of every minimizer solve."""
+    solves = []
+    solve = bounds._train_to_stationarity
+
+    def recorded(dataset, mu, config, start=None):
+        model, trace = solve(dataset, mu, config, start)
+        solves.append((None if start is None else start.get_params(), model))
+        return model, trace
+
+    monkeypatch.setattr(bounds, "_train_to_stationarity", recorded)
+    return solves
+
+
+def test_evaluate_cell_probe_losses_match_direct_evaluation(monkeypatch):
     # each probe passes head and tail rows through the model once; their
     # weighted mean must be the full-data loss
     lt = _small_longtail()
     mu = 0.05
     cfg = bounds.BoundGridConfig(head_fraction=0.5)
+    solves = _record_solves(monkeypatch)
     report = bounds.evaluate_cell(lt, 50.0, mu, cfg)
     head = datasets.head_tail_split(lt, 0.5).head
-    full_model, _ = bounds._train_to_stationarity(lt, mu, cfg)
-    head_model, _ = bounds._train_to_stationarity(head, mu, cfg, start=full_model)
+    (_, full_model), (_, head_model) = solves
     spec = models.LossSpec(mu=mu)
     probe = full_model.copy()
 
@@ -414,17 +428,48 @@ def test_newton_minimizer_matches_heavy_ball():
     assert gap <= 2 * cfg.grad_tolerance / mu
 
 
-def test_warm_started_head_solve_certifies_same_distance():
+def test_warm_started_head_solve_certifies_same_distance(monkeypatch):
+    # the head solve starts from the full minimizer with the tail classes'
+    # rows zeroed (the head objective has no tail sample) and certifies
+    # the minimizer that a start from zeros finds
     lt = _small_longtail()
     mu = 0.05
     cfg = bounds.BoundGridConfig(head_fraction=0.5)
+    split = datasets.head_tail_split(lt, 0.5)
+    head, trace = bounds._train_to_stationarity(split.head, mu, cfg)
+    solves = _record_solves(monkeypatch)
     report = bounds.evaluate_cell(lt, 50.0, mu, cfg)
-    full, _ = bounds._train_to_stationarity(lt, mu, cfg)
-    head, trace = bounds._train_to_stationarity(datasets.head_tail_split(lt, 0.5).head, mu, cfg)
+    (full_start, full), (head_start, warm) = solves
+    start = full.copy()
+    start.set_params(head_start)
+    tail, kept = sorted(split.tail_classes), sorted(split.head_classes)
+    assert full_start is None and tail
+    assert not start.weights[tail].any() and not start.biases[tail].any()
+    assert np.array_equal(start.weights[kept], full.weights[kept])
+    assert np.array_equal(start.biases[kept], full.biases[kept])
     assert trace.converged and report.converged_head
     cold = np.linalg.norm(full.get_params() - head.get_params())
     assert abs(report.measured_distance - cold) <= 2 * cfg.grad_tolerance / mu
+    assert np.linalg.norm(warm.get_params() - head.get_params()) <= 2 * cfg.grad_tolerance / mu
     assert report.epochs_head < trace.epochs_run
+
+
+def test_cg_never_solves_below_half_the_certificate(monkeypatch):
+    # the certificate checks ||grad|| <= grad_tolerance, so a CG residual
+    # far below it is wasted Hessian-vector products
+    tolerances = []
+    cg = bounds._truncated_cg
+
+    def recorded(hvp, grad, tol):
+        tolerances.append(tol)
+        return cg(hvp, grad, tol)
+
+    monkeypatch.setattr(bounds, "_truncated_cg", recorded)
+    cfg = bounds.BoundGridConfig(head_fraction=0.5)
+    for mu in (1e-3, 0.05):
+        report = bounds.evaluate_cell(_small_longtail(), 50.0, mu, cfg)
+        assert report.converged_full and report.converged_head
+    assert tolerances and min(tolerances) >= 0.5 * cfg.grad_tolerance
 
 
 def test_line_search_stall_ends_unconverged(monkeypatch):

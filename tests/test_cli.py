@@ -29,7 +29,11 @@ def _bound_grid_config(out_dir):
     }
 
 
+PHASE2_EPOCHS = {"naive": 20, "ewc": 20, "gpm": 10, "lwf": 5, "modified_ewc": 20}
+
+
 def _two_phase_config(out_dir, kind="ltr_two_phase", strategies=None):
+    strategies = ["naive", "ewc"] if strategies is None else strategies
     return {
         "schema_version": 1,
         "kind": kind,
@@ -47,14 +51,9 @@ def _two_phase_config(out_dir, kind="ltr_two_phase", strategies=None):
         "loss": {"mu": 0.0001},
         "model": {"kind": "mlp", "hidden_sizes": [16]},
         "phase1": {"epochs": 15},
-        "strategies": ["naive", "ewc"] if strategies is None else strategies,
-        "strategy_overrides": {
-            "naive": {"epochs": 20},
-            "ewc": {"epochs": 20},
-            "gpm": {"epochs": 10},
-            "lwf": {"epochs": 5},
-            "modified_ewc": {"epochs": 20},
-        },
+        "strategies": strategies,
+        # a table only for each strategy that runs: an unrun one is an error
+        "strategy_overrides": {name: {"epochs": PHASE2_EPOCHS[name]} for name in strategies if name in PHASE2_EPOCHS},
     }
 
 
@@ -120,7 +119,7 @@ def test_invalid_values_rejected(tmp_path):
         (("model", "hidden_sizes"), [True]),
         (("strategy_overrides", "lwf", "cl_weight"), -5),
     ]:
-        cfg = _two_phase_config(tmp_path / "out")
+        cfg = _two_phase_config(tmp_path / "out", strategies=list(cli.VARIANTS))
         section = cfg
         for key in keys[:-1]:
             section = section[key]
@@ -232,6 +231,17 @@ def test_unknown_override_key_rejected_even_for_unused_strategy(tmp_path):
     cfg["strategy_overrides"] = {"gpm": {"energy": 0.9}}
     with pytest.raises(ConfigError, match="strategy_overrides.gpm.energy"):
         cli.validate_config(cfg)
+
+
+def test_a_table_for_a_strategy_that_does_not_run_exits_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _two_phase_config(out, strategies=["naive"])
+    cfg["strategy_overrides"]["gpm"] = {"epochs": 10}
+    assert cli.main(["two-phase", "--config", str(_write_config(tmp_path, cfg))]) == 1
+    assert capsys.readouterr().err == (
+        "error: config field 'strategy_overrides.gpm': strategy is not in strategies\n"
+    )
+    assert not out.exists()
 
 
 def test_bad_strategy_rejected(tmp_path):
@@ -593,8 +603,8 @@ UNREAD_KEYS = [
 def test_a_key_the_run_does_not_read_exits_1_and_is_named(tmp_path, capsys, base, keys, value):
     out = tmp_path / "out"
     cfg = CONFIGS[base](tmp_path, out)
-    if keys[0] == "strategy_overrides":
-        cfg["strategies"] = [keys[1]]
+    if keys[0] == "strategy_overrides":  # the strategy runs, so its table is read
+        cfg = _two_phase_config(out, strategies=[keys[1]])
     section = cfg
     for key in keys[:-1]:
         section = section[key]
