@@ -428,11 +428,10 @@ def _probe_losses(split, mu: float):
 class BoundGridConfig:
     head_fraction: float = 0.6
     grad_tolerance: float = 1e-8
-    max_epochs: int = 200_000  # cap on Newton iterations per minimizer
-    delta_probes: int = 64
     compute_lemma2: bool = False
 
 
+NEWTON_MAX_ITERS = 200_000  # cap on Newton iterations per minimizer
 ARMIJO_C1 = 1e-4
 MAX_BACKTRACKS = 60
 # Relative rounding level of a loss value. A step whose decrease is below
@@ -492,7 +491,7 @@ def _train_to_stationarity(
     """Certified minimizer of the mu-regularized CE loss by truncated Newton-CG.
 
     Starts from `start` (zeros when None) and runs at most
-    config.max_epochs Newton iterations. Returns (model, trace); the trace
+    NEWTON_MAX_ITERS Newton iterations. Returns (model, trace); the trace
     counts Newton iterations in epochs_run and is converged exactly when
     the full-batch gradient norm is at most config.grad_tolerance. A
     stalled line search or a non-finite loss ends the solve unconverged.
@@ -508,7 +507,7 @@ def _train_to_stationarity(
     grad_norm = float(np.linalg.norm(grad))
     iterations = 0
     while (
-        iterations < config.max_epochs
+        iterations < NEWTON_MAX_ITERS
         and grad_norm > config.grad_tolerance
         and math.isfinite(value)
     ):
@@ -559,13 +558,7 @@ def evaluate_cell(
 
     losses = _probe_losses(split, mu)
     if trace_full.converged and trace_head.converged:
-        delta_hat = loss_gap_surrogate(
-            losses,
-            theta_full,
-            theta_head,
-            n_probes=config.delta_probes,
-            seed=cell_seed,
-        )
+        delta_hat = loss_gap_surrogate(losses, theta_full, theta_head, seed=cell_seed)
         loose = float(np.sqrt(lemma1_bound(delta_hat, mu, mu)))
         tight = tight_bound(theta_full, theta_head, losses, mu, mu)
         lemma2 = lam_full = lam_head = None

@@ -28,7 +28,8 @@ import yaml
 from . import __version__
 from .bounds import BoundGridConfig, bound_grid
 from .continual import (
-    DEFAULT_BATCH_SIZE, STRATEGY_SETTINGS, VARIANTS, default_phase2_config, run_head_phase, run_tail_phase,
+    AT_LEAST_0, AT_LEAST_1, DEFAULT_BATCH_SIZE, FRACTION, POSITIVE, STRATEGIES, VARIANTS, default_phase2_config,
+    run_head_phase, run_tail_phase,
 )
 from .datasets import head_tail_split, load_idx, make_longtail, mean_pool_images, synthetic_gaussian
 from .errors import ConfigError, LtclError
@@ -77,10 +78,6 @@ def _one_of(*options):
     return (lambda v: v in options, f"must be one of {options}, got {{!r}}")
 
 
-AT_LEAST_0 = (lambda v: v >= 0, "must be >= 0")
-AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
-POSITIVE = (lambda v: v > 0, "must be positive")
-FRACTION = (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
 EXISTING_FILE = (lambda path: Path(path).exists(), "file not found: {}")
 
 HEADER = {
@@ -117,34 +114,30 @@ MU_VALUES = (lambda mus: mus and min(mus) > 0 and len(set(mus)) == len(mus),
 BOUND_GRID = {
     "mu_values": Field([float], REQUIRED, MU_VALUES),
     "grad_tolerance": Field(float, BoundGridConfig.grad_tolerance, POSITIVE),
-    "max_epochs": Field(int, BoundGridConfig.max_epochs, AT_LEAST_1),
-    "delta_probes": Field(int, BoundGridConfig.delta_probes, AT_LEAST_0),
     "compute_lemma2": Field(bool, BoundGridConfig.compute_lemma2),
 }
 
 # TrainConfig checks these values; a null batch_size takes the default, never full batch
-TRAIN_TYPES = {"learning_rate": float, "momentum": float, "epochs": int, "batch_size": int,
-               "schedule": str, "lr_min": float}
+TRAIN_TYPES = {"learning_rate": float, "momentum": float, "epochs": int, "batch_size": int, "schedule": str}
 PHASE1_DEFAULTS = {"learning_rate": 0.01, "momentum": 0.9, "epochs": 30,
-                   "batch_size": DEFAULT_BATCH_SIZE, "schedule": "constant", "lr_min": 0.0}
+                   "batch_size": DEFAULT_BATCH_SIZE, "schedule": "constant"}
 
 
 def _train_table(defaults: dict) -> dict:
     return {name: Field(kind, defaults[name]) for name, kind in TRAIN_TYPES.items()}
 
 
-# a strategy's table holds the settings it reads, each typed as its default
-CL_CHECKS = {"cl_weight": AT_LEAST_0, "temperature": POSITIVE, "energy_threshold": FRACTION,
-             "fisher_max_samples": AT_LEAST_1}
+# a strategy's table: its Phase-2 training keys and the settings it reads, with the
+# defaults and checks of continual.STRATEGIES, each setting typed as its default
 STRATEGY_OVERRIDES = {
     name: Field({
         **_train_table(vars(default_phase2_config(name))),
-        **{key: Field(type(default), default, CL_CHECKS[key]) for key, default in settings.items()},
+        **{key: Field(type(default), default, check) for key, (default, check) in strategy.settings.items()},
     }, {})
-    for name, settings in STRATEGY_SETTINGS.items()
+    for name, strategy in STRATEGIES.items()
 }
-STRATEGIES = (lambda names: names and set(names) <= set(VARIANTS) and len(set(names)) == len(names),
-              f"must be a non-empty list of distinct strategies from {VARIANTS}")
+STRATEGY_LIST = (lambda names: names and set(names) <= set(VARIANTS) and len(set(names)) == len(names),
+                 f"must be a non-empty list of distinct strategies from {VARIANTS}")
 MLP = {"kind": Field(str, "mlp", _one_of("mlp", "linear")),
        "hidden_sizes": Field([int], [64], (lambda sizes: sizes and min(sizes) >= 1,
                                            "must be a list of positive integers"))}
@@ -164,7 +157,7 @@ TWO_PHASE = {
     "loss": Field({"mu": Field(float, 1e-4, AT_LEAST_0)}, {}),
     "model": Field(MODEL, {}),
     "phase1": Field(_train_table(PHASE1_DEFAULTS), {}),
-    "strategies": Field([str], REQUIRED, STRATEGIES),
+    "strategies": Field([str], REQUIRED, STRATEGY_LIST),
     "strategy_overrides": Field(STRATEGY_OVERRIDES, {}),
 }
 CONFIG = Choice("kind", {"bound_grid": GRID, "ltr_two_phase": TWO_PHASE, "compare": TWO_PHASE})

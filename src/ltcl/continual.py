@@ -13,6 +13,7 @@ baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,28 +23,39 @@ from .metrics import MetricsReport, evaluate
 from .models import LossSpec, ObjectiveTerm, log_softmax, softmax_probs
 from .training import TrainConfig, train
 
-VARIANTS = ("naive", "ewc", "modified_ewc", "lwf", "gpm")
 FISHER_MODES = ("model_sampled", "true_loss")
 
-# Phase-2 TrainConfig fields per strategy (its other settings are in
-# STRATEGY_SETTINGS). The naive baseline gets the EWC optimization budget.
-PHASE2_DEFAULTS = {
-    "lwf": dict(learning_rate=0.001, momentum=0.9, schedule="constant", epochs=5),
-    "ewc": dict(learning_rate=0.01, momentum=0.9, schedule="constant", epochs=90),
-    "modified_ewc": dict(learning_rate=0.01, momentum=0.9, schedule="constant", epochs=90),
-    "gpm": dict(learning_rate=0.001, momentum=0.0, schedule="cosine", epochs=100),
-    "naive": dict(learning_rate=0.01, momentum=0.9, schedule="constant", epochs=90),
+# Value checks, for the strategy settings here and for cli's config fields:
+# (test, message), and a value failing test is rejected with message, in
+# which {} stands for the value.
+AT_LEAST_0 = (lambda v: v >= 0, "must be >= 0")
+AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
+POSITIVE = (lambda v: v > 0, "must be positive")
+FRACTION = (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
+
+
+class Strategy(NamedTuple):
+    """One strategy: its Phase-2 TrainConfig fields, and the settings
+    strategy_term reads, each a (default, check) pair."""
+
+    phase2: dict
+    settings: dict
+
+
+_EWC_BUDGET = dict(learning_rate=0.01, momentum=0.9, schedule="constant", epochs=90)
+_HEAD_SAMPLES = (2000, AT_LEAST_1)  # head samples drawn for the Fisher or the bases
+# The one table of the strategies, in the order of VARIANTS. The naive
+# baseline gets the EWC optimization budget.
+STRATEGIES = {
+    "naive": Strategy(_EWC_BUDGET, {}),
+    "ewc": Strategy(_EWC_BUDGET, {"cl_weight": (10.0, AT_LEAST_0), "fisher_max_samples": _HEAD_SAMPLES}),
+    "modified_ewc": Strategy(_EWC_BUDGET, {"cl_weight": (1000.0, AT_LEAST_0), "fisher_max_samples": _HEAD_SAMPLES}),
+    "lwf": Strategy(dict(learning_rate=0.001, momentum=0.9, schedule="constant", epochs=5),
+                    {"cl_weight": (0.01, AT_LEAST_0), "temperature": (2.0, POSITIVE)}),
+    "gpm": Strategy(dict(learning_rate=0.001, momentum=0.0, schedule="cosine", epochs=100),
+                    {"energy_threshold": (0.97, FRACTION), "fisher_max_samples": _HEAD_SAMPLES}),
 }
-# The settings strategy_term reads for each strategy, with their defaults:
-# the penalty or distillation weight, the distillation temperature, GPM's
-# energy threshold, and the head samples drawn for the Fisher or the bases.
-STRATEGY_SETTINGS = {
-    "naive": {},
-    "ewc": {"cl_weight": 10.0, "fisher_max_samples": 2000},
-    "modified_ewc": {"cl_weight": 1000.0, "fisher_max_samples": 2000},
-    "lwf": {"cl_weight": 0.01, "temperature": 2.0},
-    "gpm": {"energy_threshold": 0.97, "fisher_max_samples": 2000},
-}
+VARIANTS = tuple(STRATEGIES)
 DEFAULT_BATCH_SIZE = 64
 _LOG_FLOOR = 1e-30  # floors distillation targets only, never the primary loss
 
@@ -65,9 +77,9 @@ class PhaseResult:
 
 
 def default_phase2_config(variant: str, seed: int = 0, batch_size: int | None = DEFAULT_BATCH_SIZE) -> TrainConfig:
-    if variant not in PHASE2_DEFAULTS:
+    if variant not in STRATEGIES:
         raise ValueError(f"unknown strategy variant {variant!r}")
-    return TrainConfig(batch_size=batch_size, seed=seed, **PHASE2_DEFAULTS[variant])
+    return TrainConfig(batch_size=batch_size, seed=seed, **STRATEGIES[variant].phase2)
 
 
 def fisher_diagonal(model, dataset: LabeledDataset, mode: str, max_samples: int, seed: int = 0) -> np.ndarray:
@@ -80,14 +92,8 @@ def fisher_diagonal(model, dataset: LabeledDataset, mode: str, max_samples: int,
     """
     if mode not in FISHER_MODES:
         raise ValueError(f"unknown fisher mode {mode!r}")
-    if max_samples < 1:
-        raise ValueError(f"max_samples must be >= 1, got {max_samples}")
-    if dataset.n_samples == 0:
-        raise ValueError("cannot estimate fisher on an empty dataset")
     rng = np.random.default_rng(seed)
-    rows = np.arange(dataset.n_samples)
-    if dataset.n_samples > max_samples:
-        rows = np.sort(rng.choice(rows, size=max_samples, replace=False))
+    rows = _sample_rows(dataset, max_samples, rng)
     n = len(rows)
     logits, activations = model.forward_with_activations(dataset.features[rows])
     delta = softmax_probs(logits)
@@ -97,6 +103,19 @@ def fisher_diagonal(model, dataset: LabeledDataset, mode: str, max_samples: int,
         labels = dataset.labels[rows]
     delta[np.arange(n), labels] -= 1.0
     return model.backward(delta, activations, square=True) / n
+
+
+def _sample_rows(dataset: LabeledDataset, max_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Every row of `dataset`, or `max_samples` distinct rows drawn with
+    `rng` in ascending order when it holds more."""
+    if max_samples < 1:
+        raise ValueError(f"max_samples must be >= 1, got {max_samples}")
+    if dataset.n_samples == 0:
+        raise ValueError("cannot sample rows of an empty dataset")
+    rows = np.arange(dataset.n_samples)
+    if dataset.n_samples > max_samples:
+        rows = np.sort(rng.choice(rows, size=max_samples, replace=False))
+    return rows
 
 
 def _sample_labels(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -153,14 +172,7 @@ def gpm_collect_bases(
     """
     if not 0.0 < energy_threshold <= 1.0:
         raise ValueError(f"energy_threshold must be in (0, 1], got {energy_threshold}")
-    if max_samples < 1:
-        raise ValueError(f"max_samples must be >= 1, got {max_samples}")
-    if head_dataset.n_samples == 0:
-        raise ValueError("cannot collect bases from an empty dataset")
-    rng = np.random.default_rng(seed)
-    rows = np.arange(head_dataset.n_samples)
-    if head_dataset.n_samples > max_samples:
-        rows = np.sort(rng.choice(rows, size=max_samples, replace=False))
+    rows = _sample_rows(head_dataset, max_samples, np.random.default_rng(seed))
     _, activations = model.forward_with_activations(head_dataset.features[rows])
     bases = []
     for act in activations:
@@ -255,20 +267,21 @@ def strategy_term(
     variant: str, model, head_dataset: LabeledDataset, head_classes, spec: LossSpec, *, seed: int = 0, **settings
 ) -> ObjectiveTerm | None:
     """The variant's Phase-2 term, holding what it keeps of the Phase-1
-    `model`, or None (naive). `settings` override the variant's
-    STRATEGY_SETTINGS; one it does not read raises ValueError. Fisher and
-    GPM subsample head_dataset with `seed`; the term copies what it keeps,
-    so `model` may change later."""
-    if variant not in VARIANTS:
+    `model`, or None (naive). `settings` override the defaults of the
+    variant's STRATEGIES entry, and one that it does not read or whose
+    check fails raises ValueError. Fisher and GPM subsample head_dataset
+    with `seed`; the term copies what it keeps, so `model` may change later."""
+    if variant not in STRATEGIES:
         raise ValueError(f"unknown strategy variant {variant!r}")
-    unread = sorted(set(settings) - set(STRATEGY_SETTINGS[variant]))
+    table = STRATEGIES[variant].settings
+    unread = sorted(set(settings) - set(table))
     if unread:
         raise ValueError(f"strategy {variant!r} does not read {', '.join(unread)}")
-    settings = {**STRATEGY_SETTINGS[variant], **settings}
-    if settings.get("temperature", 1.0) <= 0:
-        raise ValueError(f"temperature must be positive, got {settings['temperature']}")
-    if settings.get("cl_weight", 0.0) < 0:
-        raise ValueError(f"cl_weight must be >= 0, got {settings['cl_weight']}")
+    for key, value in settings.items():
+        test, message = table[key][1]
+        if not test(value):
+            raise ValueError(f"{key} {message.format(value)}, got {value}")
+    settings = {**{key: default for key, (default, _) in table.items()}, **settings}
     if variant in ("ewc", "modified_ewc"):
         mode = "model_sampled" if variant == "ewc" else "true_loss"
         fisher = fisher_diagonal(model, head_dataset, mode, settings["fisher_max_samples"], seed=seed)

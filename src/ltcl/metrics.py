@@ -46,12 +46,9 @@ def per_class_accuracy(model, test_dataset: LabeledDataset) -> np.ndarray:
         raise ShapeMismatchError(
             f"model predicts {logits.shape[1]} classes, test set has {test_dataset.n_classes}"
         )
-    predictions = np.argmax(logits, axis=1)
-    accuracy = np.zeros(test_dataset.n_classes)
-    for c in range(test_dataset.n_classes):
-        rows = test_dataset.labels == c
-        accuracy[c] = np.mean(predictions[rows] == c)
-    return accuracy
+    labels = test_dataset.labels
+    correct = labels[np.argmax(logits, axis=1) == labels]
+    return np.bincount(correct, minlength=test_dataset.n_classes) / counts
 
 
 def avg_class_accuracy(per_class) -> float:

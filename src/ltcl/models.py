@@ -57,8 +57,8 @@ class LossSpec:
     mu: float = 0.0
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
+        if not 0.0 <= self.mu < np.inf:
+            raise ValueError(f"mu must be >= 0 and finite, got {self.mu}")
 
 
 def log_softmax(logits):

@@ -25,12 +25,11 @@ class TrainConfig:
     epochs: int = 1
     batch_size: int | None = None  # None = full batch
     schedule: str = "constant"
-    lr_min: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.epochs < 1:
@@ -43,12 +42,11 @@ class TrainConfig:
 
 def _lr_at(config: TrainConfig, epoch: int) -> float:
     """The learning rate of `epoch`: constant, or a cosine decay from
-    learning_rate at the first epoch to lr_min at the last."""
+    learning_rate at the first epoch to 0 at the last."""
     if config.schedule == "constant":
         return config.learning_rate
     period = max(config.epochs - 1, 1)
-    lr0, lr_min = config.learning_rate, config.lr_min
-    return lr_min + 0.5 * (lr0 - lr_min) * (1.0 + math.cos(math.pi * epoch / period))
+    return 0.5 * config.learning_rate * (1.0 + math.cos(math.pi * epoch / period))
 
 
 def _step(theta, velocity, grad, lr: float, momentum: float) -> None:

@@ -239,9 +239,7 @@ def _small_longtail(if_value=50.0):
 
 
 def _small_cell(if_value=50.0, mu=0.05, compute_lemma2=False):
-    cfg = bounds.BoundGridConfig(
-        head_fraction=0.5, compute_lemma2=compute_lemma2, max_epochs=100_000
-    )
+    cfg = bounds.BoundGridConfig(head_fraction=0.5, compute_lemma2=compute_lemma2)
     return bounds.evaluate_cell(_small_longtail(if_value), if_value, mu, cfg)
 
 
@@ -345,7 +343,7 @@ def test_evaluate_cell_probe_losses_match_direct_evaluation(monkeypatch):
 
     theta_f, theta_h = full_model.get_params(), head_model.get_params()
     tight = bounds.tight_bound(theta_f, theta_h, direct, mu, mu)
-    delta = bounds.loss_gap_surrogate(direct, theta_f, theta_h, cfg.delta_probes, 0)
+    delta = bounds.loss_gap_surrogate(direct, theta_f, theta_h, seed=0)
     assert report.tight_bound == pytest.approx(tight, rel=1e-9)
     assert report.delta == pytest.approx(delta, rel=1e-9)
 
@@ -389,10 +387,11 @@ def test_evaluate_cell_empty_tail():
     assert report.lambda_min_full == pytest.approx(0.05, abs=1e-12)
 
 
-def test_evaluate_cell_marks_non_converged_as_failed():
+def test_evaluate_cell_marks_non_converged_as_failed(monkeypatch):
     src = datasets.synthetic_gaussian(5, 6, 60, 2.5, seed=3)
     lt = datasets.make_longtail(src, 10.0, seed=4)
-    cfg = bounds.BoundGridConfig(head_fraction=0.6, max_epochs=2)
+    monkeypatch.setattr(bounds, "NEWTON_MAX_ITERS", 2)
+    cfg = bounds.BoundGridConfig(head_fraction=0.6)
     report = bounds.evaluate_cell(lt, 10.0, 0.001, cfg)
     assert report.failed
     assert not (report.converged_full and report.converged_head)
@@ -480,10 +479,11 @@ def test_line_search_stall_ends_unconverged(monkeypatch):
         return (value if not self.get_params().any() else float("nan")), grad
 
     monkeypatch.setattr(models.LinearModel, "loss_and_gradient", non_finite_away_from_origin)
-    cfg = bounds.BoundGridConfig(head_fraction=0.5, max_epochs=1000)
+    monkeypatch.setattr(bounds, "NEWTON_MAX_ITERS", 1000)
+    cfg = bounds.BoundGridConfig(head_fraction=0.5)
     report = bounds.evaluate_cell(_small_longtail(), 50.0, 0.05, cfg)
     assert report.failed and not report.converged_full
-    assert report.epochs_full < cfg.max_epochs and report.epochs_head < cfg.max_epochs
+    assert report.epochs_full < bounds.NEWTON_MAX_ITERS and report.epochs_head < bounds.NEWTON_MAX_ITERS
     assert np.isnan(report.tight_bound)
 
 

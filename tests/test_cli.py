@@ -1,5 +1,7 @@
 import copy
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltcl import cli, continual
+from ltcl import bounds, cli, continual
 from ltcl.errors import ConfigError
 
 
@@ -95,11 +97,10 @@ def test_invalid_values_rejected(tmp_path):
         cfg[field] = value
         with pytest.raises(ConfigError, match=field):
             cli.validate_config(cfg)
-    for field, value in [("grad_tolerance", 0.0), ("max_epochs", 0), ("delta_probes", -1)]:
-        cfg = _bound_grid_config(tmp_path / "out")
-        cfg["bound_grid"][field] = value
-        with pytest.raises(ConfigError, match=f"bound_grid.{field}"):
-            cli.validate_config(cfg)
+    cfg = _bound_grid_config(tmp_path / "out")
+    cfg["bound_grid"]["grad_tolerance"] = 0.0
+    with pytest.raises(ConfigError, match="bound_grid.grad_tolerance"):
+        cli.validate_config(cfg)
     # a repeated value used to write one cell twice, with different delta_hat
     for section, field in [("longtail", "imbalance_factors"), ("bound_grid", "mu_values")]:
         cfg = _bound_grid_config(tmp_path / "out")
@@ -337,6 +338,21 @@ def test_two_phase_run_outputs(tmp_path):
     assert len(metrics_lines) == 1 + 5  # one row per class
 
 
+def test_readme_config_examples_validate(tmp_path):
+    # an example that drifts from the schema would fail for every reader who copies it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```yaml\n(.*?)```", readme, flags=re.S)
+    kinds = []
+    for block in blocks:
+        cfg = yaml.safe_load(block)
+        for key in cfg["dataset"]:
+            if key.endswith(("_images", "_labels")):  # the IDX paths must exist
+                (tmp_path / key).touch()
+                cfg["dataset"][key] = str(tmp_path / key)
+        kinds.append(cli.validate_config(cfg)["kind"])
+    assert kinds == ["bound_grid", "ltr_two_phase"]
+
+
 def test_two_phase_manifest_echoes_hyperparameter_table(tmp_path):
     out = tmp_path / "out"
     cfg = _two_phase_config(out, strategies=["lwf", "ewc", "modified_ewc", "gpm"])
@@ -432,9 +448,9 @@ def test_grid_exit_codes():
     assert cli.grid_exit_code([report(3.0, 2.0), report(1.0, float("nan"), converged=False)]) == 2
 
 
-def test_non_converged_grid_exit_and_csv(tmp_path):
+def test_non_converged_grid_exit_and_csv(tmp_path, monkeypatch):
+    monkeypatch.setattr(bounds, "NEWTON_MAX_ITERS", 2)
     cfg = _bound_grid_config(tmp_path / "out")
-    cfg["bound_grid"]["max_epochs"] = 2
     path = _write_config(tmp_path, cfg)
     assert cli.main(["bound-grid", "--config", str(path)]) == 3
     lines = (tmp_path / "out" / "bounds.csv").read_text().strip().split("\n")
@@ -585,7 +601,13 @@ UNREAD_KEYS = [
     *[("two_phase", ("strategy_overrides", name, key), 1)
       for name in cli.VARIANTS
       for key in ("cl_weight", "temperature", "energy_threshold", "fisher_max_samples")
-      if key not in continual.STRATEGY_SETTINGS[name]],
+      if key not in continual.STRATEGIES[name].settings],
+    # the cap on Newton iterations, the loss-gap probes and the cosine
+    # floor are constants, not settings
+    ("grid", ("bound_grid", "max_epochs"), 200_000),
+    ("grid", ("bound_grid", "delta_probes"), 64),
+    ("two_phase", ("phase1", "lr_min"), 0.0),
+    ("two_phase", ("strategy_overrides", "gpm", "lr_min"), 0.0),
     ("grid", ("strategies",), ["naive"]),
     ("grid", ("loss",), {"mu": 0.1}),
     ("idx_grid", ("dataset", "test_images"), IMAGES),

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -343,8 +344,24 @@ UNREAD_SETTINGS = [
     (variant, key)
     for variant in continual.VARIANTS
     for key in ("cl_weight", "temperature", "energy_threshold", "fisher_max_samples")
-    if key not in continual.STRATEGY_SETTINGS[variant]
+    if key not in continual.STRATEGIES[variant].settings
 ]
+
+
+INVALID_SETTINGS = {"cl_weight": -5.0, "temperature": 0.0, "energy_threshold": 1.5, "fisher_max_samples": 0}
+
+
+@pytest.mark.parametrize("variant, key", [
+    (name, key) for name, strategy in continual.STRATEGIES.items() for key in strategy.settings
+])
+def test_strategy_term_checks_each_setting_from_the_table(lt_fixture, variant, key):
+    # the check the CLI runs at validation is the one strategy_term runs
+    _, split, _ = lt_fixture
+    value = INVALID_SETTINGS[key]
+    _, (test, message) = continual.STRATEGIES[variant].settings[key]
+    assert not test(value)
+    with pytest.raises(ValueError, match=re.escape(f"{key} {message}")):
+        continual.strategy_term(variant, _fresh_model(), split.head, split.head_classes, SPEC, **{key: value})
 
 
 @pytest.mark.parametrize("variant, key", UNREAD_SETTINGS)
@@ -567,7 +584,13 @@ def test_default_configs_follow_hyperparameter_table():
     assert (mewc.learning_rate, mewc.momentum, mewc.epochs) == (0.01, 0.9, 90)
     gpm = continual.default_phase2_config("gpm")
     assert (gpm.learning_rate, gpm.momentum, gpm.epochs, gpm.schedule) == (0.001, 0.0, 100, "cosine")
-    assert continual.STRATEGY_SETTINGS == {
+    # the CLI derives each strategy's Phase-2 seed from this order
+    assert continual.VARIANTS == ("naive", "ewc", "modified_ewc", "lwf", "gpm")
+    defaults = {
+        name: {key: default for key, (default, _) in strategy.settings.items()}
+        for name, strategy in continual.STRATEGIES.items()
+    }
+    assert defaults == {
         "naive": {},
         "ewc": {"cl_weight": 10.0, "fisher_max_samples": 2000},
         "modified_ewc": {"cl_weight": 1000.0, "fisher_max_samples": 2000},

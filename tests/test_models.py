@@ -93,6 +93,13 @@ def test_loss_additive_regularizer():
     assert full == pytest.approx(data_term + 1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("mu", [-0.1, float("nan"), float("inf")])
+def test_loss_spec_rejects_negative_or_non_finite_mu(mu):
+    # NaN fails every comparison, so a check written as `mu < 0` would let it through
+    with pytest.raises(ValueError, match="mu"):
+        models.LossSpec(mu=mu)
+
+
 def test_loss_empty_dataset():
     ds = datasets.LabeledDataset.from_arrays(np.zeros((0, 4)), np.zeros(0, dtype=int), n_classes=3)
     with pytest.raises(ValueError):

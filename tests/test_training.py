@@ -109,20 +109,18 @@ def test_minimizer_unique_across_inits():
 
 
 def test_cosine_anneal_endpoints():
-    def cosine(lr0, lr_min):  # 11 epochs: a period of 10
-        return training.TrainConfig(learning_rate=lr0, lr_min=lr_min, epochs=11, schedule="cosine")
+    def cosine(lr0):  # 11 epochs: a period of 10
+        return training.TrainConfig(learning_rate=lr0, epochs=11, schedule="cosine")
 
-    assert training._lr_at(cosine(0.1, 0.0), 0) == pytest.approx(0.1)
-    assert training._lr_at(cosine(0.1, 0.01), 10) == pytest.approx(0.01)
-    assert training._lr_at(cosine(0.001, 0.0), 5) == pytest.approx(0.0005)
+    assert training._lr_at(cosine(0.1), 0) == 0.1
+    assert training._lr_at(cosine(0.1), 10) == 0.0
+    assert training._lr_at(cosine(0.001), 5) == pytest.approx(0.0005)
 
 
 def test_cosine_schedule_in_train():
-    # lr at the last epoch reaches lr_min; loss stays finite
+    # lr at the last epoch reaches 0; loss stays finite
     ds = _lt_dataset()
-    cfg = training.TrainConfig(
-        learning_rate=0.1, epochs=10, schedule="cosine", lr_min=0.001
-    )
+    cfg = training.TrainConfig(learning_rate=0.1, epochs=10, schedule="cosine")
     _, losses = training.train(models.LinearModel.zeros(4, 5), ds, models.LossSpec(mu=0.01), cfg)
     assert len(losses) == 10
     assert np.all(np.isfinite(losses))
@@ -137,6 +135,13 @@ def test_config_validation():
         training.TrainConfig(learning_rate=0.1, epochs=0)
     with pytest.raises(ValueError):
         training.TrainConfig(learning_rate=0.1, schedule="linear")
+
+
+@pytest.mark.parametrize("learning_rate", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_learning_rate(learning_rate):
+    # NaN fails every comparison, so a check written as `learning_rate <= 0` would let it through
+    with pytest.raises(ValueError, match="learning_rate"):
+        training.TrainConfig(learning_rate=learning_rate)
 
 
 def _reference_train(model, dataset, spec, config, term=None):
