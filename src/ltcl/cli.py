@@ -27,12 +27,12 @@ import yaml
 
 from . import __version__
 from .bounds import BoundGridConfig, bound_grid
-from .continual import (
-    AT_LEAST_0, AT_LEAST_1, DEFAULT_BATCH_SIZE, FRACTION, POSITIVE, STRATEGIES, VARIANTS, default_phase2_config,
-    run_head_phase, run_tail_phase,
-)
+from .continual import DEFAULT_BATCH_SIZE, STRATEGIES, VARIANTS, default_phase2_config, run_head_phase, run_tail_phase
 from .datasets import head_tail_split, load_idx, make_longtail, mean_pool_images, synthetic_gaussian
-from .errors import ConfigError, LtclError
+from .errors import (
+    AT_LEAST_0, AT_LEAST_1, FILE, FINITE_AT_LEAST_0, FINITE_POSITIVE, FRACTION, POSITIVE, ConfigError, LtclError,
+    list_of, one_of,
+)
 from .metrics import accuracy_diff, transfer_decomposition
 from .models import LinearModel, LossSpec, MlpModel, save_checkpoint
 from .training import TrainConfig
@@ -58,8 +58,8 @@ REQUIRED = object()  # no default: the field must be given
 class Field(NamedTuple):
     """A config table maps each key its run reads to a Field. type is int, float, str,
     bool, a nested table, a Choice of nested tables or [T] (a list of T). A missing or
-    null value takes the default. check is (test, message): a value failing test is
-    rejected with message, in which {} stands for the value."""
+    null value takes the default. check is a rule of `errors`: a value failing its test
+    is rejected with its message and the value."""
 
     type: object
     default: object = None
@@ -74,21 +74,15 @@ class Choice(NamedTuple):
     tables: dict
 
 
-def _one_of(*options):
-    return (lambda v: v in options, f"must be one of {options}, got {{!r}}")
-
-
-EXISTING_FILE = (lambda path: Path(path).exists(), "file not found: {}")
-
 HEADER = {
-    "schema_version": Field(int, REQUIRED, _one_of(SCHEMA_VERSION)),
-    "kind": Field(str, REQUIRED, _one_of(*KINDS)),
+    "schema_version": Field(int, REQUIRED, one_of(SCHEMA_VERSION)),
+    "kind": Field(str, REQUIRED, one_of(*KINDS)),
     "seed": Field(int, 0, AT_LEAST_0),  # numpy seeds are non-negative
     "workers": Field(int, 1, AT_LEAST_1),
     "output_dir": Field(str),
 }
 
-DATASET = {"source": Field(str, REQUIRED, _one_of("synthetic", "idx")),
+DATASET = {"source": Field(str, REQUIRED, one_of("synthetic", "idx")),
            "pool_factor": Field(int, None, AT_LEAST_1)}
 SYNTHETIC = {
     **DATASET,
@@ -97,7 +91,7 @@ SYNTHETIC = {
     "n_per_class": Field(int, 500, AT_LEAST_1),
     "class_separation": Field(float, 3.0, POSITIVE),
 }
-IDX_FILE = Field(str, REQUIRED, EXISTING_FILE)
+IDX_FILE = Field(str, REQUIRED, FILE)
 IDX = {**DATASET, "train_images": IDX_FILE, "train_labels": IDX_FILE}
 # a bound grid reads no test set
 GRID_DATASET = Choice("source", {"synthetic": SYNTHETIC, "idx": IDX})
@@ -107,13 +101,9 @@ TWO_PHASE_DATASET = Choice("source", {
 })
 
 LONGTAIL = {"head_fraction": Field(float, 0.6, FRACTION), "n_max": Field(int, None, AT_LEAST_1)}
-IMBALANCE_FACTORS = (lambda fs: fs and min(fs) >= 1 and len(set(fs)) == len(fs),
-                     "must be a list of distinct numbers >= 1")
-MU_VALUES = (lambda mus: mus and min(mus) > 0 and len(set(mus)) == len(mus),
-             "must be a list of distinct positive numbers")
 BOUND_GRID = {
-    "mu_values": Field([float], REQUIRED, MU_VALUES),
-    "grad_tolerance": Field(float, BoundGridConfig.grad_tolerance, POSITIVE),
+    "mu_values": Field([float], REQUIRED, list_of(POSITIVE, distinct=True)),
+    "grad_tolerance": Field(float, BoundGridConfig.grad_tolerance, FINITE_POSITIVE),
     "compute_lemma2": Field(bool, BoundGridConfig.compute_lemma2),
 }
 
@@ -136,28 +126,26 @@ STRATEGY_OVERRIDES = {
     }, {})
     for name, strategy in STRATEGIES.items()
 }
-STRATEGY_LIST = (lambda names: names and set(names) <= set(VARIANTS) and len(set(names)) == len(names),
-                 f"must be a non-empty list of distinct strategies from {VARIANTS}")
-MLP = {"kind": Field(str, "mlp", _one_of("mlp", "linear")),
-       "hidden_sizes": Field([int], [64], (lambda sizes: sizes and min(sizes) >= 1,
-                                           "must be a list of positive integers"))}
+MLP = {"kind": Field(str, "mlp", one_of("mlp", "linear")),
+       "hidden_sizes": Field([int], [64], list_of(AT_LEAST_1))}
 # a linear model has no hidden layers
 MODEL = Choice("kind", {"mlp": MLP, "linear": {"kind": MLP["kind"]}})
 GRID = {
     **HEADER,
     "dataset": Field(GRID_DATASET, REQUIRED),
-    "longtail": Field({**LONGTAIL, "imbalance_factors": Field([float], REQUIRED, IMBALANCE_FACTORS)},
-                      REQUIRED),
+    "longtail": Field(
+        {**LONGTAIL, "imbalance_factors": Field([float], REQUIRED, list_of(AT_LEAST_1, distinct=True))}, REQUIRED
+    ),
     "bound_grid": Field(BOUND_GRID, REQUIRED),
 }
 TWO_PHASE = {
     **HEADER,
     "dataset": Field(TWO_PHASE_DATASET, REQUIRED),
     "longtail": Field({**LONGTAIL, "imbalance_factor": Field(float, REQUIRED, AT_LEAST_1)}, REQUIRED),
-    "loss": Field({"mu": Field(float, 1e-4, AT_LEAST_0)}, {}),
+    "loss": Field({"mu": Field(float, 1e-4, FINITE_AT_LEAST_0)}, {}),
     "model": Field(MODEL, {}),
     "phase1": Field(_train_table(PHASE1_DEFAULTS), {}),
-    "strategies": Field([str], REQUIRED, STRATEGY_LIST),
+    "strategies": Field([str], REQUIRED, list_of(one_of(*VARIANTS), distinct=True)),
     "strategy_overrides": Field(STRATEGY_OVERRIDES, {}),
 }
 CONFIG = Choice("kind", {"bound_grid": GRID, "ltr_two_phase": TWO_PHASE, "compare": TWO_PHASE})
@@ -193,7 +181,7 @@ def _resolve(raw: dict, table: dict, path: str) -> dict:
         if value is not None:
             value = _typed(value, field.type, where)
             if field.check and not field.check[0](value):
-                raise ConfigError(where, field.check[1].format(value))
+                raise ConfigError(where, f"{field.check[1]}, got {value!r}")
         out[name] = value
     for key in raw:
         if key not in table:
@@ -410,13 +398,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _make_dir(path) -> Path:
+    """The output directory, made if missing; a path that cannot be one is a validation error."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a file on the path
+        raise ConfigError("output_dir", f"cannot make directory {path}: {exc}") from None
+    return Path(path)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "plot-data":
-            out_dir = Path(args.out or args.results)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            return emit_plot_data(Path(args.results), args.kind, out_dir)
+            return emit_plot_data(Path(args.results), args.kind, _make_dir(args.out or args.results))
         raw = load_config(args.config)
         for key in ("seed", "workers"):
             if getattr(args, key) is not None:
@@ -427,9 +422,8 @@ def main(argv=None) -> int:
         out = args.out or cfg["output_dir"]
         if not out:
             raise ConfigError("output_dir", "set output_dir in the config or pass --out")
-        out_dir = Path(out)
+        out_dir = _make_dir(out)
         cfg["output_dir"] = str(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         code = (run_bound_grid if cfg["kind"] == "bound_grid" else run_ltr_two_phase)(cfg, out_dir)
         manifest = {"code_version": __version__, "resolved_config": cfg}
         (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -18,25 +18,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .datasets import HeadTailSplit, LabeledDataset
-from .errors import EmptyClassError, ShapeMismatchError
+from .errors import AT_LEAST_0, AT_LEAST_1, FRACTION, POSITIVE, EmptyClassError, ShapeMismatchError, check, one_of
 from .metrics import MetricsReport, evaluate
 from .models import LossSpec, ObjectiveTerm, log_softmax, softmax_probs
 from .training import TrainConfig, train
 
 FISHER_MODES = ("model_sampled", "true_loss")
 
-# Value checks, for the strategy settings here and for cli's config fields:
-# (test, message), and a value failing test is rejected with message, in
-# which {} stands for the value.
-AT_LEAST_0 = (lambda v: v >= 0, "must be >= 0")
-AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
-POSITIVE = (lambda v: v > 0, "must be positive")
-FRACTION = (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
-
 
 class Strategy(NamedTuple):
     """One strategy: its Phase-2 TrainConfig fields, and the settings
-    strategy_term reads, each a (default, check) pair."""
+    strategy_term reads, each a (default, rule) pair of an `errors` rule."""
 
     phase2: dict
     settings: dict
@@ -77,8 +69,7 @@ class PhaseResult:
 
 
 def default_phase2_config(variant: str, seed: int = 0, batch_size: int | None = DEFAULT_BATCH_SIZE) -> TrainConfig:
-    if variant not in STRATEGIES:
-        raise ValueError(f"unknown strategy variant {variant!r}")
+    check("variant", variant, one_of(*VARIANTS))
     return TrainConfig(batch_size=batch_size, seed=seed, **STRATEGIES[variant].phase2)
 
 
@@ -90,8 +81,7 @@ def fisher_diagonal(model, dataset: LabeledDataset, mode: str, max_samples: int,
     label instead. One batched forward and backward pass gives every
     per-sample square, (delta**2).T @ a**2 per layer.
     """
-    if mode not in FISHER_MODES:
-        raise ValueError(f"unknown fisher mode {mode!r}")
+    check("mode", mode, one_of(*FISHER_MODES))
     rng = np.random.default_rng(seed)
     rows = _sample_rows(dataset, max_samples, rng)
     n = len(rows)
@@ -108,8 +98,7 @@ def fisher_diagonal(model, dataset: LabeledDataset, mode: str, max_samples: int,
 def _sample_rows(dataset: LabeledDataset, max_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Every row of `dataset`, or `max_samples` distinct rows drawn with
     `rng` in ascending order when it holds more."""
-    if max_samples < 1:
-        raise ValueError(f"max_samples must be >= 1, got {max_samples}")
+    check("max_samples", max_samples, AT_LEAST_1)
     if dataset.n_samples == 0:
         raise ValueError("cannot sample rows of an empty dataset")
     rows = np.arange(dataset.n_samples)
@@ -146,8 +135,7 @@ def lwf_loss(student_logits, teacher_logits, true_labels, temperature, cl_weight
         raise ShapeMismatchError(
             f"logit shapes differ: {student_logits.shape} vs {teacher_logits.shape}"
         )
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    check("temperature", temperature, POSITIVE)
     n = len(student_logits)
     logp = log_softmax(student_logits)
     ce = -logp[np.arange(n), np.asarray(true_labels)].mean()
@@ -170,8 +158,7 @@ def gpm_collect_bases(
     decomposed by SVD and the smallest leading set of right singular
     vectors reaching the energy threshold is kept as basis columns.
     """
-    if not 0.0 < energy_threshold <= 1.0:
-        raise ValueError(f"energy_threshold must be in (0, 1], got {energy_threshold}")
+    check("energy_threshold", energy_threshold, FRACTION)
     rows = _sample_rows(head_dataset, max_samples, np.random.default_rng(seed))
     _, activations = model.forward_with_activations(head_dataset.features[rows])
     bases = []
@@ -271,16 +258,13 @@ def strategy_term(
     variant's STRATEGIES entry, and one that it does not read or whose
     check fails raises ValueError. Fisher and GPM subsample head_dataset
     with `seed`; the term copies what it keeps, so `model` may change later."""
-    if variant not in STRATEGIES:
-        raise ValueError(f"unknown strategy variant {variant!r}")
+    check("variant", variant, one_of(*VARIANTS))
     table = STRATEGIES[variant].settings
     unread = sorted(set(settings) - set(table))
     if unread:
         raise ValueError(f"strategy {variant!r} does not read {', '.join(unread)}")
     for key, value in settings.items():
-        test, message = table[key][1]
-        if not test(value):
-            raise ValueError(f"{key} {message.format(value)}, got {value}")
+        check(key, value, table[key][1])
     settings = {**{key: default for key, (default, _) in table.items()}, **settings}
     if variant in ("ewc", "modified_ewc"):
         mode = "model_sampled" if variant == "ewc" else "true_loss"

@@ -15,7 +15,8 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import (
-    CapacityError, DatasetError, EmptyClassError, IdxParseError, NonFiniteInputError, ShapeMismatchError,
+    AT_LEAST_1, FRACTION, POSITIVE, CapacityError, DatasetError, EmptyClassError, IdxParseError,
+    NonFiniteInputError, ShapeMismatchError, check,
 )
 
 IDX_LABELS_MAGIC = 0x00000801
@@ -102,8 +103,7 @@ def imbalance_factor(counts) -> float:
 
 def gamma(imbalance_factor: float) -> float:
     """Head mixture weight IF/(1+IF), in [0.5, 1)."""
-    if imbalance_factor < 1.0:
-        raise ValueError(f"imbalance factor must be >= 1, got {imbalance_factor}")
+    check("imbalance_factor", imbalance_factor, AT_LEAST_1)
     return imbalance_factor / (1.0 + imbalance_factor)
 
 
@@ -114,10 +114,8 @@ def longtail_profile(n_classes: int, n_max: int, imbalance_factor: float) -> np.
     Truncation matches the usual exponential LT construction, so the
     last class gets int(n_max / IF) samples.
     """
-    if imbalance_factor < 1.0:
-        raise ValueError(f"imbalance factor must be >= 1, got {imbalance_factor}")
-    if n_classes < 1 or n_max < 1:
-        raise ValueError("n_classes and n_max must be positive")
+    for name, value in (("n_classes", n_classes), ("n_max", n_max), ("imbalance_factor", imbalance_factor)):
+        check(name, value, AT_LEAST_1)
     if n_classes == 1:
         targets = np.array([n_max], dtype=np.int64)
     else:
@@ -165,10 +163,7 @@ def make_longtail(
 def head_tail_split(dataset: LabeledDataset, head_class_fraction: float) -> HeadTailSplit:
     """Assign the floor(C * fraction) largest classes to the head; raise
     EmptyClassError when that is no class."""
-    if not 0.0 < head_class_fraction <= 1.0:
-        raise ValueError(
-            f"head_class_fraction must be in (0, 1], got {head_class_fraction}"
-        )
+    check("head_class_fraction", head_class_fraction, FRACTION)
     n_head = int(np.floor(dataset.n_classes * head_class_fraction))
     if n_head == 0:
         raise EmptyClassError(
@@ -243,10 +238,9 @@ def synthetic_gaussian(
     seed: int,
 ) -> LabeledDataset:
     """Balanced isotropic Gaussian blobs, one per class, mean on axis c mod d."""
-    if min(n_classes, n_features, n_per_class) < 1:
-        raise ValueError("all sizes must be >= 1")
-    if class_separation <= 0:
-        raise ValueError("class_separation must be positive")
+    for name, value in (("n_classes", n_classes), ("n_features", n_features), ("n_per_class", n_per_class)):
+        check(name, value, AT_LEAST_1)
+    check("class_separation", class_separation, POSITIVE)
     rng = np.random.default_rng(seed)
     features = rng.standard_normal((n_classes * n_per_class, n_features))
     labels = np.repeat(np.arange(n_classes), n_per_class)

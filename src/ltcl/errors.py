@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the value rules with
+the one `check` that applies them."""
+import math
+from pathlib import Path
 
 
 class LtclError(Exception):
@@ -71,3 +74,34 @@ class ConfigError(LtclError, ValueError):
 
 class EigensolverError(LtclError, RuntimeError):
     """An iterative eigensolver hit its step cap or a non-finite value before converging."""
+
+
+# Value rules: (test, message). A value failing test is rejected with
+# message. Each test states the range it accepts, so NaN fails it.
+AT_LEAST_0 = (lambda v: v >= 0, "must be >= 0")
+AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
+POSITIVE = (lambda v: v > 0, "must be positive")
+FRACTION = (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
+AT_LEAST_0_BELOW_1 = (lambda v: 0.0 <= v < 1.0, "must be in [0, 1)")
+FINITE_AT_LEAST_0 = (lambda v: 0.0 <= v < math.inf, "must be >= 0 and finite")
+FINITE_POSITIVE = (lambda v: 0.0 < v < math.inf, "must be positive and finite")
+FILE = (lambda path: Path(path).is_file(), "must name an existing file")
+
+
+def one_of(*options):
+    return (lambda v: v in options, f"must be one of {options}")
+
+
+def list_of(rule, distinct: bool = False):
+    """A non-empty list whose every item passes rule, and whose items
+    differ when distinct."""
+    test, message = rule
+    return (lambda vs: bool(vs) and all(test(v) for v in vs) and (not distinct or len(set(vs)) == len(vs)),
+            f"must be a non-empty list of {'distinct ' if distinct else ''}values, each of which {message}")
+
+
+def check(name: str, value, rule) -> None:
+    """Raise ValueError naming the parameter and the value unless value passes rule."""
+    test, message = rule
+    if not test(value):
+        raise ValueError(f"{name} {message}, got {value!r}")

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset
-from .errors import (
-    CapacityError,
-    CheckpointError,
-    ShapeMismatchError,
-    UnsupportedModelError,
-)
+from .errors import FINITE_AT_LEAST_0, CapacityError, CheckpointError, ShapeMismatchError, UnsupportedModelError, check
 
 HESSIAN_PARAM_GUARD = 5000
 HESSIAN_CHUNK = 2048  # rows per pass of the dense Hessian
@@ -57,8 +52,7 @@ class LossSpec:
     mu: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.mu < np.inf:
-            raise ValueError(f"mu must be >= 0 and finite, got {self.mu}")
+        check("mu", self.mu, FINITE_AT_LEAST_0)
 
 
 def log_softmax(logits):

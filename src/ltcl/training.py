@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset
-from .errors import DivergenceError, EmptyClassError
+from .errors import AT_LEAST_0_BELOW_1, AT_LEAST_1, FINITE_POSITIVE, DivergenceError, EmptyClassError, check, one_of
 from .models import GradientWorkspace, LossSpec
 
 SCHEDULES = ("constant", "cosine")
@@ -28,16 +28,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be positive or None for full batch")
-        if self.schedule not in SCHEDULES:
-            raise ValueError(f"unknown schedule {self.schedule!r}")
+        check("learning_rate", self.learning_rate, FINITE_POSITIVE)
+        check("momentum", self.momentum, AT_LEAST_0_BELOW_1)
+        check("epochs", self.epochs, AT_LEAST_1)
+        if self.batch_size is not None:  # None is full batch
+            check("batch_size", self.batch_size, AT_LEAST_1)
+        check("schedule", self.schedule, one_of(*SCHEDULES))
 
 
 def _lr_at(config: TrainConfig, epoch: int) -> float:

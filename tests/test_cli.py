@@ -1,6 +1,10 @@
+import ast
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +272,33 @@ def test_missing_idx_file_rejected(tmp_path):
         cli.validate_config(cfg)
 
 
+def test_idx_path_that_is_a_directory_exits_1_before_any_output(tmp_path, capsys):
+    # it used to pass validation, make the output directory and die reading the directory
+    _, lab = _write_idx_dataset(tmp_path, 10)
+    (tmp_path / "images").mkdir()
+    out = tmp_path / "out"
+    cfg = _bound_grid_config(out)
+    cfg["dataset"] = {"source": "idx", "train_images": str(tmp_path / "images"), "train_labels": str(lab)}
+    assert cli.main(["bound-grid", "--config", str(_write_config(tmp_path, cfg))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'dataset.train_images': ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["bound-grid", "plot-data"])
+def test_out_naming_an_existing_file_exits_1(tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    if command == "plot-data":
+        argv = ["plot-data", "--results", str(tmp_path), "--kind", "distance-vs-if"]
+    else:
+        argv = ["bound-grid", "--config", str(_write_config(tmp_path, _bound_grid_config(tmp_path / "unused")))]
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'output_dir': ") and err.count("\n") == 1
+    assert out.read_text() == "kept\n"
+
+
 def test_cli_validation_error_exit_code(tmp_path):
     cfg = _bound_grid_config(tmp_path / "out")
     cfg["kind"] = "mystery"
@@ -351,6 +382,18 @@ def test_readme_config_examples_validate(tmp_path):
                 cfg["dataset"][key] = str(tmp_path / key)
         kinds.append(cli.validate_config(cfg)["kind"])
     assert kinds == ["bound_grid", "ltr_two_phase"]
+
+
+def test_readme_library_example_runs_and_both_bounds_hold():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    (block,) = re.findall(r"```python\n(.*?)```", readme.read_text(), flags=re.S)
+    src = str(readme.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    distance, tight, holds = run.stdout.strip().split(" ", 2)
+    assert ast.literal_eval(holds) == {"tight": True, "loose": True}
+    assert 0.0 < float(distance) <= float(tight)
 
 
 def test_two_phase_manifest_echoes_hyperparameter_table(tmp_path):
