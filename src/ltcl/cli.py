@@ -1,4 +1,5 @@
-"""Config-driven experiment runner: bound-grid, two-phase, compare, plot-data.
+"""Config-driven experiment runner with three subcommands: bound-grid,
+two-phase and plot-data.
 
 Configs are YAML (or JSON) with one rule: each table lists exactly the
 keys its run reads, and any other key is an error. The tables GRID and
@@ -8,8 +9,8 @@ its kind. --seed and --workers replace the config values before
 validation. Every run writes a manifest with the fully resolved
 config; rerunning from it reproduces the CSV outputs byte for byte.
 
-Exit codes: 0 success, 1 validation error (an unreadable config
-included), 2 bound violation, 3 runtime failure.
+Exit codes: 0 success, 1 validation error (an unreadable config or a
+command-line usage error included), 2 bound violation, 3 runtime failure.
 """
 from __future__ import annotations
 
@@ -30,15 +31,15 @@ from .bounds import BoundGridConfig, bound_grid
 from .continual import DEFAULT_BATCH_SIZE, STRATEGIES, VARIANTS, default_phase2_config, run_head_phase, run_tail_phase
 from .datasets import head_tail_split, load_idx, make_longtail, mean_pool_images, synthetic_gaussian
 from .errors import (
-    AT_LEAST_0, AT_LEAST_1, FILE, FINITE_AT_LEAST_0, FINITE_POSITIVE, FRACTION, POSITIVE, ConfigError, LtclError,
-    list_of, one_of,
+    AT_LEAST_0, AT_LEAST_1, COUNT, FILE, FINITE_AT_LEAST_0, FINITE_POSITIVE, FRACTION, POSITIVE, ConfigError,
+    LtclError, list_of, one_of,
 )
 from .metrics import accuracy_diff, transfer_decomposition
 from .models import LinearModel, LossSpec, MlpModel, save_checkpoint
 from .training import TrainConfig
 
-KINDS = ("bound_grid", "ltr_two_phase", "compare")
-SUBCOMMAND_KINDS = {"bound-grid": "bound_grid", "two-phase": "ltr_two_phase", "compare": "compare"}
+KINDS = ("bound_grid", "ltr_two_phase")
+SUBCOMMAND_KINDS = {"bound-grid": "bound_grid", "two-phase": "ltr_two_phase"}
 SCHEMA_VERSION = 1
 
 BOUNDS_CSV_HEADER = ("if,mu,measured_distance,delta_hat,loose_bound,tight_bound,lemma2_bound,"
@@ -78,17 +79,17 @@ HEADER = {
     "schema_version": Field(int, REQUIRED, one_of(SCHEMA_VERSION)),
     "kind": Field(str, REQUIRED, one_of(*KINDS)),
     "seed": Field(int, 0, AT_LEAST_0),  # numpy seeds are non-negative
-    "workers": Field(int, 1, AT_LEAST_1),
+    "workers": Field(int, 1, COUNT),
     "output_dir": Field(str),
 }
 
 DATASET = {"source": Field(str, REQUIRED, one_of("synthetic", "idx")),
-           "pool_factor": Field(int, None, AT_LEAST_1)}
+           "pool_factor": Field(int, None, COUNT)}
 SYNTHETIC = {
     **DATASET,
-    "n_classes": Field(int, 10, AT_LEAST_1),
-    "n_features": Field(int, 64, AT_LEAST_1),
-    "n_per_class": Field(int, 500, AT_LEAST_1),
+    "n_classes": Field(int, 10, COUNT),
+    "n_features": Field(int, 64, COUNT),
+    "n_per_class": Field(int, 500, COUNT),
     "class_separation": Field(float, 3.0, POSITIVE),
 }
 IDX_FILE = Field(str, REQUIRED, FILE)
@@ -96,11 +97,11 @@ IDX = {**DATASET, "train_images": IDX_FILE, "train_labels": IDX_FILE}
 # a bound grid reads no test set
 GRID_DATASET = Choice("source", {"synthetic": SYNTHETIC, "idx": IDX})
 TWO_PHASE_DATASET = Choice("source", {
-    "synthetic": {**SYNTHETIC, "test_n_per_class": Field(int, 200, AT_LEAST_1)},
+    "synthetic": {**SYNTHETIC, "test_n_per_class": Field(int, 200, COUNT)},
     "idx": {**IDX, "test_images": IDX_FILE, "test_labels": IDX_FILE},
 })
 
-LONGTAIL = {"head_fraction": Field(float, 0.6, FRACTION), "n_max": Field(int, None, AT_LEAST_1)}
+LONGTAIL = {"head_fraction": Field(float, 0.6, FRACTION), "n_max": Field(int, None, COUNT)}
 BOUND_GRID = {
     "mu_values": Field([float], REQUIRED, list_of(POSITIVE, distinct=True)),
     "grad_tolerance": Field(float, BoundGridConfig.grad_tolerance, FINITE_POSITIVE),
@@ -127,7 +128,7 @@ STRATEGY_OVERRIDES = {
     for name, strategy in STRATEGIES.items()
 }
 MLP = {"kind": Field(str, "mlp", one_of("mlp", "linear")),
-       "hidden_sizes": Field([int], [64], list_of(AT_LEAST_1))}
+       "hidden_sizes": Field([int], [64], list_of(COUNT))}
 # a linear model has no hidden layers
 MODEL = Choice("kind", {"mlp": MLP, "linear": {"kind": MLP["kind"]}})
 GRID = {
@@ -148,7 +149,7 @@ TWO_PHASE = {
     "strategies": Field([str], REQUIRED, list_of(one_of(*VARIANTS), distinct=True)),
     "strategy_overrides": Field(STRATEGY_OVERRIDES, {}),
 }
-CONFIG = Choice("kind", {"bound_grid": GRID, "ltr_two_phase": TWO_PHASE, "compare": TWO_PHASE})
+CONFIG = Choice("kind", {"bound_grid": GRID, "ltr_two_phase": TWO_PHASE})
 
 
 def _typed(value, kind, where: str):
@@ -289,7 +290,8 @@ def grid_exit_code(reports) -> int:
 
 
 def run_ltr_two_phase(cfg: dict, out_dir: Path) -> int:
-    """Train Phase 1 once, then each strategy's Phase 2 from it; compare also writes pairwise accuracy diffs."""
+    """Train Phase 1 once, then each strategy's Phase 2 from it, and write the
+    accuracy diff of each pair of strategies that succeeded."""
     longtail = cfg["longtail"]
     source = _load_dataset(cfg, "train")
     test_dataset = _load_dataset(cfg, "test")
@@ -346,10 +348,9 @@ def run_ltr_two_phase(cfg: dict, out_dir: Path) -> int:
         save_checkpoint(res.model_after_tail, out_dir / f"model_{name}_tail.ckpt")
     _write_csv(out_dir / "summary.csv", SUMMARY_CSV_HEADER, summary_rows)
 
-    if cfg["kind"] == "compare":
-        for a, b in combinations(results, 2):
-            diff = accuracy_diff(results[a].metrics_after, results[b].metrics_after)
-            _write_csv(out_dir / f"accdiff_{a}_vs_{b}.csv", "class,diff", enumerate(diff))
+    for a, b in combinations(results, 2):
+        diff = accuracy_diff(results[a].metrics_after, results[b].metrics_after)
+        _write_csv(out_dir / f"accdiff_{a}_vs_{b}.csv", "class,diff", enumerate(diff))
 
     for row in summary_rows:
         print(f"{row[0]}: avg class acc {_fmt(row[2]) or 'n/a'} ({row[-1]})")
@@ -382,8 +383,16 @@ def emit_plot_data(results_dir: Path, kind: str, out_dir: Path) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on any validation error: argparse's own 2 means a bound violation here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ltcl", description=__doc__)
+    parser = _Parser(prog="ltcl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in SUBCOMMAND_KINDS:
         p = sub.add_parser(name)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .datasets import HeadTailSplit, LabeledDataset
-from .errors import AT_LEAST_0, AT_LEAST_1, FRACTION, POSITIVE, EmptyClassError, ShapeMismatchError, check, one_of
+from .errors import AT_LEAST_0, COUNT, FRACTION, POSITIVE, EmptyClassError, ShapeMismatchError, check, one_of
 from .metrics import MetricsReport, evaluate
 from .models import LossSpec, ObjectiveTerm, log_softmax, softmax_probs
 from .training import TrainConfig, train
@@ -35,7 +35,7 @@ class Strategy(NamedTuple):
 
 
 _EWC_BUDGET = dict(learning_rate=0.01, momentum=0.9, schedule="constant", epochs=90)
-_HEAD_SAMPLES = (2000, AT_LEAST_1)  # head samples drawn for the Fisher or the bases
+_HEAD_SAMPLES = (2000, COUNT)  # head samples drawn for the Fisher or the bases
 # The one table of the strategies, in the order of VARIANTS. The naive
 # baseline gets the EWC optimization budget.
 STRATEGIES = {
@@ -98,7 +98,7 @@ def fisher_diagonal(model, dataset: LabeledDataset, mode: str, max_samples: int,
 def _sample_rows(dataset: LabeledDataset, max_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Every row of `dataset`, or `max_samples` distinct rows drawn with
     `rng` in ascending order when it holds more."""
-    check("max_samples", max_samples, AT_LEAST_1)
+    check("max_samples", max_samples, COUNT)
     if dataset.n_samples == 0:
         raise ValueError("cannot sample rows of an empty dataset")
     rows = np.arange(dataset.n_samples)

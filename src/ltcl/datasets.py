@@ -15,7 +15,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import (
-    AT_LEAST_1, FRACTION, POSITIVE, CapacityError, DatasetError, EmptyClassError, IdxParseError,
+    AT_LEAST_1, COUNT, FRACTION, POSITIVE, CapacityError, DatasetError, EmptyClassError, IdxParseError,
     NonFiniteInputError, ShapeMismatchError, check,
 )
 
@@ -114,8 +114,9 @@ def longtail_profile(n_classes: int, n_max: int, imbalance_factor: float) -> np.
     Truncation matches the usual exponential LT construction, so the
     last class gets int(n_max / IF) samples.
     """
-    for name, value in (("n_classes", n_classes), ("n_max", n_max), ("imbalance_factor", imbalance_factor)):
-        check(name, value, AT_LEAST_1)
+    for name, value in (("n_classes", n_classes), ("n_max", n_max)):
+        check(name, value, COUNT)
+    check("imbalance_factor", imbalance_factor, AT_LEAST_1)
     if n_classes == 1:
         targets = np.array([n_max], dtype=np.int64)
     else:
@@ -239,7 +240,7 @@ def synthetic_gaussian(
 ) -> LabeledDataset:
     """Balanced isotropic Gaussian blobs, one per class, mean on axis c mod d."""
     for name, value in (("n_classes", n_classes), ("n_features", n_features), ("n_per_class", n_per_class)):
-        check(name, value, AT_LEAST_1)
+        check(name, value, COUNT)
     check("class_separation", class_separation, POSITIVE)
     rng = np.random.default_rng(seed)
     features = rng.standard_normal((n_classes * n_per_class, n_features))

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the value rules with
 the one `check` that applies them."""
 import math
+import numbers
 from pathlib import Path
 
 
@@ -80,6 +81,9 @@ class EigensolverError(LtclError, RuntimeError):
 # message. Each test states the range it accepts, so NaN fails it.
 AT_LEAST_0 = (lambda v: v >= 0, "must be >= 0")
 AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
+# a count: an integer, numpy's too, that is not a bool
+COUNT = (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1,
+         "must be an integer >= 1")
 POSITIVE = (lambda v: v > 0, "must be positive")
 FRACTION = (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
 AT_LEAST_0_BELOW_1 = (lambda v: 0.0 <= v < 1.0, "must be in [0, 1)")

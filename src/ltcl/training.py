@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset
-from .errors import AT_LEAST_0_BELOW_1, AT_LEAST_1, FINITE_POSITIVE, DivergenceError, EmptyClassError, check, one_of
+from .errors import AT_LEAST_0_BELOW_1, COUNT, FINITE_POSITIVE, DivergenceError, EmptyClassError, check, one_of
 from .models import GradientWorkspace, LossSpec
 
 SCHEDULES = ("constant", "cosine")
@@ -30,9 +30,9 @@ class TrainConfig:
     def __post_init__(self):
         check("learning_rate", self.learning_rate, FINITE_POSITIVE)
         check("momentum", self.momentum, AT_LEAST_0_BELOW_1)
-        check("epochs", self.epochs, AT_LEAST_1)
+        check("epochs", self.epochs, COUNT)
         if self.batch_size is not None:  # None is full batch
-            check("batch_size", self.batch_size, AT_LEAST_1)
+            check("batch_size", self.batch_size, COUNT)
         check("schedule", self.schedule, one_of(*SCHEDULES))
 
 

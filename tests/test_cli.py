@@ -38,11 +38,11 @@ def _bound_grid_config(out_dir):
 PHASE2_EPOCHS = {"naive": 20, "ewc": 20, "gpm": 10, "lwf": 5, "modified_ewc": 20}
 
 
-def _two_phase_config(out_dir, kind="ltr_two_phase", strategies=None):
+def _two_phase_config(out_dir, strategies=None):
     strategies = ["naive", "ewc"] if strategies is None else strategies
     return {
         "schema_version": 1,
-        "kind": kind,
+        "kind": "ltr_two_phase",
         "seed": 3,
         "output_dir": str(out_dir),
         "dataset": {
@@ -196,7 +196,7 @@ def _fuzz_bases():
     raw = [
         _bound_grid_config("out"),
         _two_phase_config("out"),
-        _two_phase_config("out", kind="compare", strategies=["gpm", "lwf"]),
+        _two_phase_config("out", strategies=["gpm", "lwf"]),
     ]
     # a resolved config is a valid input too, and names every field with its default
     return raw + [cli.validate_config(copy.deepcopy(cfg)) for cfg in raw]
@@ -311,6 +311,42 @@ def test_kind_subcommand_mismatch(tmp_path):
     assert cli.main(["two-phase", "--config", str(path)]) == 1
 
 
+def test_kind_compare_is_gone_and_exits_1(tmp_path, capsys):
+    # every two-phase run writes the pairwise diffs that compare wrote
+    out = tmp_path / "out"
+    cfg = _two_phase_config(out)
+    cfg["kind"] = "compare"
+    assert cli.main(["two-phase", "--config", str(_write_config(tmp_path, cfg))]) == 1
+    assert capsys.readouterr().err == (
+        "error: config field 'kind': must be one of ('bound_grid', 'ltr_two_phase'), got 'compare'\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound-grid"],  # no --config
+        ["frobnicate", "--config", "x.yaml"],
+        ["compare", "--config", "x.yaml"],  # folded into two-phase
+        ["two-phase", "--config", "x.yaml", "--workers", "abc"],
+    ],
+)
+def test_usage_errors_exit_1_not_the_bound_violation_code(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: ltcl") and len([line for line in err if ": error: " in line]) == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["--help"])
+    assert excinfo.value.code == 0
+    assert "{bound-grid,two-phase,plot-data}" in capsys.readouterr().out
+
+
 def test_bound_grid_run_and_manifest_rerun(tmp_path, capsys):
     out = tmp_path / "out"
     path = _write_config(tmp_path, _bound_grid_config(out))
@@ -338,11 +374,11 @@ def test_bound_grid_workers_deterministic(tmp_path):
     assert (out1 / "bounds.csv").read_bytes() == (out2 / "bounds.csv").read_bytes()
 
 
-def test_compare_workers_deterministic(tmp_path):
-    cfg = _two_phase_config(tmp_path / "w1", kind="compare", strategies=list(cli.VARIANTS))
+def test_two_phase_workers_deterministic(tmp_path):
+    cfg = _two_phase_config(tmp_path / "w1", strategies=list(cli.VARIANTS))
     path = _write_config(tmp_path, cfg)
-    assert cli.main(["compare", "--config", str(path), "--workers", "1"]) == 0
-    assert cli.main(["compare", "--config", str(path), "--workers", "3", "--out", str(tmp_path / "w3")]) == 0
+    assert cli.main(["two-phase", "--config", str(path), "--workers", "1"]) == 0
+    assert cli.main(["two-phase", "--config", str(path), "--workers", "3", "--out", str(tmp_path / "w3")]) == 0
     first = {p.name: p.read_bytes() for p in (tmp_path / "w1").iterdir() if p.name != "manifest.json"}
     assert len(first) == 1 + 1 + 2 * 5 + 10  # summary, head ckpt; metrics, tail ckpt each; pair diffs
     for name, blob in first.items():
@@ -367,6 +403,14 @@ def test_two_phase_run_outputs(tmp_path):
     metrics_lines = (out / "metrics_naive.csv").read_text().strip().split("\n")
     assert metrics_lines[0] == cli.METRICS_CSV_HEADER
     assert len(metrics_lines) == 1 + 5  # one row per class
+    assert [p.name for p in out.glob("accdiff_*")] == ["accdiff_naive_vs_ewc.csv"]
+
+
+def test_one_strategy_run_writes_no_accuracy_diff(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["two-phase", "--config", str(_write_config(tmp_path, _two_phase_config(out, ["naive"])))]) == 0
+    assert (out / "metrics_naive.csv").exists()
+    assert not list(out.glob("accdiff_*"))
 
 
 def test_readme_config_examples_validate(tmp_path):
@@ -428,11 +472,11 @@ def test_two_phase_rerun_from_manifest_byte_identical(tmp_path):
         assert (out2 / name).read_bytes() == blob, name
 
 
-def test_compare_emits_pairwise_diffs(tmp_path):
+def test_two_phase_emits_pairwise_diffs(tmp_path):
     out = tmp_path / "out"
-    cfg = _two_phase_config(out, kind="compare", strategies=["naive", "ewc", "lwf"])
+    cfg = _two_phase_config(out, strategies=["naive", "ewc", "lwf"])
     path = _write_config(tmp_path, cfg)
-    assert cli.main(["compare", "--config", str(path)]) == 0
+    assert cli.main(["two-phase", "--config", str(path)]) == 0
     assert (out / "accdiff_naive_vs_ewc.csv").exists()
     assert (out / "accdiff_naive_vs_lwf.csv").exists()
     assert (out / "accdiff_ewc_vs_lwf.csv").exists()
@@ -517,6 +561,7 @@ def test_strategy_failure_recorded_and_run_continues(tmp_path):
     assert "failed" in naive_row
     assert (out / "metrics_ewc.csv").exists()
     assert not (out / "metrics_naive.csv").exists()
+    assert not list(out.glob("accdiff_*"))  # one strategy succeeded: no pair
 
 
 def _write_idx_dataset(tmp_path, n_per_class, side=4, n_classes=4, seed=0, prefix="train"):
@@ -595,9 +640,10 @@ def test_test_set_with_other_class_count_fails_each_strategy(tmp_path, train_cla
     detail = f"model predicts {train_classes} classes, test set has {test_classes}"
     assert len(rows) == 2 and all(f"failed: {detail}" in row for row in rows)
     assert not list(out.glob("metrics_*.csv"))
+    assert not list(out.glob("accdiff_*"))  # no pair of strategies succeeded
 
 
-def test_compare_trains_phase_1_once(tmp_path, monkeypatch):
+def test_two_phase_trains_phase_1_once(tmp_path, monkeypatch):
     calls = []
     train = continual.train
 
@@ -607,8 +653,8 @@ def test_compare_trains_phase_1_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(continual, "train", counting_train)
     strategies = ["naive", "ewc", "lwf"]
-    cfg = _two_phase_config(tmp_path / "out", kind="compare", strategies=strategies)
-    assert cli.main(["compare", "--config", str(_write_config(tmp_path, cfg)), "--workers", "2"]) == 0
+    cfg = _two_phase_config(tmp_path / "out", strategies=strategies)
+    assert cli.main(["two-phase", "--config", str(_write_config(tmp_path, cfg)), "--workers", "2"]) == 0
     assert len(calls) == 1 + len(strategies)
     assert calls[0] > calls[1] and len(set(calls[1:])) == 1
 
@@ -636,9 +682,9 @@ CONFIGS = {
     "idx_grid": _idx_grid_config,
     "two_phase": lambda tmp_path, out: _two_phase_config(out),
     "idx_two_phase": _idx_two_phase_config,  # a linear model
-    "compare": lambda tmp_path, out: _two_phase_config(out, kind="compare", strategies=list(cli.VARIANTS)),
+    "all_strategies": lambda tmp_path, out: _two_phase_config(out, strategies=list(cli.VARIANTS)),
 }
-COMMANDS = {"bound_grid": "bound-grid", "ltr_two_phase": "two-phase", "compare": "compare"}
+COMMANDS = {"bound_grid": "bound-grid", "ltr_two_phase": "two-phase"}
 IMAGES = "<an IDX image file>"
 UNREAD_KEYS = [
     *[("two_phase", ("strategy_overrides", name, key), 1)

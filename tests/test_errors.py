@@ -12,13 +12,15 @@ DATASET = datasets.synthetic_gaussian(3, 4, 10, 2.0, seed=0)
 MODEL = models.MlpModel.initialize([4, 5, 3], seed=0)
 LOGITS = np.zeros((2, 3))
 SPEC = models.LossSpec(mu=1e-4)
+BAD_COUNTS = [0, 2.5, True, NAN, INF, -INF]  # a count is an integer >= 1 and no bool
 
 
 def _strategy_cases():
     for variant, strategy in continual.STRATEGIES.items():
         for key in strategy.settings:
-            bad = 0 if key == "fisher_max_samples" else 1.5 if key == "energy_threshold" else -1.0
-            yield (f"strategy_term.{variant}.{key}", key, [bad, NAN, -INF],
+            bad = [1.5 if key == "energy_threshold" else -1.0, NAN, -INF]
+            bad = BAD_COUNTS if key == "fisher_max_samples" else bad
+            yield (f"strategy_term.{variant}.{key}", key, bad,
                    lambda v, variant=variant, key=key: continual.strategy_term(
                        variant, MODEL, DATASET, {0, 1}, SPEC, **{key: v}))
 
@@ -29,23 +31,23 @@ CASES = [
     ("LossSpec", "mu", [-0.1, NAN, INF, -INF], lambda v: models.LossSpec(mu=v)),
     ("TrainConfig", "learning_rate", [0.0, NAN, INF, -INF], lambda v: training.TrainConfig(learning_rate=v)),
     ("TrainConfig", "momentum", [1.0, -0.1, NAN, INF, -INF], lambda v: training.TrainConfig(0.1, momentum=v)),
-    ("TrainConfig", "epochs", [0, NAN, -INF], lambda v: training.TrainConfig(0.1, epochs=v)),
-    ("TrainConfig", "batch_size", [0, NAN, -INF], lambda v: training.TrainConfig(0.1, batch_size=v)),
+    ("TrainConfig", "epochs", BAD_COUNTS, lambda v: training.TrainConfig(0.1, epochs=v)),
+    ("TrainConfig", "batch_size", BAD_COUNTS, lambda v: training.TrainConfig(0.1, batch_size=v)),
     ("TrainConfig", "schedule", ["linear", NAN], lambda v: training.TrainConfig(0.1, schedule=v)),
     ("gamma", "imbalance_factor", [0.5, NAN, -INF], datasets.gamma),
-    ("longtail_profile", "n_classes", [0, NAN, -INF], lambda v: datasets.longtail_profile(v, 100, 10.0)),
-    ("longtail_profile", "n_max", [0, NAN, -INF], lambda v: datasets.longtail_profile(4, v, 10.0)),
+    ("longtail_profile", "n_classes", BAD_COUNTS, lambda v: datasets.longtail_profile(v, 100, 10.0)),
+    ("longtail_profile", "n_max", BAD_COUNTS, lambda v: datasets.longtail_profile(4, v, 10.0)),
     ("longtail_profile", "imbalance_factor", [0.5, NAN, -INF], lambda v: datasets.longtail_profile(4, 100, v)),
     ("head_tail_split", "head_class_fraction", [0.0, 1.5, NAN, INF, -INF],
      lambda v: datasets.head_tail_split(DATASET, v)),
-    ("synthetic_gaussian", "n_classes", [0, NAN, -INF], lambda v: datasets.synthetic_gaussian(v, 4, 10, 2.0, 0)),
-    ("synthetic_gaussian", "n_features", [0, NAN, -INF], lambda v: datasets.synthetic_gaussian(3, v, 10, 2.0, 0)),
-    ("synthetic_gaussian", "n_per_class", [0, NAN, -INF], lambda v: datasets.synthetic_gaussian(3, 4, v, 2.0, 0)),
+    ("synthetic_gaussian", "n_classes", BAD_COUNTS, lambda v: datasets.synthetic_gaussian(v, 4, 10, 2.0, 0)),
+    ("synthetic_gaussian", "n_features", BAD_COUNTS, lambda v: datasets.synthetic_gaussian(3, v, 10, 2.0, 0)),
+    ("synthetic_gaussian", "n_per_class", BAD_COUNTS, lambda v: datasets.synthetic_gaussian(3, 4, v, 2.0, 0)),
     ("synthetic_gaussian", "class_separation", [0.0, NAN, -INF],
      lambda v: datasets.synthetic_gaussian(3, 4, 10, v, 0)),
     ("default_phase2_config", "variant", ["dropout", NAN], continual.default_phase2_config),
     ("fisher_diagonal", "mode", ["fisher", NAN], lambda v: continual.fisher_diagonal(MODEL, DATASET, v, 10)),
-    ("_sample_rows", "max_samples", [0, NAN, -INF],
+    ("_sample_rows", "max_samples", BAD_COUNTS,
      lambda v: continual._sample_rows(DATASET, v, np.random.default_rng(0))),
     ("lwf_loss", "temperature", [0.0, NAN, -INF], lambda v: continual.lwf_loss(LOGITS, LOGITS, [0, 1], v, 1.0)),
     ("gpm_collect_bases", "energy_threshold", [0.0, 1.5, NAN, INF, -INF],
