@@ -13,14 +13,13 @@ Three bounds are computed for a pair of strongly convex objectives f
 Each minimum eigenvalue is computed matrix-free: Lanczos with full
 reorthogonalisation on the exact Hessian-vector product
 (`models.hessian_operator`), so no dense Hessian is formed and Lemma 2
-has no parameter-count limit. The Ritz values come from the Lanczos
-tridiagonal by Sturm-count bisection, not by a dense eigensolve. The
-reported lambda is the smallest Ritz value. It is at or above the true
-lambda_min (Cauchy interlacing), and it lies within the stopping
-residual LANCZOS_TOL * |largest Ritz value| of an eigenvalue. It exceeds
-lambda_min = mu by at most 4.3e-12 over the 18 eigensolves of the pooled
-acceptance grid, and by at most 2.5e-8 on the smaller pooled grid of
-perfbench's lemma2_cli workload.
+has no parameter-count limit. The Ritz values come from `np.linalg.eigh`
+of the small Lanczos tridiagonal. The reported lambda is the smallest
+Ritz value. It is at or above the true lambda_min (Cauchy interlacing),
+and it lies within the stopping residual LANCZOS_TOL * |largest Ritz
+value| of an eigenvalue. It exceeds lambda_min = mu by at most 3.4e-12
+over the 18 eigensolves of the pooled acceptance grid, and by at most
+2.5e-8 on the smaller pooled grid of perfbench's lemma2_cli workload.
 
 The grid experiment certifies both minimizers per (imbalance factor,
 mu) cell by truncated Newton-CG (Nocedal & Wright, Numerical
@@ -166,136 +165,26 @@ LANCZOS_MAX_ITERS = 1000
 LANCZOS_ROWS = 64  # basis rows allocated first; the basis doubles when full
 
 _EPS = float(np.finfo(np.float64).eps)
-_TINY = float(np.finfo(np.float64).tiny)
-
-
-def _sturm_count(alphas, beta_sq, x: float, pivmin: float) -> int:
-    """Number of eigenvalues below x of the symmetric tridiagonal with
-    diagonal `alphas` and squared off-diagonal `beta_sq[1:]` (beta_sq[0]
-    is 0): the negative pivots of the LDL^T factorisation of T - x I,
-    with pivots smaller than pivmin in magnitude taken as -pivmin."""
-    count = 0
-    d = 1.0
-    for a, b2 in zip(alphas, beta_sq):
-        d = (a - x) - b2 / d
-        if d < pivmin:
-            if d > -pivmin:
-                d = -pivmin
-            count += 1
-    return count
-
-
-def _ritz_bracket(alphas, beta_sq, index: int, near: float, far: float, tol: float, pivmin: float):
-    """Bracket (lo, hi) of width at most tol of T's index-th smallest
-    eigenvalue (from 0), which lies between near and far. Steps of tol,
-    16 tol, 256 tol, ... walk from near towards far until one passes the
-    eigenvalue, and the last step is bisected: a bracket end holds at most
-    index eigenvalues below lo and more than index below hi. The cost grows
-    with the log of the distance from near, so a near end from an earlier
-    check makes it small."""
-    side = 1.0 if far > near else -1.0
-    step = tol
-    while True:
-        x = near + side * step
-        if side * (far - x) <= 0:
-            x = far
-            break
-        if (_sturm_count(alphas, beta_sq, x, pivmin) > index) == (side > 0):
-            break
-        near, step = x, 16.0 * step
-    lo, hi = min(near, x), max(near, x)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if _sturm_count(alphas, beta_sq, mid, pivmin) > index:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
-def _last_component(alphas, betas, theta: float, norm: float) -> float:
-    """|last component| of the unit eigenvector of T for the eigenvalue
-    theta: one step of inverse iteration, U z = (1, ..., 1) after
-    Gaussian elimination with partial pivoting of (T - theta I) / norm
-    (Wilkinson's start, as in EISPACK's tinvit). Scaled by norm = ||T||,
-    the pivots are O(1), and a zero pivot is replaced by eps."""
-    k = len(alphas)
-    if norm == 0.0:
-        return 1.0  # T = 0 is 1 x 1: a zero off-diagonal ends Lanczos
-    shifted = [(a - theta) / norm for a in alphas]
-    offdiag = [b / norm for b in betas] + [0.0]
-    diag, sup1, sup2 = [0.0] * k, [0.0] * k, [0.0] * k
-    d, e = shifted[0], offdiag[0]
-    for i in range(k - 1):
-        sub, next_d, next_e = offdiag[i], shifted[i + 1], offdiag[i + 1]
-        if abs(d) >= abs(sub):
-            diag[i], sup1[i] = d or _EPS, e
-            d, e = next_d - (sub / diag[i]) * e, next_e
-        else:
-            ratio = d / sub
-            diag[i], sup1[i], sup2[i] = sub, next_d, next_e
-            d, e = e - ratio * next_d, -ratio * next_e
-    diag[k - 1] = d or _EPS
-    z = [0.0] * (k + 2)
-    for i in range(k - 1, -1, -1):
-        z[i] = (1.0 - sup1[i] * z[i + 1] - sup2[i] * z[i + 2]) / diag[i]
-    return abs(z[k - 1]) / math.hypot(*z)
-
-
-def _ritz_check(alphas, betas, hints):
-    """The smallest Ritz value theta_1, the largest theta_k, and the last
-    component s_k of theta_1's unit eigenvector, for the Lanczos
-    tridiagonal T with diagonal `alphas` and off-diagonal `betas`.
-
-    Both values come by Sturm-count bisection (Parlett, The Symmetric
-    Eigenvalue Problem, 1998) to within 2 eps ||T||, from the Gershgorin
-    interval. `hints` holds an upper bound on theta_1 and a lower bound
-    on theta_k from an earlier check: by interlacing theta_1 never rises
-    and theta_k never falls as T grows, so each is a tighter bracket end.
-    Returns (theta_1, theta_k, s_k, hints for the next check).
-    """
-    k = len(alphas)
-    beta_sq = [0.0] + [b * b for b in betas]
-    a, b = np.array(alphas), np.array(betas)
-    radius = np.zeros(k)
-    radius[1:] += b
-    radius[:-1] += b
-    lo, hi = float((a - radius).min()), float((a + radius).max())
-    norm = max(abs(lo), abs(hi))
-    pivmin = _TINY * max(1.0, max(beta_sq))
-    # a zero T keeps the bracket [0, 0] and gives 0.0; the floor on tol
-    # keeps the steps of `_ritz_bracket` growing when ||T|| is subnormal
-    slack = 2.0 * k * _EPS * norm
-    lo, hi = lo - slack, hi + slack
-    tol = 2.0 * _EPS * norm + _TINY
-    low_hint, high_hint = hints
-    if not (lo < low_hint < hi and _sturm_count(alphas, beta_sq, low_hint, pivmin) >= 1):
-        low_hint = hi
-    if not (lo < high_hint < hi and _sturm_count(alphas, beta_sq, high_hint, pivmin) <= k - 1):
-        high_hint = lo
-    low = _ritz_bracket(alphas, beta_sq, 0, low_hint, lo, tol, pivmin)
-    high = _ritz_bracket(alphas, beta_sq, k - 1, high_hint, hi, tol, pivmin)
-    theta_1, theta_k = 0.5 * (low[0] + low[1]), 0.5 * (high[0] + high[1])
-    s_k = _last_component(alphas, betas, theta_1, norm)
-    return theta_1, theta_k, s_k, (low[1], high[0])
 
 
 def min_eigenvalue(apply, dim: int) -> float:
     """Smallest eigenvalue of a symmetric linear map v -> A v of dimension
     `dim` (e.g. `models.hessian_operator`): the smallest Ritz value of
-    Lanczos (1950) with full reorthogonalisation (classical Gram-Schmidt,
-    applied twice).
+    Lanczos (1950) with full reorthogonalisation. Each step subtracts the
+    three-term recurrence, w = A q_k - alpha_k q_k - beta_{k-1} q_{k-1},
+    and then makes one classical Gram-Schmidt pass over the basis: the
+    recurrence removes the large components, so the pass is left with
+    rounding error only, and one pass keeps the basis orthonormal.
 
-    T is checked (`_ritz_check`) every LANCZOS_CHECK_EVERY steps, at the
-    dimension and on breakdown (an off-diagonal below the tolerance); the
-    run ends when the residual beta_k*|s_k| of the smallest Ritz pair is
-    at most LANCZOS_TOL times the largest Ritz value in magnitude, or at
-    the dimension, where T holds the whole spectrum. By interlacing the
-    value is at or above the true lambda_min, and an eigenvalue lies
-    within that residual of it (Lanczos finds the extreme eigenvalues
-    first, so in practice that is lambda_min). A Ritz value within
+    T is eigensolved (`np.linalg.eigh`) every LANCZOS_CHECK_EVERY steps,
+    at the dimension and on breakdown (an off-diagonal below the
+    tolerance); the run ends when the residual beta_k*|s_k| of the
+    smallest Ritz pair (s_k the last entry of its eigenvector of T) is at
+    most LANCZOS_TOL times the largest Ritz value in magnitude, or at the
+    dimension, where T holds the whole spectrum. By interlacing the value
+    is at or above the true lambda_min, and an eigenvalue lies within
+    that residual of it (Lanczos finds the extreme eigenvalues first, so
+    in practice that is lambda_min). A Ritz value within
     dim * eps * |largest Ritz value| of zero is returned as 0.0. The basis
     is one array of LANCZOS_ROWS rows that doubles when full, so memory
     follows the steps taken. Raises EigensolverError rather than return an
@@ -308,27 +197,30 @@ def min_eigenvalue(apply, dim: int) -> float:
     basis[0] = q / np.linalg.norm(q)
     alphas: list = []
     betas: list = []
-    hints = (math.inf, -math.inf)
     alpha_max = 0.0
     for k in range(1, min(dim, LANCZOS_MAX_ITERS) + 1):
         rows = basis[:k]
         current = basis[k - 1]
         w = np.array(apply(current), dtype=np.float64)  # a copy: w is updated in place
-        alphas.append(float(current @ w))
-        alpha_max = max(alpha_max, abs(alphas[-1]))
-        for _ in range(2):
-            w -= (rows @ w) @ rows
+        alpha = float(current @ w)
+        alphas.append(alpha)
+        alpha_max = max(alpha_max, abs(alpha))
+        w -= alpha * current
+        if betas:
+            w -= betas[-1] * basis[k - 2]
+        w -= (rows @ w) @ rows
         beta = float(np.linalg.norm(w))
         if not math.isfinite(beta):
             raise EigensolverError(f"non-finite Lanczos vector at step {k}")
         if k % LANCZOS_CHECK_EVERY == 0 or k == dim or beta <= LANCZOS_TOL * alpha_max:
-            theta_1, theta_k, s_k, hints = _ritz_check(alphas, betas, hints)
-            scale = max(abs(theta_1), abs(theta_k))
-            if beta * s_k <= LANCZOS_TOL * scale or k == dim:
+            ritz, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+            theta_1 = float(ritz[0])
+            scale = max(abs(theta_1), abs(ritz[-1]))
+            if beta * abs(vectors[-1, 0]) <= LANCZOS_TOL * scale or k == dim:
                 # below the rounding error of the products the sign is not
                 # determined, so a singular matrix is reported as such
                 zero = abs(theta_1) <= dim * _EPS * scale
-                return 0.0 if zero else float(theta_1)
+                return 0.0 if zero else theta_1
         if k == len(basis):
             grown = np.empty((min(2 * k, dim), dim))
             grown[:k] = basis

@@ -7,7 +7,10 @@ TWO_PHASE, with the tables they nest, give every field's type, default and
 check; a dataset's table follows its source and the run's kind, a model's
 its kind. --seed and --workers replace the config values before
 validation. Every run writes a manifest with the fully resolved
-config; rerunning from it reproduces the CSV outputs byte for byte.
+config; rerunning from it with the same BLAS build and BLAS thread count
+reproduces the CSV outputs byte for byte (BLAS sums depend on the thread
+count). Pin BLAS to one thread when --workers is above 1, or the workers
+and the BLAS threads compete for the cores.
 
 Exit codes: 0 success, 1 validation error (an unreadable config or a
 command-line usage error included), 2 bound violation, 3 runtime failure.

@@ -365,10 +365,14 @@ def test_bound_grid_run_and_manifest_rerun(tmp_path, capsys):
     assert (out2 / "bounds.csv").read_bytes() == bounds_csv
 
 
-def test_bound_grid_workers_deterministic(tmp_path):
+@pytest.mark.parametrize("compute_lemma2", [False, True])
+def test_bound_grid_workers_deterministic(tmp_path, compute_lemma2):
+    # with Lemma 2 the eigensolves run in the worker threads too
     out1 = tmp_path / "w1"
     out2 = tmp_path / "w2"
-    path = _write_config(tmp_path, _bound_grid_config(out1))
+    cfg = _bound_grid_config(out1)
+    cfg["bound_grid"]["compute_lemma2"] = compute_lemma2
+    path = _write_config(tmp_path, cfg)
     assert cli.main(["bound-grid", "--config", str(path)]) == 0
     assert cli.main(["bound-grid", "--config", str(path), "--out", str(out2), "--workers", "3"]) == 0
     assert (out1 / "bounds.csv").read_bytes() == (out2 / "bounds.csv").read_bytes()
