@@ -197,6 +197,46 @@ def test_min_eigenvalue_crowded_spectrum():
     assert abs(_dense_min(m) - 6.25e-6) <= bounds.LANCZOS_TOL
 
 
+def _tridiagonal(kind, k, rng):
+    if kind == "random":
+        alphas, betas = rng.standard_normal(k), np.abs(rng.standard_normal(k - 1))
+    elif kind == "clustered":  # every eigenvalue within about 5e-3 of 1
+        alphas, betas = 1.0 + 1e-3 * rng.standard_normal(k), 1e-3 * rng.uniform(0.1, 1.0, k - 1)
+    else:  # negative spectrum
+        alphas, betas = -5.0 - rng.random(k), rng.uniform(0.1, 1.0, k - 1)
+    return np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+
+
+@pytest.mark.parametrize("kind", ["random", "clustered", "negative"])
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 57, 340])
+def test_min_eigenvalue_tridiagonal_matches_eigh(kind, k):
+    # Lanczos on the operator of a k x k tridiagonal against LAPACK, within
+    # the stopping residual LANCZOS_TOL times the largest eigenvalue in magnitude
+    rng = np.random.default_rng(1000 * k + len(kind))
+    for _ in range(3):
+        m = _tridiagonal(kind, k, rng)
+        exact = np.linalg.eigvalsh(m)
+        scale = max(abs(exact[0]), abs(exact[-1]))
+        assert abs(_dense_min(m) - exact[0]) <= bounds.LANCZOS_TOL * scale
+
+
+def test_lanczos_eigensolves_only_its_tridiagonal(monkeypatch):
+    # the Ritz checks decompose the small Lanczos tridiagonal, never the operator
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording(m):
+        assert not np.triu(m, 2).any() and not np.tril(m, -2).any()
+        shapes.append(m.shape)
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    diag = np.random.default_rng(2).uniform(0.5, 5.0, 600)
+    diag[17] = 0.1
+    assert bounds.min_eigenvalue(lambda v: diag * v, 600) == pytest.approx(0.1, rel=1e-12)
+    assert shapes and all(k == j < 600 for k, j in shapes)
+
+
 def _small_longtail(if_value=50.0):
     src = datasets.synthetic_gaussian(6, 8, 80, 2.5, seed=1)
     return datasets.make_longtail(src, if_value, seed=2)
