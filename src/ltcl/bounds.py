@@ -14,12 +14,16 @@ Each minimum eigenvalue is computed matrix-free: Lanczos with full
 reorthogonalisation on the exact Hessian-vector product
 (`models.hessian_operator`), so no dense Hessian is formed and Lemma 2
 has no parameter-count limit. The Ritz values come from `np.linalg.eigh`
-of the small Lanczos tridiagonal. The reported lambda is the smallest
-Ritz value. It is at or above the true lambda_min (Cauchy interlacing),
-and it lies within the stopping residual LANCZOS_TOL * |largest Ritz
-value| of an eigenvalue. It exceeds lambda_min = mu by at most 3.4e-12
-over the 18 eigensolves of the pooled acceptance grid, and by at most
-2.5e-8 on the smaller pooled grid of perfbench's lemma2_cli workload.
+of the small Lanczos tridiagonal. The smallest Ritz value theta_1 is at
+or above the true lambda_min (Cauchy interlacing), and mu, the
+regularization constant, is at or below it, since the cross-entropy
+Hessian is positive semidefinite. A grid's solve is handed mu as its
+lower bound, so it stops at the first Ritz check where that bracket
+[mu, theta_1] is at most LANCZOS_TOL * |largest Ritz value| wide, and
+reports mu, unless the residual rule stops it first. Every solve of the
+pooled acceptance grid (18) and of perfbench's lemma2_cli workload
+(seed 0, 4) stopped on the bracket, with theta_1 - mu at most 3.9e-9 and
+1.5e-7.
 
 The grid experiment certifies both minimizers per (imbalance factor,
 mu) cell by truncated Newton-CG (Nocedal & Wright, Numerical
@@ -56,7 +60,7 @@ import numpy as np
 
 from .datasets import LabeledDataset, head_tail_split
 from .errors import (
-    AT_LEAST_0, FINITE_POSITIVE, DegenerateConvexityError, EigensolverError, MinimizerCertificationError,
+    AT_LEAST_0, FINITE_POSITIVE, FRACTION, DegenerateConvexityError, EigensolverError, MinimizerCertificationError,
     ShapeMismatchError, StrictConvexityError, check,
 )
 from .models import LinearModel, LossSpec, hessian_operator
@@ -167,7 +171,7 @@ LANCZOS_ROWS = 64  # basis rows allocated first; the basis doubles when full
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def min_eigenvalue(apply, dim: int) -> float:
+def min_eigenvalue(apply, dim: int, lower: float | None = None) -> float:
     """Smallest eigenvalue of a symmetric linear map v -> A v of dimension
     `dim` (e.g. `models.hessian_operator`): the smallest Ritz value of
     Lanczos (1950) with full reorthogonalisation. Each step subtracts the
@@ -189,6 +193,16 @@ def min_eigenvalue(apply, dim: int) -> float:
     is one array of LANCZOS_ROWS rows that doubles when full, so memory
     follows the steps taken. Raises EigensolverError rather than return an
     unconverged value after LANCZOS_MAX_ITERS steps.
+
+    `lower`, when given, must be a proven lower bound of lambda_min (mu for
+    a Hessian of mu-regularized cross-entropy). Then a Ritz check also
+    ends the run, returning `lower`, once the smallest Ritz value is at
+    most LANCZOS_TOL times the largest Ritz value in magnitude above it and
+    no more than the rounding level dim * eps * that scale below it:
+    lambda_min lies in that bracket. A Ritz value further below `lower`
+    shows that it is no bound; the residual rule then ends the run as
+    without it. A false bound that the Ritz value never drops below is not
+    detected, and is returned.
     """
     if dim < 1:
         raise ShapeMismatchError("the smallest eigenvalue of an empty matrix is undefined")
@@ -216,6 +230,12 @@ def min_eigenvalue(apply, dim: int) -> float:
             ritz, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
             theta_1 = float(ritz[0])
             scale = max(abs(theta_1), abs(ritz[-1]))
+            if lower is not None:
+                gap = theta_1 - lower
+                if -dim * _EPS * scale <= gap <= LANCZOS_TOL * scale:
+                    return float(lower)  # lambda_min lies in [lower, theta_1]
+                if gap < -dim * _EPS * scale:
+                    lower = None  # not a lower bound: the residual rule decides
             if beta * abs(vectors[-1, 0]) <= LANCZOS_TOL * scale or k == dim:
                 # below the rounding error of the products the sign is not
                 # determined, so a singular matrix is reported as such
@@ -316,6 +336,7 @@ class BoundGridConfig:
     compute_lemma2: bool = False
 
     def __post_init__(self):
+        check("head_fraction", self.head_fraction, FRACTION)
         # 0 would never certify and inf would certify any start
         check("grad_tolerance", self.grad_tolerance, FINITE_POSITIVE)
 
@@ -453,8 +474,9 @@ def evaluate_cell(
         lemma2 = lam_full = lam_head = None
         if config.compute_lemma2:
             n_params = model_full.layout.total_size
-            lam_full = min_eigenvalue(hessian_operator(model_full, full_dataset, spec), n_params)
-            lam_head = min_eigenvalue(hessian_operator(model_head, split.head, spec), n_params)
+            # H = H_CE + mu*I with H_CE positive semidefinite, so mu is a proven lower bound
+            lam_full = min_eigenvalue(hessian_operator(model_full, full_dataset, spec), n_params, lower=mu)
+            lam_head = min_eigenvalue(hessian_operator(model_head, split.head, spec), n_params, lower=mu)
             lemma2 = float(np.sqrt(lemma2_bound(delta_hat, lam_full, lam_head)))
     else:
         delta_hat = float("nan")

@@ -34,7 +34,7 @@ from .bounds import BoundGridConfig, bound_grid
 from .continual import DEFAULT_BATCH_SIZE, STRATEGIES, VARIANTS, default_phase2_config, run_head_phase, run_tail_phase
 from .datasets import head_tail_split, load_idx, make_longtail, mean_pool_images, synthetic_gaussian
 from .errors import (
-    AT_LEAST_0, AT_LEAST_1, COUNT, FILE, FINITE_AT_LEAST_0, FINITE_POSITIVE, FRACTION, POSITIVE, ConfigError,
+    AT_LEAST_1, COUNT, FILE, FINITE_AT_LEAST_0, FINITE_POSITIVE, FRACTION, POSITIVE, SEED, ConfigError,
     LtclError, list_of, one_of,
 )
 from .metrics import accuracy_diff, transfer_decomposition
@@ -81,7 +81,7 @@ class Choice(NamedTuple):
 HEADER = {
     "schema_version": Field(int, REQUIRED, one_of(SCHEMA_VERSION)),
     "kind": Field(str, REQUIRED, one_of(*KINDS)),
-    "seed": Field(int, 0, AT_LEAST_0),  # numpy seeds are non-negative
+    "seed": Field(int, 0, SEED),
     "workers": Field(int, 1, COUNT),
     "output_dir": Field(str),
 }

@@ -142,7 +142,7 @@ def lwf_loss(student_logits, teacher_logits, true_labels, temperature, cl_weight
     targets = softmax_probs(teacher_logits / temperature)
     student_soft_logp = log_softmax(student_logits / temperature)
     kl = (targets * (np.log(np.maximum(targets, _LOG_FLOOR)) - student_soft_logp)).sum(axis=1)
-    return float(ce + cl_weight * temperature**2 * kl.mean())
+    return float(ce + cl_weight * (temperature * temperature) * kl.mean())
 
 
 def gpm_collect_bases(
@@ -219,7 +219,7 @@ class _LwfTerm(ObjectiveTerm):
         logq = log_softmax(logits[:, cols] / temperature)
         kl = (targets * (np.log(np.maximum(targets, _LOG_FLOOR)) - logq)).sum(axis=1)
         delta[:, cols] += cl_weight * temperature * (np.exp(logq) - targets) / len(logits)
-        return cl_weight * temperature**2 * kl.mean()
+        return cl_weight * (temperature * temperature) * kl.mean()
 
 
 class _GpmTerm(ObjectiveTerm):

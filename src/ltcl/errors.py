@@ -77,13 +77,17 @@ class EigensolverError(LtclError, RuntimeError):
     """An iterative eigensolver hit its step cap or a non-finite value before converging."""
 
 
+def _integer(v) -> bool:
+    """An integer, numpy's too, that is not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 # Value rules: (test, message). A value failing test is rejected with
 # message. Each test states the range it accepts, so NaN fails it.
 AT_LEAST_0 = (lambda v: v >= 0, "must be >= 0")
 AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
-# a count: an integer, numpy's too, that is not a bool
-COUNT = (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1,
-         "must be an integer >= 1")
+COUNT = (lambda v: _integer(v) and v >= 1, "must be an integer >= 1")
+SEED = (lambda v: _integer(v) and v >= 0, "must be an integer >= 0")  # what numpy's generators accept
 POSITIVE = (lambda v: v > 0, "must be positive")
 FRACTION = (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
 AT_LEAST_0_BELOW_1 = (lambda v: 0.0 <= v < 1.0, "must be in [0, 1)")
@@ -105,7 +109,13 @@ def list_of(rule, distinct: bool = False):
 
 
 def check(name: str, value, rule) -> None:
-    """Raise ValueError naming the parameter and the value unless value passes rule."""
+    """Raise ValueError naming the parameter and the value unless value
+    passes rule. A value that rule cannot compare (a string against a
+    range) fails it."""
     test, message = rule
-    if not test(value):
+    try:
+        passed = test(value)
+    except TypeError:
+        passed = False
+    if not passed:
         raise ValueError(f"{name} {message}, got {value!r}")

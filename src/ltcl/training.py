@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset
-from .errors import AT_LEAST_0_BELOW_1, COUNT, FINITE_POSITIVE, DivergenceError, EmptyClassError, check, one_of
+from .errors import AT_LEAST_0_BELOW_1, COUNT, FINITE_POSITIVE, SEED, DivergenceError, EmptyClassError, check, one_of
 from .models import GradientWorkspace, LossSpec
 
 SCHEDULES = ("constant", "cosine")
@@ -34,6 +34,7 @@ class TrainConfig:
         if self.batch_size is not None:  # None is full batch
             check("batch_size", self.batch_size, COUNT)
         check("schedule", self.schedule, one_of(*SCHEDULES))
+        check("seed", self.seed, SEED)
 
 
 def _lr_at(config: TrainConfig, epoch: int) -> float:

@@ -237,9 +237,66 @@ def test_lanczos_eigensolves_only_its_tridiagonal(monkeypatch):
     assert shapes and all(k == j < 600 for k, j in shapes)
 
 
+def _counted(apply):
+    """apply, and a one-item list that counts its calls."""
+    calls = [0]
+
+    def counted(v):
+        calls[0] += 1
+        return apply(v)
+
+    return counted, calls
+
+
 def _small_longtail(if_value=50.0):
     src = datasets.synthetic_gaussian(6, 8, 80, 2.5, seed=1)
     return datasets.make_longtail(src, if_value, seed=2)
+
+
+def _cell_hessian(mu):
+    """The Hessian-vector product of a small cell's regularized CE loss:
+    mu*I plus a PSD operator with a (d+1)-dimensional null space."""
+    lt = _small_longtail()
+    model = models.LinearModel(np.random.default_rng(0).standard_normal((6, 8)) * 0.3, np.zeros(6))
+    return models.hessian_operator(model, lt, models.LossSpec(mu=mu)), model.layout.total_size
+
+
+def test_min_eigenvalue_stops_when_the_bracket_closes():
+    # mu is a proven lower bound, so the solve may stop once its Ritz value
+    # is within the stopping tolerance of mu, and then returns mu itself
+    mu = 0.05
+    hvp, dim = _cell_hessian(mu)
+    plain, plain_calls = _counted(hvp)
+    ritz = bounds.min_eigenvalue(plain, dim)
+    bracketed, bracketed_calls = _counted(hvp)
+    assert bounds.min_eigenvalue(bracketed, dim, lower=mu) == mu
+    assert ritz == pytest.approx(mu, abs=bounds.LANCZOS_TOL)
+    assert bracketed_calls[0] < plain_calls[0]
+
+
+@pytest.mark.parametrize("operator", ["cell", "diagonal"])
+def test_min_eigenvalue_lower_far_below_changes_nothing(operator):
+    # a bracket that never closes leaves the residual rule to stop the solve
+    if operator == "cell":
+        apply, dim = _cell_hessian(0.05)
+    else:
+        diag = np.random.default_rng(2).uniform(0.5, 5.0, 600)
+        apply, dim = (lambda v: diag * v), 600
+    plain, plain_calls = _counted(apply)
+    bracketed, bracketed_calls = _counted(apply)
+    assert bounds.min_eigenvalue(bracketed, dim, lower=-1.0) == bounds.min_eigenvalue(plain, dim)
+    assert bracketed_calls[0] == plain_calls[0]
+
+
+def test_min_eigenvalue_ritz_value_below_lower_is_kept():
+    # lower = 0.5 is no lower bound of diag(0.1, 1, 2, ...): once the Ritz
+    # value drops below it, the residual rule decides and 0.1 comes back
+    diag = np.arange(200.0)
+    diag[0] = 0.1
+    plain = bounds.min_eigenvalue(lambda v: diag * v, 200)
+    bracketed = bounds.min_eigenvalue(lambda v: diag * v, 200, lower=0.5)
+    assert bracketed == plain
+    assert abs(bracketed - 0.1) <= bounds.LANCZOS_TOL * 199.0
 
 
 def _small_cell(if_value=50.0, mu=0.05, compute_lemma2=False):

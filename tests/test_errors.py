@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltcl import bounds, continual, datasets, models, training
 from ltcl.errors import FRACTION, LtclError, StrictConvexityError, check, list_of, one_of
@@ -34,6 +36,7 @@ CASES = [
     ("TrainConfig", "epochs", BAD_COUNTS, lambda v: training.TrainConfig(0.1, epochs=v)),
     ("TrainConfig", "batch_size", BAD_COUNTS, lambda v: training.TrainConfig(0.1, batch_size=v)),
     ("TrainConfig", "schedule", ["linear", NAN], lambda v: training.TrainConfig(0.1, schedule=v)),
+    ("TrainConfig", "seed", [-1, 1.5, "x", True, NAN, INF], lambda v: training.TrainConfig(0.1, seed=v)),
     ("gamma", "imbalance_factor", [0.5, NAN, -INF], datasets.gamma),
     ("longtail_profile", "n_classes", BAD_COUNTS, lambda v: datasets.longtail_profile(v, 100, 10.0)),
     ("longtail_profile", "n_max", BAD_COUNTS, lambda v: datasets.longtail_profile(4, v, 10.0)),
@@ -61,6 +64,8 @@ CASES = [
     ("lemma2_bound", "delta", [-1.0, NAN, -INF], lambda v: bounds.lemma2_bound(v, 1.0, 1.0)),
     ("BoundGridConfig", "grad_tolerance", [0.0, -1.0, NAN, INF, -INF],
      lambda v: bounds.BoundGridConfig(grad_tolerance=v)),
+    ("BoundGridConfig", "head_fraction", [0, 2.0, -0.5, NAN, INF, -INF],
+     lambda v: bounds.BoundGridConfig(head_fraction=v)),
 ]
 
 
@@ -95,3 +100,53 @@ def test_lemma2_bound_rejects_a_nan_eigenvalue():
     for lam in [(NAN, 1.0), (1.0, NAN)]:
         with pytest.raises(StrictConvexityError):
             bounds.lemma2_bound(1.0, *lam)
+
+
+def _train(config, term=None):
+    training.train(MODEL, DATASET, SPEC, config, term)
+
+
+def _strategy_constructors():
+    for variant, strategy in continual.STRATEGIES.items():
+        if strategy.settings:
+            yield (f"strategy_term.{variant}", {key: default for key, (default, _) in strategy.settings.items()},
+                   lambda kw, variant=variant: continual.strategy_term(variant, MODEL, DATASET, {0, 1}, SPEC, **kw),
+                   lambda term: _train(training.TrainConfig(0.01), term))
+
+
+# (name, valid keywords, build from keywords, use of what was built)
+PUBLIC_CONSTRUCTORS = [
+    ("TrainConfig", dict(learning_rate=0.1, momentum=0.5, epochs=1, batch_size=4, schedule="cosine", seed=0),
+     lambda kw: training.TrainConfig(**kw), _train),
+    ("LossSpec", dict(mu=1e-4), lambda kw: models.LossSpec(**kw),
+     lambda spec: training.train(MODEL, DATASET, spec, training.TrainConfig(0.1))),
+    ("BoundGridConfig", dict(head_fraction=0.6, grad_tolerance=1e-8, compute_lemma2=True),
+     lambda kw: bounds.BoundGridConfig(**kw), lambda config: datasets.head_tail_split(DATASET, config.head_fraction)),
+    ("longtail_profile", dict(n_classes=4, n_max=100, imbalance_factor=10.0),
+     lambda kw: datasets.longtail_profile(**kw), lambda profile: None),
+    *_strategy_constructors(),
+]
+# what a caller may pass where a number belongs
+ANY_VALUE = st.one_of(
+    st.integers(-2, 3), st.floats(), st.sampled_from([NAN, INF, -INF, 2.5]), st.booleans(), st.text(max_size=3),
+)
+
+
+@pytest.mark.parametrize("valid, build, use", [pytest.param(*entry[1:], id=entry[0]) for entry in PUBLIC_CONSTRUCTORS])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_public_constructors_construct_or_raise_value_error(valid, build, use, data):
+    # one keyword at a time gets any value: the call raises ValueError, or
+    # what it builds works, failing at most with the package's own errors
+    # (an empty head class, a loss that an infinite weight makes diverge),
+    # never a TypeError later
+    key = data.draw(st.sampled_from(sorted(valid)))
+    try:
+        built = build({**valid, key: data.draw(ANY_VALUE)})
+    except ValueError:
+        return
+    try:
+        with np.errstate(all="ignore"):
+            use(built)
+    except LtclError:
+        pass
