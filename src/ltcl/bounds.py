@@ -60,8 +60,8 @@ import numpy as np
 
 from .datasets import LabeledDataset, head_tail_split
 from .errors import (
-    AT_LEAST_0, FINITE_POSITIVE, FRACTION, DegenerateConvexityError, EigensolverError, MinimizerCertificationError,
-    ShapeMismatchError, StrictConvexityError, check,
+    AT_LEAST_0, BOOL, FINITE_POSITIVE, FRACTION, SEED, DegenerateConvexityError, EigensolverError,
+    MinimizerCertificationError, ShapeMismatchError, StrictConvexityError, check, seeded_rng,
 )
 from .models import LinearModel, LossSpec, hessian_operator
 
@@ -84,14 +84,16 @@ class TrainTrace:
 
 @dataclass
 class BoundReport:
-    """Measured minimizer distance and its upper bounds for one grid cell."""
+    """Measured minimizer distance and its upper bounds for one grid cell.
+    The bounds keep their defaults, NaN and None, unless both minimizers
+    are certified."""
 
     imbalance_factor: float
     mu_full: float
     measured_distance: float
-    delta: float
-    loose_bound: float
-    tight_bound: float
+    delta: float = math.nan
+    loose_bound: float = math.nan
+    tight_bound: float = math.nan
     lemma2_bound: float | None = None
     lambda_min_full: float | None = None
     lambda_min_head: float | None = None
@@ -206,7 +208,7 @@ def min_eigenvalue(apply, dim: int, lower: float | None = None) -> float:
     """
     if dim < 1:
         raise ShapeMismatchError("the smallest eigenvalue of an empty matrix is undefined")
-    q = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
+    q = seeded_rng(LANCZOS_SEED).standard_normal(dim)
     basis = np.empty((min(LANCZOS_ROWS, dim), dim))
     basis[0] = q / np.linalg.norm(q)
     alphas: list = []
@@ -252,25 +254,23 @@ def min_eigenvalue(apply, dim: int, lower: float | None = None) -> float:
     )
 
 
-def loss_gap_surrogate(
-    losses,
-    theta_full: np.ndarray,
-    theta_head: np.ndarray,
-    n_probes: int = 64,
-    seed: int = 0,
-) -> float:
+LOSS_GAP_PROBES = 64  # seeded probes of loss_gap_surrogate, besides the two minimizers
+
+
+def loss_gap_surrogate(losses, theta_full: np.ndarray, theta_head: np.ndarray, seed: int = 0) -> float:
     """Sampled stand-in for the global max of |loss_full - loss_head|.
 
     losses(stack) maps a stack of parameter vectors, one per row, to the
-    arrays (loss_full, loss_head) of their values. Evaluates the gap at both minimizers plus seeded interpolates and
+    arrays (loss_full, loss_head) of their values. Evaluates the gap at
+    both minimizers plus LOSS_GAP_PROBES seeded interpolates and
     perturbations of the segment between them. The true global maximum
     is unbounded for cross-entropy, so this surrogate only feeds the
     loose and lemma2 bounds; the tight bound needs no delta.
     """
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     segment = theta_head - theta_full
     scale = 0.05 * float(np.linalg.norm(segment))
-    probes = np.empty((n_probes + 2, len(segment)))
+    probes = np.empty((LOSS_GAP_PROBES + 2, len(segment)))
     probes[0], probes[1] = theta_full, theta_head
     for point in probes[2:]:
         t = rng.uniform(0.0, 1.0)
@@ -339,6 +339,7 @@ class BoundGridConfig:
         check("head_fraction", self.head_fraction, FRACTION)
         # 0 would never certify and inf would certify any start
         check("grad_tolerance", self.grad_tolerance, FINITE_POSITIVE)
+        check("compute_lemma2", self.compute_lemma2, BOOL)
 
 
 NEWTON_MAX_ITERS = 200_000  # cap on Newton iterations per minimizer
@@ -404,7 +405,9 @@ def _train_to_stationarity(
     NEWTON_MAX_ITERS Newton iterations. Returns (model, trace); the trace
     counts Newton iterations in epochs_run and is converged exactly when
     the full-batch gradient norm is at most config.grad_tolerance. A
-    stalled line search or a non-finite loss ends the solve unconverged.
+    stalled line search, a non-finite loss, or an accepted step that
+    lowers neither the loss nor the gradient norm (the tolerance is below
+    what rounding lets the gradient reach) ends the solve unconverged.
     CG stops at the residual min(0.5, sqrt(||g||))*||g||, but never below
     config.grad_tolerance/2: the certificate checks nothing finer, and a
     step that still leaves ||g|| above the tolerance just costs one more
@@ -427,9 +430,13 @@ def _train_to_stationarity(
         accepted = _armijo_step(model, x, y, spec, value, grad, step)
         if accepted is None:
             break
-        model, value, grad = accepted
-        grad_norm = float(np.linalg.norm(grad))
+        model, next_value, grad = accepted
+        next_norm = float(np.linalg.norm(grad))
         iterations += 1
+        stalled = next_value >= value and next_norm >= grad_norm
+        value, grad_norm = next_value, next_norm
+        if stalled:
+            break
     return model, TrainTrace(
         final_grad_norm=grad_norm,
         epochs_run=iterations,
@@ -452,6 +459,7 @@ def evaluate_cell(
     those rows were fitted to tail samples, which the head objective does
     not contain, while the head rows start near their head optimum.
     """
+    check("cell_seed", cell_seed, SEED)
     split = head_tail_split(full_dataset, config.head_fraction)
     spec = LossSpec(mu=mu)
 
@@ -464,41 +472,29 @@ def evaluate_cell(
 
     theta_full = model_full.get_params()
     theta_head = model_head.get_params()
-    measured = float(np.linalg.norm(theta_full - theta_head))
-
-    losses = _probe_losses(split, mu)
-    if trace_full.converged and trace_head.converged:
-        delta_hat = loss_gap_surrogate(losses, theta_full, theta_head, seed=cell_seed)
-        loose = float(np.sqrt(lemma1_bound(delta_hat, mu, mu)))
-        tight = tight_bound(theta_full, theta_head, losses, mu, mu)
-        lemma2 = lam_full = lam_head = None
-        if config.compute_lemma2:
-            n_params = model_full.layout.total_size
-            # H = H_CE + mu*I with H_CE positive semidefinite, so mu is a proven lower bound
-            lam_full = min_eigenvalue(hessian_operator(model_full, full_dataset, spec), n_params, lower=mu)
-            lam_head = min_eigenvalue(hessian_operator(model_head, split.head, spec), n_params, lower=mu)
-            lemma2 = float(np.sqrt(lemma2_bound(delta_hat, lam_full, lam_head)))
-    else:
-        delta_hat = float("nan")
-        loose = float("nan")
-        tight = float("nan")
-        lemma2 = lam_full = lam_head = None
-
-    return BoundReport(
+    report = BoundReport(
         imbalance_factor=float(imbalance),
         mu_full=float(mu),
-        measured_distance=measured,
-        delta=delta_hat,
-        loose_bound=loose,
-        tight_bound=tight,
-        lemma2_bound=lemma2,
-        lambda_min_full=lam_full,
-        lambda_min_head=lam_head,
+        measured_distance=float(np.linalg.norm(theta_full - theta_head)),
         converged_full=trace_full.converged,
         converged_head=trace_head.converged,
         epochs_full=trace_full.epochs_run,
         epochs_head=trace_head.epochs_run,
     )
+    if report.failed:
+        return report
+
+    losses = _probe_losses(split, mu)
+    delta = report.delta = loss_gap_surrogate(losses, theta_full, theta_head, seed=cell_seed)
+    report.loose_bound = float(np.sqrt(lemma1_bound(delta, mu, mu)))
+    report.tight_bound = tight_bound(theta_full, theta_head, losses, mu, mu)
+    if config.compute_lemma2:
+        n_params = model_full.layout.total_size
+        # H = H_CE + mu*I with H_CE positive semidefinite, so mu is a proven lower bound
+        report.lambda_min_full = min_eigenvalue(hessian_operator(model_full, full_dataset, spec), n_params, lower=mu)
+        report.lambda_min_head = min_eigenvalue(hessian_operator(model_head, split.head, spec), n_params, lower=mu)
+        report.lemma2_bound = float(np.sqrt(lemma2_bound(delta, report.lambda_min_full, report.lambda_min_head)))
+    return report
 
 
 def bound_grid(

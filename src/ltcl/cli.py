@@ -272,8 +272,7 @@ def run_bound_grid(cfg: dict, out_dir: Path) -> int:
     )
     rows = [
         (r.imbalance_factor, r.mu_full, r.measured_distance, r.delta, r.loose_bound, r.tight_bound,
-         r.lemma2_bound, not r.failed and r.holds["tight"], not r.failed and r.holds["loose"],
-         r.converged_full, r.converged_head)
+         r.lemma2_bound, r.holds["tight"], r.holds["loose"], r.converged_full, r.converged_head)
         for r in reports
     ]
     _write_csv(out_dir / "bounds.csv", BOUNDS_CSV_HEADER, rows)

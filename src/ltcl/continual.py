@@ -18,7 +18,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .datasets import HeadTailSplit, LabeledDataset
-from .errors import AT_LEAST_0, COUNT, FRACTION, POSITIVE, EmptyClassError, ShapeMismatchError, check, one_of
+from .errors import (
+    COUNT, FINITE_AT_LEAST_0, FINITE_POSITIVE, FRACTION, SEED, EmptyClassError, ShapeMismatchError, check, one_of,
+    seeded_rng,
+)
 from .metrics import MetricsReport, evaluate
 from .models import LossSpec, ObjectiveTerm, log_softmax, softmax_probs
 from .training import TrainConfig, train
@@ -40,10 +43,11 @@ _HEAD_SAMPLES = (2000, COUNT)  # head samples drawn for the Fisher or the bases
 # baseline gets the EWC optimization budget.
 STRATEGIES = {
     "naive": Strategy(_EWC_BUDGET, {}),
-    "ewc": Strategy(_EWC_BUDGET, {"cl_weight": (10.0, AT_LEAST_0), "fisher_max_samples": _HEAD_SAMPLES}),
-    "modified_ewc": Strategy(_EWC_BUDGET, {"cl_weight": (1000.0, AT_LEAST_0), "fisher_max_samples": _HEAD_SAMPLES}),
+    "ewc": Strategy(_EWC_BUDGET, {"cl_weight": (10.0, FINITE_AT_LEAST_0), "fisher_max_samples": _HEAD_SAMPLES}),
+    "modified_ewc": Strategy(_EWC_BUDGET,
+                             {"cl_weight": (1000.0, FINITE_AT_LEAST_0), "fisher_max_samples": _HEAD_SAMPLES}),
     "lwf": Strategy(dict(learning_rate=0.001, momentum=0.9, schedule="constant", epochs=5),
-                    {"cl_weight": (0.01, AT_LEAST_0), "temperature": (2.0, POSITIVE)}),
+                    {"cl_weight": (0.01, FINITE_AT_LEAST_0), "temperature": (2.0, FINITE_POSITIVE)}),
     "gpm": Strategy(dict(learning_rate=0.001, momentum=0.0, schedule="cosine", epochs=100),
                     {"energy_threshold": (0.97, FRACTION), "fisher_max_samples": _HEAD_SAMPLES}),
 }
@@ -82,7 +86,7 @@ def fisher_diagonal(model, dataset: LabeledDataset, mode: str, max_samples: int,
     per-sample square, (delta**2).T @ a**2 per layer.
     """
     check("mode", mode, one_of(*FISHER_MODES))
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     rows = _sample_rows(dataset, max_samples, rng)
     n = len(rows)
     logits, activations = model.forward_with_activations(dataset.features[rows])
@@ -135,7 +139,7 @@ def lwf_loss(student_logits, teacher_logits, true_labels, temperature, cl_weight
         raise ShapeMismatchError(
             f"logit shapes differ: {student_logits.shape} vs {teacher_logits.shape}"
         )
-    check("temperature", temperature, POSITIVE)
+    check("temperature", temperature, FINITE_POSITIVE)
     n = len(student_logits)
     logp = log_softmax(student_logits)
     ce = -logp[np.arange(n), np.asarray(true_labels)].mean()
@@ -159,7 +163,7 @@ def gpm_collect_bases(
     vectors reaching the energy threshold is kept as basis columns.
     """
     check("energy_threshold", energy_threshold, FRACTION)
-    rows = _sample_rows(head_dataset, max_samples, np.random.default_rng(seed))
+    rows = _sample_rows(head_dataset, max_samples, seeded_rng(seed))
     _, activations = model.forward_with_activations(head_dataset.features[rows])
     bases = []
     for act in activations:
@@ -259,6 +263,7 @@ def strategy_term(
     check fails raises ValueError. Fisher and GPM subsample head_dataset
     with `seed`; the term copies what it keeps, so `model` may change later."""
     check("variant", variant, one_of(*VARIANTS))
+    check("seed", seed, SEED)
     table = STRATEGIES[variant].settings
     unread = sorted(set(settings) - set(table))
     if unread:

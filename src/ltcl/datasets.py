@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (
     AT_LEAST_1, COUNT, FRACTION, POSITIVE, CapacityError, DatasetError, EmptyClassError, IdxParseError,
-    NonFiniteInputError, ShapeMismatchError, check,
+    NonFiniteInputError, ShapeMismatchError, check, seeded_rng,
 )
 
 IDX_LABELS_MAGIC = 0x00000801
@@ -148,7 +148,7 @@ def make_longtail(
     if n_max is None:
         n_max = int(dataset.class_counts.min())
     targets = longtail_profile(dataset.n_classes, n_max, imbalance_factor)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     keep = []
     for c, target in enumerate(targets):
         rows = np.flatnonzero(dataset.labels == c)
@@ -242,7 +242,7 @@ def synthetic_gaussian(
     for name, value in (("n_classes", n_classes), ("n_features", n_features), ("n_per_class", n_per_class)):
         check(name, value, COUNT)
     check("class_separation", class_separation, POSITIVE)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     features = rng.standard_normal((n_classes * n_per_class, n_features))
     labels = np.repeat(np.arange(n_classes), n_per_class)
     features[np.arange(len(labels)), labels % n_features] += class_separation

@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and the value rules with
-the one `check` that applies them."""
+"""Exception types shared across the package, the value rules with the
+one `check` that applies them, and the one seeded random generator."""
 import math
 import numbers
 from pathlib import Path
+
+import numpy as np
 
 
 class LtclError(Exception):
@@ -88,6 +90,7 @@ AT_LEAST_0 = (lambda v: v >= 0, "must be >= 0")
 AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
 COUNT = (lambda v: _integer(v) and v >= 1, "must be an integer >= 1")
 SEED = (lambda v: _integer(v) and v >= 0, "must be an integer >= 0")  # what numpy's generators accept
+BOOL = (lambda v: isinstance(v, (bool, np.bool_)), "must be a bool")
 POSITIVE = (lambda v: v > 0, "must be positive")
 FRACTION = (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
 AT_LEAST_0_BELOW_1 = (lambda v: 0.0 <= v < 1.0, "must be in [0, 1)")
@@ -119,3 +122,9 @@ def check(name: str, value, rule) -> None:
         passed = False
     if not passed:
         raise ValueError(f"{name} {message}, got {value!r}")
+
+
+def seeded_rng(seed) -> "np.random.Generator":
+    """numpy's default generator for seed, which must pass the SEED rule."""
+    check("seed", seed, SEED)
+    return np.random.default_rng(seed)

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset
-from .errors import FINITE_AT_LEAST_0, CapacityError, CheckpointError, ShapeMismatchError, UnsupportedModelError, check
+from .errors import (
+    FINITE_AT_LEAST_0, CapacityError, CheckpointError, ShapeMismatchError, UnsupportedModelError, check, seeded_rng,
+)
 
 HESSIAN_PARAM_GUARD = 5000
 HESSIAN_CHUNK = 2048  # rows per pass of the dense Hessian
@@ -85,15 +87,14 @@ class ObjectiveTerm:
 
 
 class GradientWorkspace:
-    """The buffers one training run reuses at every step, made from the
-    flat parameter vector: the gradient `grad`, a parameter-sized
-    `scratch` vector, and `views`, the layout views of `grad`, which the
-    model that fills it sets on first use."""
+    """The buffers one training run reuses at every step, made for a
+    model: the flat gradient `grad`, `views`, the model's layout views of
+    `grad`, and a parameter-sized `scratch` vector."""
 
-    def __init__(self, params):
-        self.grad = np.empty_like(params)
-        self.scratch = np.empty_like(params)
-        self.views = None
+    def __init__(self, model):
+        self.grad = np.empty_like(model.params)
+        self.scratch = np.empty_like(model.params)
+        self.views = model.layout.views(self.grad)
 
 
 class _Network:
@@ -195,9 +196,7 @@ class _Network:
         """
         inputs = activations if inputs is None else inputs
         if out is None:
-            out = GradientWorkspace(self._params)
-        if out.views is None:
-            out.views = self.layout.views(out.grad)
+            out = GradientWorkspace(self)
         views = out.views
         for i in range(len(self._weights) - 1, -1, -1):
             a = activations[i]
@@ -214,7 +213,7 @@ class _Network:
         gradient fills `out`, a `GradientWorkspace`, and is its `grad`; by
         default it is a new array. An `ObjectiveTerm` extends both."""
         if out is None:
-            out = GradientWorkspace(self._params)
+            out = GradientWorkspace(self)
         n = len(labels)
         rows = np.arange(n)
         logits, activations = self.forward_with_activations(features)
@@ -251,7 +250,7 @@ class LinearModel(_Network):
 
     @classmethod
     def initialize(cls, n_features: int, n_classes: int, seed: int) -> "LinearModel":
-        rng = np.random.default_rng(seed)
+        rng = seeded_rng(seed)
         bound = 1.0 / np.sqrt(n_features)
         return cls(
             rng.uniform(-bound, bound, size=(n_classes, n_features)),
@@ -283,7 +282,7 @@ class MlpModel(_Network):
         """Scaled-uniform fan-in weights, zero biases."""
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
-        rng = np.random.default_rng(seed)
+        rng = seeded_rng(seed)
         weights, biases = [], []
         for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
             bound = 1.0 / np.sqrt(fan_in)
@@ -374,39 +373,38 @@ def hessian_operator(model, dataset: LabeledDataset, spec: LossSpec):
         raise ValueError("hessian of an empty dataset is undefined")
     x = dataset.features
     n = len(x)
-    c, d = model.n_classes, model.n_features
-    n_params = model.layout.total_size
+    layout = model.layout
     probs_t = np.ascontiguousarray(softmax_probs(model.forward(x)).T)
 
     def apply(v) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (n_params,):
-            raise ShapeMismatchError(f"expected a vector of length {n_params}, got {v.shape}")
-        v_w, v_b = v[: c * d].reshape(c, d), v[c * d :]
+        v_w, v_b = layout.views(np.asarray(v, dtype=np.float64))
         s = v_w @ x.T
         s += v_b[:, None]
         s *= probs_t
         s -= probs_t * s.sum(axis=0)
         s /= n
-        out = np.empty(n_params)
-        out_w = out[: c * d].reshape(c, d)
+        out = np.empty(layout.total_size)
+        out_w, out_b = layout.views(out)
         np.matmul(s, x, out=out_w)
         out_w += spec.mu * v_w
-        np.add(s.sum(axis=1), spec.mu * v_b, out=out[c * d :])
+        np.add(s.sum(axis=1), spec.mu * v_b, out=out_b)
         return out
 
     return apply
 
 
 def softmax_smoothness_bound(dataset: LabeledDataset, mu: float, iters: int = 200) -> float:
-    """Upper bound on the largest Hessian eigenvalue of the CE loss.
+    """Estimate of the largest Hessian eigenvalue of the regularized CE loss.
 
-    Uses the multinomial curvature bound diag(p) - pp^T <= I/2 combined
-    with a power-iteration estimate of lambda_max(X~^T X~ / n).
+    Combines the multinomial curvature bound diag(p) - pp^T <= I/2 with a
+    power-iteration estimate of lambda_max(X~^T X~ / n), times 1.01. Power
+    iteration approaches lambda_max from below and the 1.01 margin is not
+    derived from its error, so this is an estimate, not a certified upper
+    bound.
     """
     x = dataset.features
     n = len(x)
-    rng = np.random.default_rng(0)
+    rng = seeded_rng(0)
     v = rng.standard_normal(x.shape[1] + 1)
     v /= np.linalg.norm(v)
     lam = 0.0

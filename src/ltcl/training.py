@@ -12,7 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset
-from .errors import AT_LEAST_0_BELOW_1, COUNT, FINITE_POSITIVE, SEED, DivergenceError, EmptyClassError, check, one_of
+from .errors import (
+    AT_LEAST_0_BELOW_1, COUNT, FINITE_POSITIVE, SEED, DivergenceError, EmptyClassError, check, one_of, seeded_rng,
+)
 from .models import GradientWorkspace, LossSpec
 
 SCHEDULES = ("constant", "cosine")
@@ -67,11 +69,12 @@ def train(
     """Run config.epochs epochs of SGD with classical momentum; returns
     (trained copy, epoch_losses), the mean batch loss of each epoch.
 
-    The model needs `copy()`, a flat float64 `params` buffer that its
+    The model needs `copy()`, a flat float64 `params` buffer laid out by
+    its `layout` (a `models.ParamLayout`), and a
     `loss_and_gradient(features, labels, spec, term, out=workspace)`
-    reads. `workspace` is one `models.GradientWorkspace`, made from
-    `params` once per call; the model fills its `grad` and returns
-    (loss, grad). Training updates the copy's `params` in place.
+    that reads `params`. `workspace` is one `models.GradientWorkspace`,
+    made for the copy once per call; the model fills its `grad` and
+    returns (loss, grad). Training updates the copy's `params` in place.
     `term` (a `models.ObjectiveTerm`) extends every step's objective.
     """
     if dataset.n_samples == 0:
@@ -81,8 +84,8 @@ def train(
     n = dataset.n_samples
     theta = model.params
     velocity = np.zeros_like(theta) if config.momentum else None
-    workspace = GradientWorkspace(theta)
-    rng = np.random.default_rng(config.seed)
+    workspace = GradientWorkspace(model)
+    rng = seeded_rng(config.seed)
     losses = []
 
     for epoch in range(config.epochs):

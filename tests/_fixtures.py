@@ -97,7 +97,10 @@ def corpus():
 def heavy_ball_minimizer(dataset, mu, tol, max_iters, start=None):
     """Independent oracle for the mu-regularized CE minimizer: full-batch
     heavy ball with lr = 1/L and beta = (1 - sqrt(mu/L))^2, L from
-    `models.softmax_smoothness_bound`, stopped at ||grad|| <= tol.
+    `models.softmax_smoothness_bound`, stopped at ||grad|| <= tol. That L
+    is a power-iteration estimate times 1.01, not a certified upper bound
+    on the curvature, so the step size is not proven stable: a run that
+    diverges fails by not reaching tol.
 
     Starts from `start` (zeros when None); returns (model, steps taken)
     and fails if max_iters steps do not reach tol.

@@ -167,7 +167,7 @@ def test_ewc_penalty_gradient():
 def test_ewc_term_value_equals_penalty_exactly():
     rng = np.random.default_rng(4)
     anchor, fisher, theta = rng.standard_normal(50), rng.random(50), rng.standard_normal(50)
-    workspace = models.GradientWorkspace(theta)
+    workspace = models.GradientWorkspace(models.LinearModel.zeros(9, 5))  # 50 parameters
     workspace.grad[...] = 0.0
     value = continual._EwcTerm(anchor, fisher, 3.0).param_term(theta, workspace)
     assert value == continual.ewc_penalty(theta, anchor, fisher, 3.0)
@@ -630,7 +630,7 @@ def _model_and_term(kind, variant, ds):
 def test_workspace_gradient_bit_identical_to_allocating_call(kind, variant):
     ds = datasets.synthetic_gaussian(4, 6, 30, 2.0, seed=3)
     model, term = _model_and_term(kind, variant, ds)
-    workspace = models.GradientWorkspace(model.params)
+    workspace = models.GradientWorkspace(model)
     for rows in (slice(0, 8), slice(8, 10), slice(None)):
         x, y = ds.features[rows], ds.labels[rows]
         # every entry must be written, whatever the previous step left
@@ -653,9 +653,9 @@ def test_workspace_step_allocates_less_than_one_parameter_vector(variant):
     ds = datasets.synthetic_gaussian(3, 200, 10, 2.0, seed=0)
     model = models.MlpModel.initialize([200, 128, 3], seed=0)
     term = None if variant is None else continual.strategy_term(variant, model, ds, range(2), SPEC)
-    workspace = models.GradientWorkspace(model.params)
+    workspace = models.GradientWorkspace(model)
     x, y = ds.features[:2], ds.labels[:2]
-    model.loss_and_gradient(x, y, SPEC, term, out=workspace)  # sets the layout views
+    model.loss_and_gradient(x, y, SPEC, term, out=workspace)
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:

@@ -13,18 +13,33 @@ NAN, INF = math.nan, math.inf
 DATASET = datasets.synthetic_gaussian(3, 4, 10, 2.0, seed=0)
 MODEL = models.MlpModel.initialize([4, 5, 3], seed=0)
 LOGITS = np.zeros((2, 3))
+_LOSSES = lambda stack: (np.zeros(len(stack)), np.zeros(len(stack)))  # noqa: E731
 SPEC = models.LossSpec(mu=1e-4)
 BAD_COUNTS = [0, 2.5, True, NAN, INF, -INF]  # a count is an integer >= 1 and no bool
+BAD_SEEDS = [-1, 1.5, "x", True, NAN, INF]  # a seed is an integer >= 0 and no bool
 
 
 def _strategy_cases():
     for variant, strategy in continual.STRATEGIES.items():
         for key in strategy.settings:
-            bad = [1.5 if key == "energy_threshold" else -1.0, NAN, -INF]
+            bad = [1.5 if key == "energy_threshold" else -1.0, NAN, INF, -INF]
             bad = BAD_COUNTS if key == "fisher_max_samples" else bad
             yield (f"strategy_term.{variant}.{key}", key, bad,
                    lambda v, variant=variant, key=key: continual.strategy_term(
                        variant, MODEL, DATASET, {0, 1}, SPEC, **{key: v}))
+        yield (f"strategy_term.{variant}", "seed", BAD_SEEDS,
+               lambda v, variant=variant: continual.strategy_term(variant, MODEL, DATASET, {0, 1}, SPEC, seed=v))
+
+
+def _seed_cases():
+    """Every public seed, each checked before any work starts."""
+    yield "fisher_diagonal", lambda v: continual.fisher_diagonal(MODEL, DATASET, "true_loss", 10, seed=v)
+    yield "gpm_collect_bases", lambda v: continual.gpm_collect_bases(MODEL, DATASET, 0.9, 10, seed=v)
+    yield "make_longtail", lambda v: datasets.make_longtail(DATASET, 2.0, seed=v)
+    yield "synthetic_gaussian", lambda v: datasets.synthetic_gaussian(3, 4, 10, 2.0, seed=v)
+    yield "LinearModel.initialize", lambda v: models.LinearModel.initialize(4, 3, seed=v)
+    yield "MlpModel.initialize", lambda v: models.MlpModel.initialize([4, 5, 3], seed=v)
+    yield "loss_gap_surrogate", lambda v: bounds.loss_gap_surrogate(_LOSSES, np.zeros(2), np.ones(2), seed=v)
 
 
 # (site, parameter, rejected values, call with the value); a rule that
@@ -36,7 +51,7 @@ CASES = [
     ("TrainConfig", "epochs", BAD_COUNTS, lambda v: training.TrainConfig(0.1, epochs=v)),
     ("TrainConfig", "batch_size", BAD_COUNTS, lambda v: training.TrainConfig(0.1, batch_size=v)),
     ("TrainConfig", "schedule", ["linear", NAN], lambda v: training.TrainConfig(0.1, schedule=v)),
-    ("TrainConfig", "seed", [-1, 1.5, "x", True, NAN, INF], lambda v: training.TrainConfig(0.1, seed=v)),
+    ("TrainConfig", "seed", BAD_SEEDS, lambda v: training.TrainConfig(0.1, seed=v)),
     ("gamma", "imbalance_factor", [0.5, NAN, -INF], datasets.gamma),
     ("longtail_profile", "n_classes", BAD_COUNTS, lambda v: datasets.longtail_profile(v, 100, 10.0)),
     ("longtail_profile", "n_max", BAD_COUNTS, lambda v: datasets.longtail_profile(4, v, 10.0)),
@@ -52,7 +67,7 @@ CASES = [
     ("fisher_diagonal", "mode", ["fisher", NAN], lambda v: continual.fisher_diagonal(MODEL, DATASET, v, 10)),
     ("_sample_rows", "max_samples", BAD_COUNTS,
      lambda v: continual._sample_rows(DATASET, v, np.random.default_rng(0))),
-    ("lwf_loss", "temperature", [0.0, NAN, -INF], lambda v: continual.lwf_loss(LOGITS, LOGITS, [0, 1], v, 1.0)),
+    ("lwf_loss", "temperature", [0.0, NAN, INF, -INF], lambda v: continual.lwf_loss(LOGITS, LOGITS, [0, 1], v, 1.0)),
     ("gpm_collect_bases", "energy_threshold", [0.0, 1.5, NAN, INF, -INF],
      lambda v: continual.gpm_collect_bases(MODEL, DATASET, v, 10)),
     ("strategy_term", "variant", ["dropout", NAN],
@@ -66,6 +81,12 @@ CASES = [
      lambda v: bounds.BoundGridConfig(grad_tolerance=v)),
     ("BoundGridConfig", "head_fraction", [0, 2.0, -0.5, NAN, INF, -INF],
      lambda v: bounds.BoundGridConfig(head_fraction=v)),
+    ("BoundGridConfig", "compute_lemma2", ["no", "", 1, 0, NAN, None],
+     lambda v: bounds.BoundGridConfig(compute_lemma2=v)),
+    # a cell seed that fails only after both Newton solves wastes them
+    ("evaluate_cell", "cell_seed", BAD_SEEDS,
+     lambda v: bounds.evaluate_cell(DATASET, 1.0, 0.1, bounds.BoundGridConfig(), cell_seed=v)),
+    *((site, "seed", BAD_SEEDS, call) for site, call in _seed_cases()),
 ]
 
 
@@ -109,9 +130,16 @@ def _train(config, term=None):
 def _strategy_constructors():
     for variant, strategy in continual.STRATEGIES.items():
         if strategy.settings:
-            yield (f"strategy_term.{variant}", {key: default for key, (default, _) in strategy.settings.items()},
+            yield (f"strategy_term.{variant}",
+                   {"seed": 0, **{key: default for key, (default, _) in strategy.settings.items()}},
                    lambda kw, variant=variant: continual.strategy_term(variant, MODEL, DATASET, {0, 1}, SPEC, **kw),
                    lambda term: _train(training.TrainConfig(0.01), term))
+
+
+def _score_cell(config):
+    # the flag says whether the cell's record holds a Lemma-2 bound
+    report = bounds.evaluate_cell(DATASET, 1.0, 0.1, config)
+    assert report.failed or (report.lemma2_bound is not None) == config.compute_lemma2
 
 
 # (name, valid keywords, build from keywords, use of what was built)
@@ -121,9 +149,25 @@ PUBLIC_CONSTRUCTORS = [
     ("LossSpec", dict(mu=1e-4), lambda kw: models.LossSpec(**kw),
      lambda spec: training.train(MODEL, DATASET, spec, training.TrainConfig(0.1))),
     ("BoundGridConfig", dict(head_fraction=0.6, grad_tolerance=1e-8, compute_lemma2=True),
-     lambda kw: bounds.BoundGridConfig(**kw), lambda config: datasets.head_tail_split(DATASET, config.head_fraction)),
+     lambda kw: bounds.BoundGridConfig(**kw), _score_cell),
     ("longtail_profile", dict(n_classes=4, n_max=100, imbalance_factor=10.0),
      lambda kw: datasets.longtail_profile(**kw), lambda profile: None),
+    ("synthetic_gaussian", dict(n_classes=3, n_features=4, n_per_class=10, class_separation=2.0, seed=0),
+     lambda kw: datasets.synthetic_gaussian(**kw), lambda dataset: None),
+    ("make_longtail", dict(imbalance_factor=2.0, seed=0, n_max=5),
+     lambda kw: datasets.make_longtail(DATASET, **kw), lambda dataset: None),
+    ("LinearModel.initialize", dict(seed=0), lambda kw: models.LinearModel.initialize(4, 3, **kw),
+     lambda model: training.train(model, DATASET, SPEC, training.TrainConfig(0.1))),
+    ("MlpModel.initialize", dict(seed=0), lambda kw: models.MlpModel.initialize([4, 5, 3], **kw),
+     lambda model: training.train(model, DATASET, SPEC, training.TrainConfig(0.1))),
+    ("fisher_diagonal", dict(max_samples=10, seed=0),
+     lambda kw: continual.fisher_diagonal(MODEL, DATASET, "true_loss", **kw), lambda fisher: None),
+    ("gpm_collect_bases", dict(energy_threshold=0.9, max_samples=10, seed=0),
+     lambda kw: continual.gpm_collect_bases(MODEL, DATASET, **kw), lambda bases: None),
+    ("loss_gap_surrogate", dict(seed=0),
+     lambda kw: bounds.loss_gap_surrogate(_LOSSES, np.zeros(2), np.ones(2), **kw), lambda delta: None),
+    ("evaluate_cell", dict(cell_seed=0),
+     lambda kw: bounds.evaluate_cell(DATASET, 1.0, 0.1, bounds.BoundGridConfig(), **kw), lambda report: None),
     *_strategy_constructors(),
 ]
 # what a caller may pass where a number belongs

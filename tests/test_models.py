@@ -289,8 +289,10 @@ def test_hessian_vector_product_unsupported_and_shape():
     with pytest.raises(UnsupportedModelError):
         models.hessian_operator(mlp, _random_dataset(), models.LossSpec())(np.zeros(mlp.layout.total_size))
     model = models.LinearModel.zeros(4, 3)
-    with pytest.raises(ShapeMismatchError):
-        models.hessian_operator(model, _random_dataset(), models.LossSpec())(np.zeros(7))
+    apply = models.hessian_operator(model, _random_dataset(), models.LossSpec())
+    for wrong in (np.zeros(7), np.zeros(model.layout.total_size + 1), np.zeros((model.layout.total_size, 1))):
+        with pytest.raises(ShapeMismatchError):
+            apply(wrong)
 
 
 def test_mlp_forward_backward_contract():
@@ -330,6 +332,19 @@ def _both_kinds():
         models.LinearModel(rng.standard_normal((3, 4)), rng.standard_normal(3)),
         models.MlpModel.initialize([4, 5, 3], seed=3),
     )
+
+
+def test_gradient_workspace_views_are_the_layout_views_of_its_gradient():
+    for model in _both_kinds():
+        workspace = models.GradientWorkspace(model)
+        assert workspace.grad.shape == workspace.scratch.shape == model.params.shape
+        assert not np.shares_memory(workspace.grad, model.params)
+        assert not np.shares_memory(workspace.scratch, workspace.grad)
+        workspace.grad[:] = np.arange(model.layout.total_size)
+        assert len(workspace.views) == len(model.layout.shapes)
+        for view, shape, offset in zip(workspace.views, model.layout.shapes, model.layout.offsets):
+            assert view.base is workspace.grad and view.shape == shape
+            assert np.array_equal(view.ravel(), np.arange(offset, offset + view.size))
 
 
 def test_get_params_returns_a_copy():

@@ -6,11 +6,13 @@ from ltcl.errors import DivergenceError
 
 
 class QuadraticSurrogate:
-    """1-D objective (x - target)^2 on the flat buffer `params`; ignores the
-    dataset and fills the gradient workspace that `train` passes."""
+    """1-D objective (x - target)^2 on the flat buffer `params`, laid out
+    by `layout`; ignores the dataset and fills the gradient workspace that
+    `train` passes."""
 
     def __init__(self, x0=0.0, target=3.0):
         self.params = np.array([x0], dtype=np.float64)
+        self.layout = models.ParamLayout([(1,)])
         self.target = target
 
     def copy(self):
