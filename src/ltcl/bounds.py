@@ -60,7 +60,7 @@ import numpy as np
 
 from .datasets import LabeledDataset, head_tail_split
 from .errors import (
-    AT_LEAST_0, BOOL, FINITE_POSITIVE, FRACTION, SEED, DegenerateConvexityError, EigensolverError,
+    AT_LEAST_0, BOOL, FINITE_POSITIVE, FRACTION, POSITIVE, SEED, DegenerateConvexityError, EigensolverError,
     MinimizerCertificationError, ShapeMismatchError, StrictConvexityError, check, seeded_rng,
 )
 from .models import LinearModel, LossSpec, hessian_operator
@@ -459,6 +459,7 @@ def evaluate_cell(
     those rows were fitted to tail samples, which the head objective does
     not contain, while the head rows start near their head optimum.
     """
+    check("mu", mu, POSITIVE)
     check("cell_seed", cell_seed, SEED)
     split = head_tail_split(full_dataset, config.head_fraction)
     spec = LossSpec(mu=mu)
@@ -501,7 +502,7 @@ def bound_grid(
     dataset_builder,
     if_values,
     mu_values,
-    config: BoundGridConfig | None = None,
+    config: BoundGridConfig,
     workers: int = 1,
 ) -> list[BoundReport]:
     """Run the full (IF, mu) grid; reports are sorted by (IF, mu).
@@ -510,7 +511,6 @@ def bound_grid(
     dataset for that grid column. Failed (non-converged) cells are kept
     in the output with their converged flags cleared.
     """
-    config = config or BoundGridConfig()
     cells = [
         (i_if, i_mu, float(iv), float(mv))
         for i_if, iv in enumerate(if_values)

@@ -31,7 +31,7 @@ import yaml
 
 from . import __version__
 from .bounds import BoundGridConfig, bound_grid
-from .continual import DEFAULT_BATCH_SIZE, STRATEGIES, VARIANTS, default_phase2_config, run_head_phase, run_tail_phase
+from .continual import STRATEGIES, VARIANTS, default_phase2_config, run_head_phase, run_tail_phase
 from .datasets import head_tail_split, load_idx, make_longtail, mean_pool_images, synthetic_gaussian
 from .errors import (
     AT_LEAST_1, COUNT, FILE, FINITE_AT_LEAST_0, FINITE_POSITIVE, FRACTION, POSITIVE, SEED, ConfigError,
@@ -111,10 +111,10 @@ BOUND_GRID = {
     "compute_lemma2": Field(bool, BoundGridConfig.compute_lemma2),
 }
 
-# TrainConfig checks these values; a null batch_size takes the default, never full batch
+# TrainConfig checks these values
 TRAIN_TYPES = {"learning_rate": float, "momentum": float, "epochs": int, "batch_size": int, "schedule": str}
 PHASE1_DEFAULTS = {"learning_rate": 0.01, "momentum": 0.9, "epochs": 30,
-                   "batch_size": DEFAULT_BATCH_SIZE, "schedule": "constant"}
+                   "batch_size": TrainConfig.batch_size, "schedule": "constant"}
 
 
 def _train_table(defaults: dict) -> dict:

@@ -52,7 +52,6 @@ STRATEGIES = {
                     {"energy_threshold": (0.97, FRACTION), "fisher_max_samples": _HEAD_SAMPLES}),
 }
 VARIANTS = tuple(STRATEGIES)
-DEFAULT_BATCH_SIZE = 64
 _LOG_FLOOR = 1e-30  # floors distillation targets only, never the primary loss
 
 
@@ -72,7 +71,7 @@ class PhaseResult:
     gpm_projection_ratios: list = field(default_factory=list)
 
 
-def default_phase2_config(variant: str, seed: int = 0, batch_size: int | None = DEFAULT_BATCH_SIZE) -> TrainConfig:
+def default_phase2_config(variant: str, seed: int = 0, batch_size: int = TrainConfig.batch_size) -> TrainConfig:
     check("variant", variant, one_of(*VARIANTS))
     return TrainConfig(batch_size=batch_size, seed=seed, **STRATEGIES[variant].phase2)
 
@@ -140,6 +139,7 @@ def lwf_loss(student_logits, teacher_logits, true_labels, temperature, cl_weight
             f"logit shapes differ: {student_logits.shape} vs {teacher_logits.shape}"
         )
     check("temperature", temperature, FINITE_POSITIVE)
+    check("cl_weight", cl_weight, FINITE_AT_LEAST_0)
     n = len(student_logits)
     logp = log_softmax(student_logits)
     ce = -logp[np.arange(n), np.asarray(true_labels)].mean()
@@ -179,10 +179,11 @@ def gpm_collect_bases(
     return bases
 
 
-def gpm_project(gradient_for_layer: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
-    """Remove the gradient component inside span(basis) along layer inputs."""
+def gpm_project(gradient_for_layer: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Remove the gradient component inside span(basis) along layer inputs;
+    a basis with no columns removes nothing."""
     g = np.asarray(gradient_for_layer, dtype=np.float64)
-    if basis is None or basis.size == 0:
+    if basis.size == 0:
         return g.copy()
     if basis.ndim != 2 or g.shape[-1] != basis.shape[0]:
         raise ShapeMismatchError(

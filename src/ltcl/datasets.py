@@ -90,23 +90,6 @@ class HeadTailSplit:
     tail: LabeledDataset
 
 
-def imbalance_factor(counts) -> float:
-    """Ratio of the largest to the smallest per-class count."""
-    counts = np.asarray(counts)
-    if counts.size == 0:
-        raise EmptyClassError("cannot compute imbalance factor of zero classes")
-    if np.any(counts <= 0):
-        empty = int(np.flatnonzero(counts <= 0)[0])
-        raise EmptyClassError(f"class {empty} has no samples; imbalance factor undefined")
-    return float(counts.max()) / float(counts.min())
-
-
-def gamma(imbalance_factor: float) -> float:
-    """Head mixture weight IF/(1+IF), in [0.5, 1)."""
-    check("imbalance_factor", imbalance_factor, AT_LEAST_1)
-    return imbalance_factor / (1.0 + imbalance_factor)
-
-
 def longtail_profile(n_classes: int, n_max: int, imbalance_factor: float) -> np.ndarray:
     """(n_classes,) int64 per-class targets n_max * IF^(-c/(C-1)),
     truncated to integers, so non-increasing from n_max.
@@ -258,6 +241,7 @@ def mean_pool_images(dataset: LabeledDataset, factor: int = 2) -> LabeledDataset
     values as `.mean(axis=(2, 4))` on the window view, in a fraction of
     its time.
     """
+    check("factor", factor, COUNT)
     side = int(round(np.sqrt(dataset.n_features)))
     if side * side != dataset.n_features:
         raise ShapeMismatchError(f"features of length {dataset.n_features} are not square images")

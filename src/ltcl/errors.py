@@ -107,7 +107,7 @@ def list_of(rule, distinct: bool = False):
     """A non-empty list whose every item passes rule, and whose items
     differ when distinct."""
     test, message = rule
-    return (lambda vs: bool(vs) and all(test(v) for v in vs) and (not distinct or len(set(vs)) == len(vs)),
+    return (lambda vs: len(vs) > 0 and all(test(v) for v in vs) and (not distinct or len(set(vs)) == len(vs)),
             f"must be a non-empty list of {'distinct ' if distinct else ''}values, each of which {message}")
 
 

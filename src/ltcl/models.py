@@ -17,7 +17,8 @@ import numpy as np
 
 from .datasets import LabeledDataset
 from .errors import (
-    FINITE_AT_LEAST_0, CapacityError, CheckpointError, ShapeMismatchError, UnsupportedModelError, check, seeded_rng,
+    COUNT, FINITE_AT_LEAST_0, CapacityError, CheckpointError, ShapeMismatchError, UnsupportedModelError, check, list_of,
+    seeded_rng,
 )
 
 HESSIAN_PARAM_GUARD = 5000
@@ -237,7 +238,6 @@ class _Network:
 class LinearModel(_Network):
     """Multinomial logistic regression: logits = X W^T + b."""
 
-    kind = "linear"
     # each kind holds its own attribute, so calls can be patched per kind
     loss_and_gradient = _Network.loss_and_gradient
 
@@ -250,6 +250,8 @@ class LinearModel(_Network):
 
     @classmethod
     def initialize(cls, n_features: int, n_classes: int, seed: int) -> "LinearModel":
+        check("n_features", n_features, COUNT)
+        check("n_classes", n_classes, COUNT)
         rng = seeded_rng(seed)
         bound = 1.0 / np.sqrt(n_features)
         return cls(
@@ -269,7 +271,6 @@ class LinearModel(_Network):
 class MlpModel(_Network):
     """Fully connected rectifier network; identity output layer."""
 
-    kind = "mlp"
     loss_and_gradient = _Network.loss_and_gradient
 
     def __init__(self, weights, biases):
@@ -280,8 +281,9 @@ class MlpModel(_Network):
     @classmethod
     def initialize(cls, layer_sizes, seed: int) -> "MlpModel":
         """Scaled-uniform fan-in weights, zero biases."""
+        check("layer_sizes", layer_sizes, list_of(COUNT))
         if len(layer_sizes) < 2:
-            raise ValueError("need at least input and output sizes")
+            raise ValueError(f"layer_sizes must hold an input and an output size, got {layer_sizes!r}")
         rng = seeded_rng(seed)
         weights, biases = [], []
         for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):

@@ -1,8 +1,8 @@
 """Deterministic fixed-budget SGD with classical momentum.
 
-Every epoch is one pass over batches: the whole dataset as one batch
-when batch_size is None, otherwise the chunks of a seeded permutation.
-Minimizers that must be certified come from `bounds`, not from here.
+Every epoch is one pass over the batch_size-row chunks of a seeded
+permutation of the dataset; batch_size defaults to 64 here and nowhere
+else. Minimizers that must be certified come from `bounds`, not from here.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ class TrainConfig:
     learning_rate: float
     momentum: float = 0.0
     epochs: int = 1
-    batch_size: int | None = None  # None = full batch
+    batch_size: int = 64
     schedule: str = "constant"
     seed: int = 0
 
@@ -33,8 +33,7 @@ class TrainConfig:
         check("learning_rate", self.learning_rate, FINITE_POSITIVE)
         check("momentum", self.momentum, AT_LEAST_0_BELOW_1)
         check("epochs", self.epochs, COUNT)
-        if self.batch_size is not None:  # None is full batch
-            check("batch_size", self.batch_size, COUNT)
+        check("batch_size", self.batch_size, COUNT)
         check("schedule", self.schedule, one_of(*SCHEDULES))
         check("seed", self.seed, SEED)
 
@@ -90,13 +89,10 @@ def train(
 
     for epoch in range(config.epochs):
         lr = _lr_at(config, epoch)
-        if config.batch_size is None:
-            batches = [slice(None)]
-        else:
-            order = rng.permutation(n)
-            batches = [order[i : i + config.batch_size] for i in range(0, n, config.batch_size)]
+        order = rng.permutation(n)
         batch_losses = []
-        for rows in batches:
+        for start in range(0, n, config.batch_size):
+            rows = order[start : start + config.batch_size]
             value, grad = model.loss_and_gradient(x[rows], y[rows], spec, term, out=workspace)
             if not math.isfinite(value):
                 raise DivergenceError(epoch)

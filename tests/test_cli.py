@@ -465,6 +465,16 @@ def test_two_phase_manifest_echoes_hyperparameter_table(tmp_path):
     assert table["gpm"]["epochs"] == 100
 
 
+def test_null_batch_size_takes_the_default_not_full_batch(tmp_path):
+    out = tmp_path / "out"
+    cfg = _two_phase_config(out, strategies=["gpm"])
+    cfg["phase1"]["batch_size"] = None
+    cfg["strategy_overrides"]["gpm"]["batch_size"] = None
+    assert cli.main(["two-phase", "--config", str(_write_config(tmp_path, cfg))]) == 0
+    resolved = json.loads((out / "manifest.json").read_text())["resolved_config"]
+    assert resolved["phase1"]["batch_size"] == resolved["strategy_overrides"]["gpm"]["batch_size"] == 64
+
+
 def test_two_phase_rerun_from_manifest_byte_identical(tmp_path):
     out = tmp_path / "out"
     path = _write_config(tmp_path, _two_phase_config(out))

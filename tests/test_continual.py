@@ -376,8 +376,6 @@ def test_gpm_project_empty_basis():
     g = np.arange(6.0).reshape(2, 3)
     out = continual.gpm_project(g, np.zeros((3, 0)))
     assert np.array_equal(out, g)
-    out2 = continual.gpm_project(g, None)
-    assert np.array_equal(out2, g)
 
 
 def test_gpm_project_absorbs_span():

@@ -19,32 +19,6 @@ from ltcl.errors import (
 )
 
 
-def test_imbalance_factor_examples():
-    assert datasets.imbalance_factor([100, 10]) == 10.0
-    assert datasets.imbalance_factor([50, 50, 50]) == 1.0
-    # Caltech256-style counts: largest 827, smallest 80
-    assert datasets.imbalance_factor([827, 400, 80]) == pytest.approx(10.3375)
-
-
-def test_imbalance_factor_empty_class():
-    with pytest.raises(EmptyClassError):
-        datasets.imbalance_factor([10, 0, 5])
-
-
-def test_gamma_examples():
-    assert datasets.gamma(1.0) == 0.5
-    assert datasets.gamma(100.0) == pytest.approx(100.0 / 101.0)
-    assert abs(datasets.gamma(1e6) - 1.0) < 1e-6
-    with pytest.raises(ValueError):
-        datasets.gamma(0.5)
-
-
-@given(st.floats(min_value=1.0, max_value=1e9, allow_nan=False))
-def test_gamma_range(if_value):
-    g = datasets.gamma(if_value)
-    assert 0.5 <= g < 1.0
-
-
 def test_longtail_profile_if100():
     targets = datasets.longtail_profile(10, 1000, 100.0)
     assert targets.tolist() == [

@@ -49,10 +49,10 @@ CASES = [
     ("TrainConfig", "learning_rate", [0.0, NAN, INF, -INF], lambda v: training.TrainConfig(learning_rate=v)),
     ("TrainConfig", "momentum", [1.0, -0.1, NAN, INF, -INF], lambda v: training.TrainConfig(0.1, momentum=v)),
     ("TrainConfig", "epochs", BAD_COUNTS, lambda v: training.TrainConfig(0.1, epochs=v)),
-    ("TrainConfig", "batch_size", BAD_COUNTS, lambda v: training.TrainConfig(0.1, batch_size=v)),
+    # None is no batch size: training is always minibatch, 64 rows by default
+    ("TrainConfig", "batch_size", [*BAD_COUNTS, None], lambda v: training.TrainConfig(0.1, batch_size=v)),
     ("TrainConfig", "schedule", ["linear", NAN], lambda v: training.TrainConfig(0.1, schedule=v)),
     ("TrainConfig", "seed", BAD_SEEDS, lambda v: training.TrainConfig(0.1, seed=v)),
-    ("gamma", "imbalance_factor", [0.5, NAN, -INF], datasets.gamma),
     ("longtail_profile", "n_classes", BAD_COUNTS, lambda v: datasets.longtail_profile(v, 100, 10.0)),
     ("longtail_profile", "n_max", BAD_COUNTS, lambda v: datasets.longtail_profile(4, v, 10.0)),
     ("longtail_profile", "imbalance_factor", [0.5, NAN, -INF], lambda v: datasets.longtail_profile(4, 100, v)),
@@ -63,11 +63,17 @@ CASES = [
     ("synthetic_gaussian", "n_per_class", BAD_COUNTS, lambda v: datasets.synthetic_gaussian(3, 4, v, 2.0, 0)),
     ("synthetic_gaussian", "class_separation", [0.0, NAN, -INF],
      lambda v: datasets.synthetic_gaussian(3, 4, 10, v, 0)),
+    ("mean_pool_images", "factor", [*BAD_COUNTS, -2], lambda v: datasets.mean_pool_images(DATASET, v)),
+    ("LinearModel.initialize", "n_features", BAD_COUNTS, lambda v: models.LinearModel.initialize(v, 3, 0)),
+    ("LinearModel.initialize", "n_classes", BAD_COUNTS, lambda v: models.LinearModel.initialize(4, v, 0)),
+    ("MlpModel.initialize", "layer_sizes", [*([4, v, 3] for v in BAD_COUNTS), [4], [], 4],
+     lambda v: models.MlpModel.initialize(v, 0)),
     ("default_phase2_config", "variant", ["dropout", NAN], continual.default_phase2_config),
     ("fisher_diagonal", "mode", ["fisher", NAN], lambda v: continual.fisher_diagonal(MODEL, DATASET, v, 10)),
     ("_sample_rows", "max_samples", BAD_COUNTS,
      lambda v: continual._sample_rows(DATASET, v, np.random.default_rng(0))),
     ("lwf_loss", "temperature", [0.0, NAN, INF, -INF], lambda v: continual.lwf_loss(LOGITS, LOGITS, [0, 1], v, 1.0)),
+    ("lwf_loss", "cl_weight", [-1.0, NAN, INF, -INF], lambda v: continual.lwf_loss(LOGITS, LOGITS, [0, 1], 2.0, v)),
     ("gpm_collect_bases", "energy_threshold", [0.0, 1.5, NAN, INF, -INF],
      lambda v: continual.gpm_collect_bases(MODEL, DATASET, v, 10)),
     ("strategy_term", "variant", ["dropout", NAN],
@@ -83,7 +89,9 @@ CASES = [
      lambda v: bounds.BoundGridConfig(head_fraction=v)),
     ("BoundGridConfig", "compute_lemma2", ["no", "", 1, 0, NAN, None],
      lambda v: bounds.BoundGridConfig(compute_lemma2=v)),
-    # a cell seed that fails only after both Newton solves wastes them
+    # a mu or cell seed that fails only after both Newton solves wastes them
+    ("evaluate_cell", "mu", [0.0, -0.1, NAN, -INF],
+     lambda v: bounds.evaluate_cell(DATASET, 1.0, v, bounds.BoundGridConfig())),
     ("evaluate_cell", "cell_seed", BAD_SEEDS,
      lambda v: bounds.evaluate_cell(DATASET, 1.0, 0.1, bounds.BoundGridConfig(), cell_seed=v)),
     *((site, "seed", BAD_SEEDS, call) for site, call in _seed_cases()),
@@ -114,6 +122,7 @@ def test_rules_accept_their_bounds_and_list_rules_check_each_item():
         with pytest.raises(ValueError, match="fs must be a non-empty list of distinct values, each of which"):
             check("fs", bad, distinct_fractions)
     check("sizes", [4, 4], list_of(one_of(4)))  # repeats pass without distinct
+    check("sizes", np.array([4, 5]), list_of(one_of(4, 5)))  # an array is a list here
 
 
 def test_lemma2_bound_rejects_a_nan_eigenvalue():
@@ -136,6 +145,13 @@ def _strategy_constructors():
                    lambda term: _train(training.TrainConfig(0.01), term))
 
 
+def _train_own_sizes(model):
+    # a dataset of the model's own feature and class counts
+    sizes = model.layer_sizes
+    training.train(model, datasets.synthetic_gaussian(sizes[-1], sizes[0], 10, 2.0, seed=0), SPEC,
+                   training.TrainConfig(0.1))
+
+
 def _score_cell(config):
     # the flag says whether the cell's record holds a Lemma-2 bound
     report = bounds.evaluate_cell(DATASET, 1.0, 0.1, config)
@@ -156,10 +172,10 @@ PUBLIC_CONSTRUCTORS = [
      lambda kw: datasets.synthetic_gaussian(**kw), lambda dataset: None),
     ("make_longtail", dict(imbalance_factor=2.0, seed=0, n_max=5),
      lambda kw: datasets.make_longtail(DATASET, **kw), lambda dataset: None),
-    ("LinearModel.initialize", dict(seed=0), lambda kw: models.LinearModel.initialize(4, 3, **kw),
-     lambda model: training.train(model, DATASET, SPEC, training.TrainConfig(0.1))),
-    ("MlpModel.initialize", dict(seed=0), lambda kw: models.MlpModel.initialize([4, 5, 3], **kw),
-     lambda model: training.train(model, DATASET, SPEC, training.TrainConfig(0.1))),
+    ("LinearModel.initialize", dict(n_features=4, n_classes=3, seed=0),
+     lambda kw: models.LinearModel.initialize(**kw), _train_own_sizes),
+    ("MlpModel.initialize", dict(layer_sizes=[4, 5, 3], seed=0),
+     lambda kw: models.MlpModel.initialize(**kw), _train_own_sizes),
     ("fisher_diagonal", dict(max_samples=10, seed=0),
      lambda kw: continual.fisher_diagonal(MODEL, DATASET, "true_loss", **kw), lambda fisher: None),
     ("gpm_collect_bases", dict(energy_threshold=0.9, max_samples=10, seed=0),

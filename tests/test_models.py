@@ -396,7 +396,7 @@ def test_checkpoint_roundtrip(tmp_path):
         models.LinearModel(np.random.default_rng(0).standard_normal((3, 4)), np.ones(3)),
         models.MlpModel.initialize([4, 6, 3], seed=2),
     ):
-        path = tmp_path / f"{model.kind}.ckpt"
+        path = tmp_path / f"{type(model).__name__}.ckpt"
         models.save_checkpoint(model, path)
         loaded = models.load_checkpoint(path)
         assert type(loaded) is type(model)

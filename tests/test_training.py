@@ -91,7 +91,7 @@ def test_monotone_loss_full_batch():
     mu = 0.05
     spec = models.LossSpec(mu=mu)
     smooth = models.softmax_smoothness_bound(ds, mu)
-    cfg = training.TrainConfig(learning_rate=0.5 / smooth, epochs=300)
+    cfg = training.TrainConfig(learning_rate=0.5 / smooth, epochs=300, batch_size=ds.n_samples)
     _, losses = training.train(models.LinearModel.zeros(4, 5), ds, spec, cfg)
     diffs = np.diff(losses)
     assert np.all(diffs <= 1e-12)
@@ -158,23 +158,16 @@ def _reference_train(model, dataset, spec, config, term=None):
     losses = []
     for epoch in range(config.epochs):
         lr = training._lr_at(config, epoch)
-        if config.batch_size is None:
-            value, grad = model.loss_and_gradient(x, y, spec, term)
-            losses.append(value)
+        order = rng.permutation(dataset.n_samples)
+        batch_losses = []
+        for start in range(0, dataset.n_samples, config.batch_size):
+            rows = order[start : start + config.batch_size]
+            value, grad = model.loss_and_gradient(x[rows], y[rows], spec, term)
+            batch_losses.append(value)
             velocity = config.momentum * velocity - lr * grad
             theta = theta + velocity
             model.set_params(theta)
-        else:
-            order = rng.permutation(dataset.n_samples)
-            batch_losses = []
-            for start in range(0, dataset.n_samples, config.batch_size):
-                rows = order[start : start + config.batch_size]
-                value, grad = model.loss_and_gradient(x[rows], y[rows], spec, term)
-                batch_losses.append(value)
-                velocity = config.momentum * velocity - lr * grad
-                theta = theta + velocity
-                model.set_params(theta)
-            losses.append(float(np.mean(batch_losses)))
+        losses.append(float(np.mean(batch_losses)))
     return model.get_params(), np.array(losses)
 
 
@@ -217,7 +210,7 @@ def test_in_place_step_bit_identical_linear():
     ds = _lt_dataset(seed=3)
     model = models.LinearModel.initialize(4, 5, seed=5)
     spec = models.LossSpec(mu=0.01)
-    for batch_size in (None, 16):
+    for batch_size in (ds.n_samples, 16):
         cfg = training.TrainConfig(learning_rate=0.1, momentum=0.5, epochs=20, batch_size=batch_size, seed=7)
         _assert_train_matches_reference(model, ds, spec, cfg)
 
