@@ -39,7 +39,7 @@ from .errors import (
 )
 from .metrics import accuracy_diff, transfer_decomposition
 from .models import LinearModel, LossSpec, MlpModel, save_checkpoint
-from .training import TrainConfig
+from .training import TRAIN_RULES, TrainConfig
 
 KINDS = ("bound_grid", "ltr_two_phase")
 SUBCOMMAND_KINDS = {"bound-grid": "bound_grid", "two-phase": "ltr_two_phase"}
@@ -111,14 +111,14 @@ BOUND_GRID = {
     "compute_lemma2": Field(bool, BoundGridConfig.compute_lemma2),
 }
 
-# TrainConfig checks these values
+# a phase's train keys, each checked by its TrainConfig rule; the run gives the seed
 TRAIN_TYPES = {"learning_rate": float, "momentum": float, "epochs": int, "batch_size": int, "schedule": str}
 PHASE1_DEFAULTS = {"learning_rate": 0.01, "momentum": 0.9, "epochs": 30,
                    "batch_size": TrainConfig.batch_size, "schedule": "constant"}
 
 
 def _train_table(defaults: dict) -> dict:
-    return {name: Field(kind, defaults[name]) for name, kind in TRAIN_TYPES.items()}
+    return {name: Field(kind, defaults[name], TRAIN_RULES[name]) for name, kind in TRAIN_TYPES.items()}
 
 
 # a strategy's table: its Phase-2 training keys and the settings it reads, with the
@@ -193,12 +193,9 @@ def _resolve(raw: dict, table: dict, path: str) -> dict:
     return out
 
 
-def _train_config(section: dict, path: str, seed: int = 0) -> TrainConfig:
+def _train_config(section: dict, seed: int = 0) -> TrainConfig:
     """The one place a resolved train section becomes a TrainConfig."""
-    try:
-        return TrainConfig(seed=seed, **{name: section[name] for name in TRAIN_TYPES})
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
+    return TrainConfig(seed=seed, **{name: section[name] for name in TRAIN_TYPES})
 
 
 def load_config(path) -> dict:
@@ -219,13 +216,10 @@ def validate_config(raw: dict) -> dict:
     cfg = _typed(raw, CONFIG, "")
     if cfg["kind"] == "bound_grid":
         return cfg
-    _train_config(cfg["phase1"], "phase1")
     for name in raw.get("strategy_overrides") or {}:  # a strategy that does not run reads no table
         if name not in cfg["strategies"]:
             raise ConfigError(f"strategy_overrides.{name}", "strategy is not in strategies")
     cfg["strategy_overrides"] = {name: cfg["strategy_overrides"][name] for name in cfg["strategies"]}
-    for name, settings in cfg["strategy_overrides"].items():
-        _train_config(settings, f"strategy_overrides.{name}")
     return cfg
 
 
@@ -299,7 +293,7 @@ def run_ltr_two_phase(cfg: dict, out_dir: Path) -> int:
     test_dataset = _load_dataset(cfg, "test")
     lt = make_longtail(source, longtail["imbalance_factor"], seed=cfg["seed"], n_max=longtail["n_max"])
     spec = LossSpec(mu=cfg["loss"]["mu"])
-    phase1_config = _train_config(cfg["phase1"], "phase1", seed=cfg["seed"])
+    phase1_config = _train_config(cfg["phase1"], seed=cfg["seed"])
     if cfg["model"]["kind"] == "linear":
         model = LinearModel.zeros(lt.n_features, lt.n_classes)
     else:
@@ -310,7 +304,7 @@ def run_ltr_two_phase(cfg: dict, out_dir: Path) -> int:
         """The strategy's result, or the LtclError that ended it."""
         settings = cfg["strategy_overrides"][name]
         seed = cfg["seed"] + _PHASE2_SEED_OFFSET[name]
-        phase2_config = _train_config(settings, f"strategy_overrides.{name}", seed=seed)
+        phase2_config = _train_config(settings, seed=seed)
         cl_settings = {key: value for key, value in settings.items() if key not in TRAIN_TYPES}
         try:
             return run_tail_phase(name, head_phase, split, phase2_config, spec, test_dataset,

@@ -183,8 +183,6 @@ def gpm_project(gradient_for_layer: np.ndarray, basis: np.ndarray) -> np.ndarray
     """Remove the gradient component inside span(basis) along layer inputs;
     a basis with no columns removes nothing."""
     g = np.asarray(gradient_for_layer, dtype=np.float64)
-    if basis.size == 0:
-        return g.copy()
     if basis.ndim != 2 or g.shape[-1] != basis.shape[0]:
         raise ShapeMismatchError(
             f"gradient input dim {g.shape[-1]} does not match basis dim {basis.shape}"
@@ -238,7 +236,8 @@ class _GpmTerm(ObjectiveTerm):
         self.bases = bases
         self.ratios = []
         self.mu_m = np.zeros(model.layout.total_size)
-        for m, w0, basis in zip(model.weight_views(self.mu_m), model.weight_views(model.params), bases):
+        layout = model.layout
+        for m, w0, basis in zip(layout.views(self.mu_m)[0::2], layout.views(model.params)[0::2], bases):
             m[...] = mu * ((w0 @ basis) @ basis.T)
 
     def weight_inputs(self, inputs) -> list:

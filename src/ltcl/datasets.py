@@ -100,12 +100,9 @@ def longtail_profile(n_classes: int, n_max: int, imbalance_factor: float) -> np.
     for name, value in (("n_classes", n_classes), ("n_max", n_max)):
         check(name, value, COUNT)
     check("imbalance_factor", imbalance_factor, AT_LEAST_1)
-    if n_classes == 1:
-        targets = np.array([n_max], dtype=np.int64)
-    else:
-        c = np.arange(n_classes, dtype=np.float64)
-        raw = n_max * imbalance_factor ** (-c / (n_classes - 1))
-        targets = np.floor(raw + 1e-9).astype(np.int64)  # epsilon guards 10.0 -> 9
+    c = np.arange(n_classes, dtype=np.float64)
+    raw = n_max * imbalance_factor ** (-c / max(n_classes - 1, 1))  # one class gets n_max
+    targets = np.floor(raw + 1e-9).astype(np.int64)  # epsilon guards 10.0 -> 9
     if targets[-1] < 1:
         raise EmptyClassError(
             f"imbalance factor {imbalance_factor} leaves class {n_classes - 1} empty "

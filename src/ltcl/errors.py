@@ -114,13 +114,14 @@ def list_of(rule, distinct: bool = False):
 def check(name: str, value, rule) -> None:
     """Raise ValueError naming the parameter and the value unless value
     passes rule. A value that rule cannot compare (a string against a
-    range) fails it."""
+    range, an array against a scalar) fails it, and so does any value
+    whose test gives no single bool."""
     test, message = rule
     try:
         passed = test(value)
-    except TypeError:
+    except (TypeError, ValueError):
         passed = False
-    if not passed:
+    if not isinstance(passed, (bool, np.bool_)) or not passed:
         raise ValueError(f"{name} {message}, got {value!r}")
 
 

@@ -160,10 +160,6 @@ class _Network:
             )
         self._params[...] = flat
 
-    def weight_views(self, flat: np.ndarray) -> list:
-        """Views of a flat layout-order vector's weight segments, one per layer."""
-        return self.layout.views(flat)[0::2]
-
     def forward_with_activations(self, features):
         """Logits and the input to each weighted layer."""
         a = np.asarray(features, dtype=np.float64)
@@ -247,17 +243,6 @@ class LinearModel(_Network):
     @classmethod
     def zeros(cls, n_features: int, n_classes: int) -> "LinearModel":
         return cls(np.zeros((n_classes, n_features)), np.zeros(n_classes))
-
-    @classmethod
-    def initialize(cls, n_features: int, n_classes: int, seed: int) -> "LinearModel":
-        check("n_features", n_features, COUNT)
-        check("n_classes", n_classes, COUNT)
-        rng = seeded_rng(seed)
-        bound = 1.0 / np.sqrt(n_features)
-        return cls(
-            rng.uniform(-bound, bound, size=(n_classes, n_features)),
-            np.zeros(n_classes),
-        )
 
     @property
     def weights(self) -> np.ndarray:

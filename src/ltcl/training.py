@@ -18,6 +18,9 @@ from .errors import (
 from .models import GradientWorkspace, LossSpec
 
 SCHEDULES = ("constant", "cosine")
+# each TrainConfig field's rule, in the order they are checked
+TRAIN_RULES = {"learning_rate": FINITE_POSITIVE, "momentum": AT_LEAST_0_BELOW_1, "epochs": COUNT, "batch_size": COUNT,
+               "schedule": one_of(*SCHEDULES), "seed": SEED}
 
 
 @dataclass(frozen=True)
@@ -30,12 +33,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check("learning_rate", self.learning_rate, FINITE_POSITIVE)
-        check("momentum", self.momentum, AT_LEAST_0_BELOW_1)
-        check("epochs", self.epochs, COUNT)
-        check("batch_size", self.batch_size, COUNT)
-        check("schedule", self.schedule, one_of(*SCHEDULES))
-        check("seed", self.seed, SEED)
+        for name, rule in TRAIN_RULES.items():
+            check(name, getattr(self, name), rule)
 
 
 def _lr_at(config: TrainConfig, epoch: int) -> float:

@@ -1,6 +1,6 @@
 """Shared test helpers: the MNIST-scale corpus of the acceptance suite, an
-independent heavy-ball minimizer, and a byte-mutation strategy for fuzzing
-the file parsers.
+independent heavy-ball minimizer, a seeded random linear model, and a
+byte-mutation strategy for fuzzing the file parsers.
 
 Real MNIST IDX files are used when present (set LTCL_MNIST_DIR, or put
 the four standard files under ./data/mnist). Otherwise a deterministic
@@ -123,6 +123,13 @@ def heavy_ball_minimizer(dataset, mu, tol, max_iters, start=None):
         velocity = beta * velocity - lr * grad
         theta += velocity
     raise AssertionError(f"heavy ball did not reach ||grad|| <= {tol} in {max_iters} steps")
+
+
+def random_linear(n_features: int, n_classes: int, seed: int) -> models.LinearModel:
+    """A linear model with the weights `MlpModel.initialize([n_features,
+    n_classes], seed)` draws: scaled-uniform fan-in, zero biases."""
+    mlp = models.MlpModel.initialize([n_features, n_classes], seed)
+    return models.LinearModel(mlp.weights[0], mlp.biases[0])
 
 
 def _apply_edits(valid: bytes, edits, keep: int, tail: bytes) -> bytes:

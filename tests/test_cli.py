@@ -122,6 +122,11 @@ def test_invalid_values_rejected(tmp_path):
         (("strategy_overrides", "ewc", "fisher_max_samples"), 0),
         (("strategy_overrides", "lwf", "temperature"), 0),
         (("model", "hidden_sizes"), [True]),
+        # a train key is checked by its TrainConfig rule, under its own key path
+        (("phase1", "momentum"), 1.5),
+        (("phase1", "schedule"), "linear"),
+        (("strategy_overrides", "ewc", "momentum"), 1.0),
+        (("strategy_overrides", "gpm", "learning_rate"), -1.0),
         (("strategy_overrides", "lwf", "cl_weight"), -5),
     ]:
         cfg = _two_phase_config(tmp_path / "out", strategies=list(cli.VARIANTS))
@@ -129,7 +134,7 @@ def test_invalid_values_rejected(tmp_path):
         for key in keys[:-1]:
             section = section[key]
         section[keys[-1]] = value
-        with pytest.raises(ConfigError, match=".".join(keys)):
+        with pytest.raises(ConfigError, match=re.escape(f"config field '{'.'.join(keys)}': ")):
             cli.validate_config(cfg)
     # a negative weight would reward moving away from the Phase-1 anchor or teacher
     assert cli.main(["two-phase", "--config", str(_write_config(tmp_path, cfg))]) == 1

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from _fixtures import random_linear
 from ltcl import continual, datasets, metrics, models, training
 from ltcl.errors import ShapeMismatchError
 
@@ -95,7 +96,7 @@ def _fisher_loop(model, dataset, mode, max_samples, seed):
 @pytest.mark.parametrize("max_samples", [2000, 37])
 def test_fisher_batched_matches_per_sample_loop(lt_fixture, mode, kind, max_samples):
     lt, split, _ = lt_fixture
-    model = models.LinearModel.initialize(12, 6, seed=3) if kind == "linear" else _fresh_model()
+    model = random_linear(12, 6, seed=3) if kind == "linear" else _fresh_model()
     fisher = continual.fisher_diagonal(model, split.head, mode, max_samples, seed=8)
     oracle = _fisher_loop(model, split.head, mode, max_samples, seed=8)
     assert fisher.any()
@@ -447,9 +448,9 @@ def test_gpm_term_projects_weight_gradients(lt_fixture):
     lt, split, _ = lt_fixture
     rng = np.random.default_rng(3)
     tail = split.tail
-    for model in (_fresh_model(), models.LinearModel.initialize(12, 6, seed=3)):
+    for model in (_fresh_model(), random_linear(12, 6, seed=3)):
         collected = continual.gpm_collect_bases(model, split.head, 0.97, 500)
-        dims = [w.shape[1] for w in model.weight_views(model.params)]
+        dims = [w.shape[1] for w in model.layout.views(model.params)[0::2]]
         for bases in (
             collected,
             [np.zeros((d, 0)) for d in dims],
@@ -461,14 +462,14 @@ def test_gpm_term_projects_weight_gradients(lt_fixture):
                 term = continual._GpmTerm(model, bases, SPEC.mu)
                 _, grad = model.loss_and_gradient(x, y, SPEC, term)
                 assert len(term.ratios) == 1 and term.ratios[0] <= 1e-12
-                for g, g0, basis in zip(model.weight_views(grad), model.weight_views(plain), bases):
+                for g, g0, basis in zip(model.layout.views(grad)[0::2], model.layout.views(plain)[0::2], bases):
                     scale = np.max(np.abs(g0))
                     assert np.max(np.abs(g @ basis), initial=0.0) <= 1e-12 * scale
                     np.testing.assert_allclose(
                         g, continual.gpm_project(g0, basis), rtol=1e-12, atol=1e-12 * scale
                     )
                 weight_mask = np.zeros(len(grad), dtype=bool)
-                for view in model.weight_views(weight_mask):
+                for view in model.layout.views(weight_mask)[0::2]:
                     view[...] = True
                 assert np.array_equal(grad[~weight_mask], plain[~weight_mask])
 
@@ -476,8 +477,8 @@ def test_gpm_term_projects_weight_gradients(lt_fixture):
 def test_gpm_phase2_keeps_weights_on_bases(lt_fixture):
     lt, split, test = lt_fixture
     res = _run("gpm", lt, split, test)
-    after = res.model_after_tail.weight_views(res.model_after_tail.params)
-    before = res.model_after_head.weight_views(res.model_after_head.params)
+    after = res.model_after_tail.layout.views(res.model_after_tail.params)[0::2]
+    before = res.model_after_head.layout.views(res.model_after_head.params)[0::2]
     moved = False
     for w, w0, basis in zip(after, before, res.state.bases):
         assert basis.shape[1] > 0
@@ -613,7 +614,7 @@ def test_head_weight_norms_exceed_tail_after_naive_lt_training(lt_fixture):
 def _model_and_term(kind, variant, ds):
     """A model moved off the Phase-1 point its term keeps, and the term."""
     if kind == "linear":
-        model = models.LinearModel.initialize(ds.n_features, ds.n_classes, seed=1)
+        model = random_linear(ds.n_features, ds.n_classes, seed=1)
     else:
         model = models.MlpModel.initialize([ds.n_features, 9, ds.n_classes], seed=1)
     settings = {"cl_weight": 2.0} if variant in ("ewc", "lwf") else {}  # GPM reads no weight

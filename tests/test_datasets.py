@@ -34,6 +34,13 @@ def test_longtail_profile_balanced():
     assert np.all(targets == 123)
 
 
+def test_longtail_profile_one_class_keeps_n_max():
+    # a lone class is the head: no imbalance factor shrinks it
+    for n_max in (1, 7, 3000, 2**40):
+        for imbalance_factor in (1.0, 10.0, np.inf):
+            assert datasets.longtail_profile(1, n_max, imbalance_factor).tolist() == [n_max]
+
+
 def test_longtail_profile_empty_tail():
     with pytest.raises(EmptyClassError):
         datasets.longtail_profile(10, 50, 1000.0)

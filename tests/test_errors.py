@@ -17,6 +17,8 @@ _LOSSES = lambda stack: (np.zeros(len(stack)), np.zeros(len(stack)))  # noqa: E7
 SPEC = models.LossSpec(mu=1e-4)
 BAD_COUNTS = [0, 2.5, True, NAN, INF, -INF]  # a count is an integer >= 1 and no bool
 BAD_SEEDS = [-1, 1.5, "x", True, NAN, INF]  # a seed is an integer >= 0 and no bool
+# an array where a scalar belongs gives no single bool, whatever its length
+PAIR = np.array([0.1, 0.2])
 
 
 def _strategy_cases():
@@ -37,7 +39,6 @@ def _seed_cases():
     yield "gpm_collect_bases", lambda v: continual.gpm_collect_bases(MODEL, DATASET, 0.9, 10, seed=v)
     yield "make_longtail", lambda v: datasets.make_longtail(DATASET, 2.0, seed=v)
     yield "synthetic_gaussian", lambda v: datasets.synthetic_gaussian(3, 4, 10, 2.0, seed=v)
-    yield "LinearModel.initialize", lambda v: models.LinearModel.initialize(4, 3, seed=v)
     yield "MlpModel.initialize", lambda v: models.MlpModel.initialize([4, 5, 3], seed=v)
     yield "loss_gap_surrogate", lambda v: bounds.loss_gap_surrogate(_LOSSES, np.zeros(2), np.ones(2), seed=v)
 
@@ -45,13 +46,14 @@ def _seed_cases():
 # (site, parameter, rejected values, call with the value); a rule that
 # needs a finite value rejects both infinities as well
 CASES = [
-    ("LossSpec", "mu", [-0.1, NAN, INF, -INF], lambda v: models.LossSpec(mu=v)),
-    ("TrainConfig", "learning_rate", [0.0, NAN, INF, -INF], lambda v: training.TrainConfig(learning_rate=v)),
+    ("LossSpec", "mu", [-0.1, NAN, INF, -INF, PAIR, np.array([0.1])], lambda v: models.LossSpec(mu=v)),
+    ("TrainConfig", "learning_rate", [0.0, NAN, INF, -INF, PAIR], lambda v: training.TrainConfig(learning_rate=v)),
     ("TrainConfig", "momentum", [1.0, -0.1, NAN, INF, -INF], lambda v: training.TrainConfig(0.1, momentum=v)),
     ("TrainConfig", "epochs", BAD_COUNTS, lambda v: training.TrainConfig(0.1, epochs=v)),
     # None is no batch size: training is always minibatch, 64 rows by default
     ("TrainConfig", "batch_size", [*BAD_COUNTS, None], lambda v: training.TrainConfig(0.1, batch_size=v)),
-    ("TrainConfig", "schedule", ["linear", NAN], lambda v: training.TrainConfig(0.1, schedule=v)),
+    ("TrainConfig", "schedule", ["linear", NAN, np.array(["constant", "cosine"])],
+     lambda v: training.TrainConfig(0.1, schedule=v)),
     ("TrainConfig", "seed", BAD_SEEDS, lambda v: training.TrainConfig(0.1, seed=v)),
     ("longtail_profile", "n_classes", BAD_COUNTS, lambda v: datasets.longtail_profile(v, 100, 10.0)),
     ("longtail_profile", "n_max", BAD_COUNTS, lambda v: datasets.longtail_profile(4, v, 10.0)),
@@ -64,8 +66,6 @@ CASES = [
     ("synthetic_gaussian", "class_separation", [0.0, NAN, -INF],
      lambda v: datasets.synthetic_gaussian(3, 4, 10, v, 0)),
     ("mean_pool_images", "factor", [*BAD_COUNTS, -2], lambda v: datasets.mean_pool_images(DATASET, v)),
-    ("LinearModel.initialize", "n_features", BAD_COUNTS, lambda v: models.LinearModel.initialize(v, 3, 0)),
-    ("LinearModel.initialize", "n_classes", BAD_COUNTS, lambda v: models.LinearModel.initialize(4, v, 0)),
     ("MlpModel.initialize", "layer_sizes", [*([4, v, 3] for v in BAD_COUNTS), [4], [], 4],
      lambda v: models.MlpModel.initialize(v, 0)),
     ("default_phase2_config", "variant", ["dropout", NAN], continual.default_phase2_config),
@@ -85,7 +85,7 @@ CASES = [
     ("lemma2_bound", "delta", [-1.0, NAN, -INF], lambda v: bounds.lemma2_bound(v, 1.0, 1.0)),
     ("BoundGridConfig", "grad_tolerance", [0.0, -1.0, NAN, INF, -INF],
      lambda v: bounds.BoundGridConfig(grad_tolerance=v)),
-    ("BoundGridConfig", "head_fraction", [0, 2.0, -0.5, NAN, INF, -INF],
+    ("BoundGridConfig", "head_fraction", [0, 2.0, -0.5, NAN, INF, -INF, np.array([0.5, 0.6])],
      lambda v: bounds.BoundGridConfig(head_fraction=v)),
     ("BoundGridConfig", "compute_lemma2", ["no", "", 1, 0, NAN, None],
      lambda v: bounds.BoundGridConfig(compute_lemma2=v)),
@@ -172,8 +172,6 @@ PUBLIC_CONSTRUCTORS = [
      lambda kw: datasets.synthetic_gaussian(**kw), lambda dataset: None),
     ("make_longtail", dict(imbalance_factor=2.0, seed=0, n_max=5),
      lambda kw: datasets.make_longtail(DATASET, **kw), lambda dataset: None),
-    ("LinearModel.initialize", dict(n_features=4, n_classes=3, seed=0),
-     lambda kw: models.LinearModel.initialize(**kw), _train_own_sizes),
     ("MlpModel.initialize", dict(layer_sizes=[4, 5, 3], seed=0),
      lambda kw: models.MlpModel.initialize(**kw), _train_own_sizes),
     ("fisher_diagonal", dict(max_samples=10, seed=0),

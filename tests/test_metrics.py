@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _fixtures import random_linear
 from ltcl import datasets, metrics, models
 from ltcl.errors import CoverageError, ShapeMismatchError, UnsupportedModelError
 
@@ -181,7 +182,7 @@ def test_accuracy_diff_shape_error():
 
 def test_evaluate_report_invariants():
     ds = _balanced_test_set(n_classes=3, n_per_class=6, n_features=4, seed=5)
-    model = models.LinearModel.initialize(4, 3, seed=5)
+    model = random_linear(4, 3, seed=5)
     report = metrics.evaluate(model, ds)
     assert np.all((0.0 <= report.per_class_accuracy) & (report.per_class_accuracy <= 1.0))
     assert abs(report.avg_class_accuracy - report.per_class_accuracy.mean()) <= 1e-12

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from _fixtures import heavy_ball_minimizer, parser_inputs
+from _fixtures import heavy_ball_minimizer, parser_inputs, random_linear
 from ltcl import datasets, models
 from ltcl.errors import (
     CapacityError,
@@ -488,7 +488,7 @@ def _checkpoint_bytes(model) -> bytes:
         return path.read_bytes()
 
 
-_VALID_LINEAR = _checkpoint_bytes(models.LinearModel.initialize(3, 2, seed=0))
+_VALID_LINEAR = _checkpoint_bytes(random_linear(3, 2, seed=0))
 _VALID_MLP = _checkpoint_bytes(models.MlpModel.initialize([2, 3, 2], seed=0))
 
 

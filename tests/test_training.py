@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _fixtures import random_linear
 from ltcl import bounds, continual, datasets, models, training
 from ltcl.errors import DivergenceError
 
@@ -102,7 +103,7 @@ def test_minimizer_unique_across_inits():
     cfg = bounds.BoundGridConfig(grad_tolerance=1e-8)
     finals = []
     for seed in range(5):
-        start = models.LinearModel.initialize(4, 5, seed=seed)
+        start = random_linear(4, 5, seed=seed)
         trained, trace = bounds._train_to_stationarity(ds, 0.1, cfg, start=start)
         assert trace.converged
         finals.append(trained.get_params())
@@ -208,7 +209,7 @@ def test_in_place_step_bit_identical_with_term(variant):
 
 def test_in_place_step_bit_identical_linear():
     ds = _lt_dataset(seed=3)
-    model = models.LinearModel.initialize(4, 5, seed=5)
+    model = random_linear(4, 5, seed=5)
     spec = models.LossSpec(mu=0.01)
     for batch_size in (ds.n_samples, 16):
         cfg = training.TrainConfig(learning_rate=0.1, momentum=0.5, epochs=20, batch_size=batch_size, seed=7)
