@@ -379,6 +379,18 @@ def test_gpm_project_empty_basis():
     assert np.array_equal(out, g)
 
 
+@pytest.mark.parametrize("value", [0.0, -0.0, np.nan, np.inf, -np.inf])
+def test_gpm_project_empty_basis_keeps_bits(value):
+    # a (d, 0) basis subtracts exact zeros: the gradient comes back bit for
+    # bit, signed zeros and non-finite entries included, in a new array
+    for shape in ((3,), (2, 3)):
+        g = np.full(shape, value)
+        g.flat[0] = 1.5
+        out = continual.gpm_project(g, np.zeros((3, 0)))
+        assert out.shape == g.shape and not np.shares_memory(out, g)
+        assert out.tobytes() == g.tobytes()
+
+
 def test_gpm_project_absorbs_span():
     basis = np.array([[1.0], [0.0]])
     g = np.array([[2.0, 0.0], [5.0, 0.0]])

@@ -34,11 +34,11 @@ def test_longtail_profile_balanced():
     assert np.all(targets == 123)
 
 
-def test_longtail_profile_one_class_keeps_n_max():
+@pytest.mark.parametrize("imbalance_factor", [1.0, 10.0, 1e300, np.inf])
+@pytest.mark.parametrize("n_max", [1, 7, 3000, 2**40])
+def test_longtail_profile_one_class_keeps_n_max(n_max, imbalance_factor):
     # a lone class is the head: no imbalance factor shrinks it
-    for n_max in (1, 7, 3000, 2**40):
-        for imbalance_factor in (1.0, 10.0, np.inf):
-            assert datasets.longtail_profile(1, n_max, imbalance_factor).tolist() == [n_max]
+    assert datasets.longtail_profile(1, n_max, imbalance_factor).tolist() == [n_max]
 
 
 def test_longtail_profile_empty_tail():
