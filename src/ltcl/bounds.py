@@ -38,9 +38,11 @@ grad_tolerance/mu of the true one. The floor stops CG at half the
 tolerance that the certificate checks: a smaller residual costs
 Hessian-vector products and cannot strengthen the certificate, and a
 step that leaves ||g|| above the tolerance costs one more Newton
-iteration. The head solve starts from the full minimizer with the
-weight rows and biases of the tail classes set to zero: those rows were
-fitted to tail samples, which the head objective does not contain.
+iteration. Both solves start from zeros, and they are independent, so a
+cell runs them on two threads at once: a helper thread solves the head
+problem while the calling thread solves the full one, and with Lemma 2
+the two eigensolves are split the same way. Neither solve reads the
+other's state, so the results depend only on the inputs.
 
 For multinomial logistic regression lambda_min(H) = mu exactly, so the
 lemma2 bound equals the loose one. Softmax is invariant to adding one
@@ -54,13 +56,14 @@ acceptance criterion 4 shows lam=(mu,mu) and l2 == l1.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datasets import LabeledDataset, head_tail_split
 from .errors import (
-    AT_LEAST_0, BOOL, FINITE_POSITIVE, FRACTION, POSITIVE, SEED, DegenerateConvexityError, EigensolverError,
+    AT_LEAST_0, BOOL, COUNT, FINITE_POSITIVE, FRACTION, POSITIVE, SEED, DegenerateConvexityError, EigensolverError,
     MinimizerCertificationError, ShapeMismatchError, StrictConvexityError, check, seeded_rng,
 )
 from .models import LinearModel, LossSpec, hessian_operator
@@ -396,14 +399,12 @@ def _armijo_step(model: LinearModel, x, y, spec: LossSpec, value: float, grad, s
     return None
 
 
-def _train_to_stationarity(
-    dataset: LabeledDataset, mu: float, config: BoundGridConfig, start: LinearModel | None = None
-):
+def _train_to_stationarity(dataset: LabeledDataset, mu: float, config: BoundGridConfig):
     """Certified minimizer of the mu-regularized CE loss by truncated Newton-CG.
 
-    Starts from `start` (zeros when None) and runs at most
-    NEWTON_MAX_ITERS Newton iterations. Returns (model, trace); the trace
-    counts Newton iterations in epochs_run and is converged exactly when
+    Starts from zeros and runs at most NEWTON_MAX_ITERS Newton
+    iterations. Returns (model, trace); the trace counts Newton
+    iterations in epochs_run and is converged exactly when
     the full-batch gradient norm is at most config.grad_tolerance. A
     stalled line search, a non-finite loss, or an accepted step that
     lowers neither the loss nor the gradient norm (the tolerance is below
@@ -413,7 +414,7 @@ def _train_to_stationarity(
     step that still leaves ||g|| above the tolerance just costs one more
     Newton iteration, so the certificate is unchanged.
     """
-    model = LinearModel.zeros(dataset.n_features, dataset.n_classes) if start is None else start.copy()
+    model = LinearModel.zeros(dataset.n_features, dataset.n_classes)
     spec = LossSpec(mu=mu)
     x, y = dataset.features, dataset.labels
     value, grad = model.loss_and_gradient(x, y, spec)
@@ -454,47 +455,53 @@ def evaluate_cell(
     """Certify both minimizers for one (IF, mu) cell and score every bound;
     cell_seed seeds the loss-gap probes.
 
-    The full solve starts from zeros. The head solve starts from the full
-    minimizer with the tail classes' weight rows and biases set to zero:
-    those rows were fitted to tail samples, which the head objective does
-    not contain, while the head rows start near their head optimum.
+    Both solves start from zeros, on two threads: one helper thread solves
+    the head problem while the calling thread solves the full one, and
+    with compute_lemma2 it runs the head eigensolve while the calling
+    thread runs the full one. The calling thread keeps the split, the
+    probes and the tight bound, so the large allocations stay with it. An
+    error on either side propagates with its own type, and the helper is
+    joined before the call returns or raises.
     """
     check("mu", mu, POSITIVE)
     check("cell_seed", cell_seed, SEED)
     split = head_tail_split(full_dataset, config.head_fraction)
     spec = LossSpec(mu=mu)
 
-    model_full, trace_full = _train_to_stationarity(full_dataset, mu, config)
-    head_start = model_full.copy()
-    tail = sorted(split.tail_classes)
-    head_start.weights[tail] = 0.0
-    head_start.biases[tail] = 0.0
-    model_head, trace_head = _train_to_stationarity(split.head, mu, config, start=head_start)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        head_solve = helper.submit(_train_to_stationarity, split.head, mu, config)
+        model_full, trace_full = _train_to_stationarity(full_dataset, mu, config)
+        model_head, trace_head = head_solve.result()
 
-    theta_full = model_full.get_params()
-    theta_head = model_head.get_params()
-    report = BoundReport(
-        imbalance_factor=float(imbalance),
-        mu_full=float(mu),
-        measured_distance=float(np.linalg.norm(theta_full - theta_head)),
-        converged_full=trace_full.converged,
-        converged_head=trace_head.converged,
-        epochs_full=trace_full.epochs_run,
-        epochs_head=trace_head.epochs_run,
-    )
-    if report.failed:
-        return report
+        theta_full = model_full.get_params()
+        theta_head = model_head.get_params()
+        report = BoundReport(
+            imbalance_factor=float(imbalance),
+            mu_full=float(mu),
+            measured_distance=float(np.linalg.norm(theta_full - theta_head)),
+            converged_full=trace_full.converged,
+            converged_head=trace_head.converged,
+            epochs_full=trace_full.epochs_run,
+            epochs_head=trace_head.epochs_run,
+        )
+        if report.failed:
+            return report
 
-    losses = _probe_losses(split, mu)
-    delta = report.delta = loss_gap_surrogate(losses, theta_full, theta_head, seed=cell_seed)
-    report.loose_bound = float(np.sqrt(lemma1_bound(delta, mu, mu)))
-    report.tight_bound = tight_bound(theta_full, theta_head, losses, mu, mu)
-    if config.compute_lemma2:
-        n_params = model_full.layout.total_size
-        # H = H_CE + mu*I with H_CE positive semidefinite, so mu is a proven lower bound
-        report.lambda_min_full = min_eigenvalue(hessian_operator(model_full, full_dataset, spec), n_params, lower=mu)
-        report.lambda_min_head = min_eigenvalue(hessian_operator(model_head, split.head, spec), n_params, lower=mu)
-        report.lemma2_bound = float(np.sqrt(lemma2_bound(delta, report.lambda_min_full, report.lambda_min_head)))
+        losses = _probe_losses(split, mu)
+        delta = report.delta = loss_gap_surrogate(losses, theta_full, theta_head, seed=cell_seed)
+        report.loose_bound = float(np.sqrt(lemma1_bound(delta, mu, mu)))
+        report.tight_bound = tight_bound(theta_full, theta_head, losses, mu, mu)
+        if config.compute_lemma2:
+            n_params = model_full.layout.total_size
+            # H = H_CE + mu*I with H_CE positive semidefinite, so mu is a proven lower bound
+            head_eigensolve = helper.submit(
+                min_eigenvalue, hessian_operator(model_head, split.head, spec), n_params, lower=mu
+            )
+            report.lambda_min_full = min_eigenvalue(
+                hessian_operator(model_full, full_dataset, spec), n_params, lower=mu
+            )
+            report.lambda_min_head = head_eigensolve.result()
+            report.lemma2_bound = float(np.sqrt(lemma2_bound(delta, report.lambda_min_full, report.lambda_min_head)))
     return report
 
 
@@ -508,9 +515,11 @@ def bound_grid(
     """Run the full (IF, mu) grid; reports are sorted by (IF, mu).
 
     dataset_builder maps an imbalance factor to the long-tailed training
-    dataset for that grid column. Failed (non-converged) cells are kept
-    in the output with their converged flags cleared.
+    dataset for that grid column. Up to `workers` cells run at once, each
+    on two threads (`evaluate_cell`). Failed (non-converged) cells are
+    kept in the output with their converged flags cleared.
     """
+    check("workers", workers, COUNT)
     cells = [
         (i_if, i_mu, float(iv), float(mv))
         for i_if, iv in enumerate(if_values)
@@ -525,8 +534,6 @@ def bound_grid(
         )
 
     if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
         with ThreadPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(run, cells))
     else:

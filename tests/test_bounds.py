@@ -1,3 +1,4 @@
+import threading
 import time
 
 import numpy as np
@@ -369,14 +370,15 @@ def test_evaluate_cell_degenerate_if_one():
     assert np.isfinite(report.measured_distance)
 
 
-def _record_solves(monkeypatch):
-    """Record the (start parameters, model) of every minimizer solve."""
-    solves = []
+def _record_solves(monkeypatch, full_dataset):
+    """Record the model of every minimizer solve under "full" or "head":
+    the two solves of a cell run at once, so either may finish first."""
+    solves = {}
     solve = bounds._train_to_stationarity
 
-    def recorded(dataset, mu, config, start=None):
-        model, trace = solve(dataset, mu, config, start)
-        solves.append((None if start is None else start.get_params(), model))
+    def recorded(dataset, mu, config):
+        model, trace = solve(dataset, mu, config)
+        solves["full" if dataset is full_dataset else "head"] = model
         return model, trace
 
     monkeypatch.setattr(bounds, "_train_to_stationarity", recorded)
@@ -389,10 +391,10 @@ def test_evaluate_cell_probe_losses_match_direct_evaluation(monkeypatch):
     lt = _small_longtail()
     mu = 0.05
     cfg = bounds.BoundGridConfig(head_fraction=0.5)
-    solves = _record_solves(monkeypatch)
+    solves = _record_solves(monkeypatch, lt)
     report = bounds.evaluate_cell(lt, 50.0, mu, cfg)
     head = datasets.head_tail_split(lt, 0.5).head
-    (_, full_model), (_, head_model) = solves
+    full_model, head_model = solves["full"], solves["head"]
     spec = models.LossSpec(mu=mu)
     probe = full_model.copy()
 
@@ -508,30 +510,53 @@ def test_newton_minimizer_matches_heavy_ball():
     assert gap <= 2 * cfg.grad_tolerance / mu
 
 
-def test_warm_started_head_solve_certifies_same_distance(monkeypatch):
-    # the head solve starts from the full minimizer with the tail classes'
-    # rows zeroed (the head objective has no tail sample) and certifies
-    # the minimizer that a start from zeros finds
+def test_concurrent_cell_matches_serial_solves_from_zeros(monkeypatch):
+    # the cell solves full and head on two threads at once; each minimizer
+    # must be the bits of a serial solve from zeros, and reruns must agree
     lt = _small_longtail()
     mu = 0.05
-    cfg = bounds.BoundGridConfig(head_fraction=0.5)
-    split = datasets.head_tail_split(lt, 0.5)
-    head, trace = bounds._train_to_stationarity(split.head, mu, cfg)
-    solves = _record_solves(monkeypatch)
-    report = bounds.evaluate_cell(lt, 50.0, mu, cfg)
-    (full_start, full), (head_start, warm) = solves
-    start = full.copy()
-    start.set_params(head_start)
-    tail, kept = sorted(split.tail_classes), sorted(split.head_classes)
-    assert full_start is None and tail
-    assert not start.weights[tail].any() and not start.biases[tail].any()
-    assert np.array_equal(start.weights[kept], full.weights[kept])
-    assert np.array_equal(start.biases[kept], full.biases[kept])
-    assert trace.converged and report.converged_head
-    cold = np.linalg.norm(full.get_params() - head.get_params())
-    assert abs(report.measured_distance - cold) <= 2 * cfg.grad_tolerance / mu
-    assert np.linalg.norm(warm.get_params() - head.get_params()) <= 2 * cfg.grad_tolerance / mu
-    assert report.epochs_head < trace.epochs_run
+    cfg = bounds.BoundGridConfig(head_fraction=0.5, compute_lemma2=True)
+    full, _ = bounds._train_to_stationarity(lt, mu, cfg)
+    head, _ = bounds._train_to_stationarity(datasets.head_tail_split(lt, 0.5).head, mu, cfg)
+    solves = _record_solves(monkeypatch, lt)
+    reports = [bounds.evaluate_cell(lt, 50.0, mu, cfg) for _ in range(5)]
+    assert np.array_equal(solves["full"].get_params(), full.get_params())
+    assert np.array_equal(solves["head"].get_params(), head.get_params())
+    assert reports[0].measured_distance == float(np.linalg.norm(full.get_params() - head.get_params()))
+    assert not reports[0].failed and reports[0].lemma2_bound is not None
+    assert all(report == reports[0] for report in reports[1:])
+
+
+class _HelperFailure(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("stage", ["head solve", "head eigensolve"])
+def test_helper_error_propagates_and_joins_the_helper(stage, monkeypatch):
+    lt = _small_longtail()
+    cfg = bounds.BoundGridConfig(head_fraction=0.5, compute_lemma2=True)
+    if stage == "head solve":
+        solve = bounds._train_to_stationarity
+
+        def failing(dataset, mu, config):
+            if dataset is not lt:
+                raise _HelperFailure(stage)
+            return solve(dataset, mu, config)
+
+        monkeypatch.setattr(bounds, "_train_to_stationarity", failing)
+    else:
+        eigensolve, caller = bounds.min_eigenvalue, threading.get_ident()
+
+        def failing(apply, dim, lower=None):
+            if threading.get_ident() != caller:
+                raise _HelperFailure(stage)
+            return eigensolve(apply, dim, lower)
+
+        monkeypatch.setattr(bounds, "min_eigenvalue", failing)
+    threads = threading.active_count()
+    with pytest.raises(_HelperFailure, match=stage):
+        bounds.evaluate_cell(lt, 50.0, 0.05, cfg)
+    assert threading.active_count() == threads
 
 
 def test_cg_never_solves_below_half_the_certificate(monkeypatch):

@@ -21,6 +21,10 @@ BAD_SEEDS = [-1, 1.5, "x", True, NAN, INF]  # a seed is an integer >= 0 and no b
 PAIR = np.array([0.1, 0.2])
 
 
+def _unbuilt(imbalance_factor):
+    raise AssertionError("no dataset is built before the arguments are checked")
+
+
 def _strategy_cases():
     for variant, strategy in continual.STRATEGIES.items():
         for key in strategy.settings:
@@ -94,6 +98,9 @@ CASES = [
      lambda v: bounds.evaluate_cell(DATASET, 1.0, v, bounds.BoundGridConfig())),
     ("evaluate_cell", "cell_seed", BAD_SEEDS,
      lambda v: bounds.evaluate_cell(DATASET, 1.0, 0.1, bounds.BoundGridConfig(), cell_seed=v)),
+    # checked before the builder makes any dataset
+    ("bound_grid", "workers", [*BAD_COUNTS, -3, "x"],
+     lambda v: bounds.bound_grid(_unbuilt, [1.0], [0.1], bounds.BoundGridConfig(), workers=v)),
     *((site, "seed", BAD_SEEDS, call) for site, call in _seed_cases()),
 ]
 
