@@ -42,7 +42,11 @@ iteration. Both solves start from zeros, and they are independent, so a
 cell runs them on two threads at once: a helper thread solves the head
 problem while the calling thread solves the full one, and with Lemma 2
 the two eigensolves are split the same way. Neither solve reads the
-other's state, so the results depend only on the inputs.
+other's state, so the results depend only on the inputs. The second
+thread gains only where a core would otherwise be idle (BLAS pinned to
+one thread, fewer grid workers than cores); elsewhere the head solve's
+extra iterations from zeros make a grid slower, and with multithreaded
+BLAS about twice as slow (README, `--workers`).
 
 For multinomial logistic regression lambda_min(H) = mu exactly, so the
 lemma2 bound equals the loose one. Softmax is invariant to adding one

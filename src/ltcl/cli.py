@@ -10,8 +10,9 @@ validation. Every run writes a manifest with the fully resolved
 config; rerunning from it with the same BLAS build and BLAS thread count
 reproduces the CSV outputs byte for byte (BLAS sums depend on the thread
 count). Pin BLAS to one thread when --workers is above 1, or the workers
-and the BLAS threads compete for the cores; a bound-grid cell solves on
-two threads, so pin it for a bound grid at --workers 1 too.
+and the BLAS threads compete for the cores. A bound-grid cell solves on
+two threads, so pin it for every bound grid: with BLAS at its default
+thread count a grid at --workers 1 runs about twice as slow (README).
 
 Exit codes: 0 success, 1 validation error (an unreadable config or a
 command-line usage error included), 2 bound violation, 3 runtime failure.

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from _fixtures import heavy_ball_minimizer
+from _fixtures import heavy_ball_minimizer, random_linear
 from ltcl import bounds, datasets, models
 from ltcl.errors import (
     CapacityError,
@@ -497,14 +497,19 @@ def test_loss_gap_surrogate_dominates_endpoint_gaps():
     assert delta >= abs(f(t_g) - g(t_g)) - 1e-12
 
 
-def test_newton_minimizer_matches_heavy_ball():
-    # each certified minimizer lies within tol/mu of the true one
+@pytest.mark.parametrize(
+    "start_seed", [None, 0, 1, 2, 3, 4], ids=lambda seed: "zeros" if seed is None else f"random{seed}"
+)
+def test_newton_minimizer_matches_heavy_ball(start_seed):
+    # each certified minimizer lies within tol/mu of the one true minimizer,
+    # so heavy ball from any start lands within 2 tol/mu of Newton from zeros
     lt = _small_longtail()
     mu = 0.05
     cfg = bounds.BoundGridConfig(head_fraction=0.5)
     newton, trace = bounds._train_to_stationarity(lt, mu, cfg)
     assert trace.converged and trace.final_grad_norm <= cfg.grad_tolerance
-    heavy, heavy_steps = heavy_ball_minimizer(lt, mu, cfg.grad_tolerance, 100_000)
+    start = None if start_seed is None else random_linear(lt.n_features, lt.n_classes, seed=start_seed)
+    heavy, heavy_steps = heavy_ball_minimizer(lt, mu, cfg.grad_tolerance, 100_000, start=start)
     assert trace.epochs_run < heavy_steps
     gap = np.linalg.norm(newton.get_params() - heavy.get_params())
     assert gap <= 2 * cfg.grad_tolerance / mu

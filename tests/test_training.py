@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from _fixtures import heavy_ball_minimizer, random_linear
-from ltcl import bounds, continual, datasets, models, training
+from _fixtures import random_linear
+from ltcl import continual, datasets, models, training
 from ltcl.errors import DivergenceError
 
 
@@ -96,18 +96,6 @@ def test_monotone_loss_full_batch():
     _, losses = training.train(models.LinearModel.zeros(4, 5), ds, spec, cfg)
     diffs = np.diff(losses)
     assert np.all(diffs <= 1e-12)
-
-
-def test_minimizer_unique_across_inits():
-    # heavy ball from five random starts reaches the Newton minimizer from
-    # zeros: each certified point lies within tol/mu of the one minimizer
-    ds = _lt_dataset(seed=4)
-    mu, tol = 0.1, 1e-8
-    newton, trace = bounds._train_to_stationarity(ds, mu, bounds.BoundGridConfig(grad_tolerance=tol))
-    assert trace.converged
-    for seed in range(5):
-        heavy, _ = heavy_ball_minimizer(ds, mu, tol, 100_000, start=random_linear(4, 5, seed=seed))
-        assert np.linalg.norm(heavy.get_params() - newton.get_params()) <= 2 * tol / mu
 
 
 def test_cosine_anneal_endpoints():
