@@ -43,10 +43,10 @@ cell runs them on two threads at once: a helper thread solves the head
 problem while the calling thread solves the full one, and with Lemma 2
 the two eigensolves are split the same way. Neither solve reads the
 other's state, so the results depend only on the inputs. The second
-thread gains only where a core would otherwise be idle (BLAS pinned to
-one thread, fewer grid workers than cores); elsewhere the head solve's
-extra iterations from zeros make a grid slower, and with multithreaded
-BLAS about twice as slow (README, `--workers`).
+thread gains only where a core would otherwise be idle (BLAS on one
+thread, as the CLI pins it, and fewer grid workers than cores); elsewhere
+the head solve's extra iterations from zeros make a grid slower (README,
+`--workers`).
 
 For multinomial logistic regression lambda_min(H) = mu exactly, so the
 lemma2 bound equals the loose one. Softmax is invariant to adding one
@@ -68,7 +68,7 @@ import numpy as np
 from .datasets import LabeledDataset, head_tail_split
 from .errors import (
     AT_LEAST_0, BOOL, COUNT, FINITE_POSITIVE, FRACTION, POSITIVE, SEED, DegenerateConvexityError, EigensolverError,
-    MinimizerCertificationError, ShapeMismatchError, StrictConvexityError, check, seeded_rng,
+    EmptyClassError, MinimizerCertificationError, ShapeMismatchError, StrictConvexityError, check, seeded_rng,
 )
 from .models import LinearModel, LossSpec, hessian_operator
 
@@ -469,6 +469,8 @@ def evaluate_cell(
     """
     check("mu", mu, POSITIVE)
     check("cell_seed", cell_seed, SEED)
+    if full_dataset.n_samples == 0:  # zeros would pass as both minimizers, at a NaN loss
+        raise EmptyClassError("cannot certify minimizers of an empty dataset")
     split = head_tail_split(full_dataset, config.head_fraction)
     spec = LossSpec(mu=mu)
 

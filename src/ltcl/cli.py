@@ -7,12 +7,15 @@ TWO_PHASE, with the tables they nest, give every field's type, default and
 check; a dataset's table follows its source and the run's kind, a model's
 its kind. --seed and --workers replace the config values before
 validation. Every run writes a manifest with the fully resolved
-config; rerunning from it with the same BLAS build and BLAS thread count
-reproduces the CSV outputs byte for byte (BLAS sums depend on the thread
-count). Pin BLAS to one thread when --workers is above 1, or the workers
-and the BLAS threads compete for the cores. A bound-grid cell solves on
-two threads, so pin it for every bound grid: with BLAS at its default
-thread count a grid at --workers 1 runs about twice as slow (README).
+config; rerunning from it with the same BLAS build reproduces the CSV
+outputs byte for byte.
+
+Importing this module sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to "1", whatever the caller set: BLAS sums depend on its
+thread count, and the cores go to --workers and to each bound-grid cell's
+two solver threads. BLAS reads them once, when numpy loads it, so the pin
+holds in the `ltcl` console script and `python -m ltcl.cli`, and has no
+effect in a process that loaded numpy before this import.
 
 Exit codes: 0 success, 1 validation error (an unreadable config or a
 command-line usage error included), 2 bound violation, 3 runtime failure.
@@ -23,25 +26,30 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from pathlib import Path
 from typing import NamedTuple
 
-import yaml
+# before the imports below load numpy; assigned, not defaulted (docstring)
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from . import __version__
-from .bounds import BoundGridConfig, bound_grid
-from .continual import STRATEGIES, VARIANTS, default_phase2_config, run_head_phase, run_tail_phase
-from .datasets import head_tail_split, load_idx, make_longtail, mean_pool_images, synthetic_gaussian
-from .errors import (
+import yaml  # noqa: E402
+
+from . import __version__  # noqa: E402
+from .bounds import BoundGridConfig, bound_grid  # noqa: E402
+from .continual import STRATEGIES, VARIANTS, default_phase2_config, run_head_phase, run_tail_phase  # noqa: E402
+from .datasets import head_tail_split, load_idx, make_longtail, mean_pool_images, synthetic_gaussian  # noqa: E402
+from .errors import (  # noqa: E402
     AT_LEAST_1, COUNT, FILE, FINITE_AT_LEAST_0, FINITE_POSITIVE, FRACTION, POSITIVE, SEED, ConfigError,
     LtclError, list_of, one_of,
 )
-from .metrics import accuracy_diff, transfer_decomposition
-from .models import LinearModel, LossSpec, MlpModel, save_checkpoint
-from .training import TRAIN_RULES, TrainConfig
+from .metrics import accuracy_diff, transfer_decomposition  # noqa: E402
+from .models import LinearModel, LossSpec, MlpModel, save_checkpoint  # noqa: E402
+from .training import TRAIN_RULES, TrainConfig  # noqa: E402
 
 KINDS = ("bound_grid", "ltr_two_phase")
 SUBCOMMAND_KINDS = {"bound-grid": "bound_grid", "two-phase": "ltr_two_phase"}
@@ -368,9 +376,11 @@ def emit_plot_data(results_dir: Path, kind: str, out_dir: Path) -> int:
         return 0
     if kind not in ("per-class-delta", "per-class-norm"):
         raise ConfigError("kind", f"unknown plot kind {kind!r}")
-    tables = {p.stem.removeprefix("metrics_"): _read_csv(p) for p in sorted(results_dir.glob("metrics_*.csv"))}
+    # the last run's strategies: metrics CSVs of an earlier run may share the directory
+    names = [row["strategy"] for row in _read_csv(results_dir / "summary.csv") if row["status"] == "ok"]
+    tables = {name: _read_csv(results_dir / f"metrics_{name}.csv") for name in names}
     if not tables:
-        raise ConfigError("results", f"no metrics CSVs under {results_dir}")
+        raise ConfigError("results", f"no strategy succeeded in {results_dir / 'summary.csv'}")
     if kind == "per-class-delta":
         for name, rows in tables.items():
             out_rows = [(r["class"], r["delta"], r["region"]) for r in rows]

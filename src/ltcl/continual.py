@@ -103,7 +103,7 @@ def _sample_rows(dataset: LabeledDataset, max_samples: int, rng: np.random.Gener
     `rng` in ascending order when it holds more."""
     check("max_samples", max_samples, COUNT)
     if dataset.n_samples == 0:
-        raise ValueError("cannot sample rows of an empty dataset")
+        raise EmptyClassError("cannot sample rows of an empty dataset")
     rows = np.arange(dataset.n_samples)
     if dataset.n_samples > max_samples:
         rows = np.sort(rng.choice(rows, size=max_samples, replace=False))

@@ -17,8 +17,8 @@ import numpy as np
 
 from .datasets import LabeledDataset
 from .errors import (
-    COUNT, FINITE_AT_LEAST_0, CapacityError, CheckpointError, ShapeMismatchError, UnsupportedModelError, check, list_of,
-    seeded_rng,
+    COUNT, FINITE_AT_LEAST_0, CapacityError, CheckpointError, EmptyClassError, ShapeMismatchError, UnsupportedModelError,
+    check, list_of, seeded_rng,
 )
 
 HESSIAN_PARAM_GUARD = 5000
@@ -288,7 +288,7 @@ class MlpModel(_Network):
 
 def loss(model, dataset: LabeledDataset, spec: LossSpec) -> float:
     if dataset.n_samples == 0:
-        raise ValueError("loss of an empty dataset is undefined")
+        raise EmptyClassError("loss of an empty dataset is undefined")
     n = dataset.n_samples
     logp = log_softmax(model.forward(dataset.features))
     value = -logp[np.arange(n), dataset.labels].mean()
@@ -306,7 +306,7 @@ def hessian(model, dataset: LabeledDataset, spec: LossSpec) -> np.ndarray:
     if not isinstance(model, LinearModel):
         raise UnsupportedModelError("exact Hessian is only available for the linear model")
     if dataset.n_samples == 0:
-        raise ValueError("hessian of an empty dataset is undefined")
+        raise EmptyClassError("hessian of an empty dataset is undefined")
     n, d = dataset.features.shape
     c = model.n_classes
     n_params = model.layout.total_size
@@ -357,7 +357,7 @@ def hessian_operator(model, dataset: LabeledDataset, spec: LossSpec):
     if not isinstance(model, LinearModel):
         raise UnsupportedModelError("Hessian-vector products are only available for the linear model")
     if dataset.n_samples == 0:
-        raise ValueError("hessian of an empty dataset is undefined")
+        raise EmptyClassError("hessian of an empty dataset is undefined")
     x = dataset.features
     n = len(x)
     layout = model.layout

@@ -449,6 +449,35 @@ def test_readme_library_example_runs_and_both_bounds_hold():
     assert 0.0 < float(distance) <= float(tight)
 
 
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_BLAS_PIN_SCRIPT = f"""
+import os, sys
+import ltcl
+assert "numpy" not in sys.modules, "importing ltcl loaded numpy"
+import ltcl.cli
+print([os.environ[name] for name in {BLAS_VARIABLES!r}])
+print(len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else "")
+"""
+
+
+def test_importing_the_cli_pins_blas_to_one_thread_before_numpy_loads():
+    # the console script and python -m ltcl.cli import the package first, so
+    # it must not load numpy; the caller's thread counts are overridden
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, **dict.fromkeys(BLAS_VARIABLES, "4"),
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", _BLAS_PIN_SCRIPT], capture_output=True, text=True, env=env,
+                         timeout=60)
+    assert run.returncode == 0, run.stderr
+    variables, tasks = run.stdout.split("\n")[:2]
+    assert ast.literal_eval(variables) == ["1"] * 3
+    # OpenBLAS starts its worker threads when numpy loads it, so an unpinned
+    # BLAS shows as more than one task; on a 1-CPU host it starts none, and
+    # this check cannot fail there
+    if tasks:
+        assert int(tasks) == 1
+
+
 def test_two_phase_manifest_echoes_hyperparameter_table(tmp_path):
     out = tmp_path / "out"
     cfg = _two_phase_config(out, strategies=["lwf", "ewc", "modified_ewc", "gpm"])
@@ -524,6 +553,19 @@ def test_plot_data_kinds(tmp_path):
     norm_lines = (out2 / "plot_per_class_norm.csv").read_text().strip().split("\n")
     assert norm_lines[0] == "series,class,norm"
     assert len({line.split(",")[0] for line in norm_lines[1:]}) == 2
+
+
+def test_plot_data_reads_only_the_strategies_of_the_last_run(tmp_path):
+    out = tmp_path / "out"
+    for strategies in (["naive", "ewc"], ["naive"]):
+        path = _write_config(tmp_path, _two_phase_config(out, strategies=strategies))
+        assert cli.main(["two-phase", "--config", str(path)]) == 0
+    assert cli.main(["plot-data", "--results", str(out), "--kind", "per-class-norm"]) == 0
+    norm_lines = (out / "plot_per_class_norm.csv").read_text().strip().split("\n")
+    assert {line.split(",")[0] for line in norm_lines[1:]} == {"naive"}
+    assert cli.main(["plot-data", "--results", str(out), "--kind", "per-class-delta"]) == 0
+    assert sorted(p.name for p in out.glob("plot_per_class_delta_*.csv")) == ["plot_per_class_delta_naive.csv"]
+    assert (out / "metrics_ewc.csv").exists()  # the earlier run's file is left in place
 
 
 def test_plot_data_unknown_kind(tmp_path):

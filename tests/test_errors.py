@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltcl import bounds, continual, datasets, models, training
-from ltcl.errors import FRACTION, LtclError, StrictConvexityError, check, list_of, one_of
+from ltcl.errors import FRACTION, EmptyClassError, LtclError, StrictConvexityError, check, list_of, one_of
 
 NAN, INF = math.nan, math.inf
 DATASET = datasets.synthetic_gaussian(3, 4, 10, 2.0, seed=0)
@@ -137,6 +137,24 @@ def test_lemma2_bound_rejects_a_nan_eigenvalue():
     for lam in [(NAN, 1.0), (1.0, NAN)]:
         with pytest.raises(StrictConvexityError):
             bounds.lemma2_bound(1.0, *lam)
+
+
+EMPTY = datasets.LabeledDataset.from_arrays(np.zeros((0, 4)), np.zeros(0, dtype=int), n_classes=3)
+LINEAR = models.LinearModel.zeros(4, 3)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: bounds.evaluate_cell(EMPTY, 1.0, 0.1, bounds.BoundGridConfig()), id="evaluate_cell"),
+    pytest.param(lambda: continual._sample_rows(EMPTY, 10, np.random.default_rng(0)), id="_sample_rows"),
+    pytest.param(lambda: models.loss(LINEAR, EMPTY, SPEC), id="loss"),
+    pytest.param(lambda: models.hessian(LINEAR, EMPTY, SPEC), id="hessian"),
+    pytest.param(lambda: models.hessian_operator(LINEAR, EMPTY, SPEC), id="hessian_operator"),
+])
+def test_an_empty_dataset_raises_empty_class_error(call):
+    # at zeros the gradient of no rows is 0, so a cell would "certify" both
+    # minimizers and fail later on a NaN loss gap
+    with pytest.raises(EmptyClassError, match="empty dataset"):
+        call()
 
 
 def _train(config, term=None):
