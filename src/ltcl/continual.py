@@ -6,7 +6,8 @@ object that holds what the strategy kept of the Phase-1 model, fights
 forgetting: a Fisher-weighted pull toward the Phase-1 weights (EWC, with
 the Fisher taken either at sampled labels or at the true labels),
 distillation against the frozen Phase-1 model on head logits (LwF), or
-layer inputs projected out of the span of the Phase-1 layer inputs (GPM).
+layer inputs projected out of the span of the Phase-1 layer inputs (GPM,
+whose first layer trains in the eigenbasis of its head inputs).
 The naive variant has no term and serves as the catastrophic-forgetting
 baseline.
 """
@@ -158,24 +159,31 @@ def gpm_collect_bases(
 ) -> list:
     """Orthonormal bases of the dominant layer-input subspaces.
 
-    Per weighted layer, the input activations over head samples are
-    decomposed by SVD and the smallest leading set of right singular
-    vectors reaching the energy threshold is kept as basis columns.
+    Per weighted layer, one `np.linalg.eigh` of the Gram matrix act^T act
+    of its input activations over head samples gives the eigenvalues
+    (the squared singular values of act) and the eigenvectors (its right
+    singular vectors), ordered by decreasing eigenvalue. Eigenvalues at
+    or below d * eps * lambda_0 (d the layer's input width, eps the
+    float64 epsilon: 1.7e-13 lambda_0 at d = 784) lie within the rounding
+    of a Gram matrix and are dropped, so at energy_threshold 1.0 the basis
+    spans the singular values above sqrt(d * eps) s_0. The basis is the
+    smallest leading set of the rest that reaches the energy threshold.
+
+    Each basis is a view of the leading columns of its layer's full
+    eigenvector matrix, `basis.base`: an orthonormal frame of the layer's
+    inputs whose first columns span the basis.
     """
     check("energy_threshold", energy_threshold, FRACTION)
     rows = _sample_rows(head_dataset, max_samples, seeded_rng(seed))
     _, activations = model.forward_with_activations(head_dataset.features[rows])
     bases = []
     for act in activations:
-        _, s, vt = np.linalg.svd(act, full_matrices=False)
-        s = s[s > s[0] * 1e-12] if len(s) and s[0] > 0 else s[:0]
-        if len(s) == 0:
-            bases.append(np.zeros((act.shape[1], 0)))
-            continue
-        energy = np.cumsum(s**2)
-        k = int(np.searchsorted(energy, energy_threshold * energy[-1]) + 1)
-        k = min(k, len(s))
-        bases.append(vt[:k].T.copy())
+        eigenvalues, eigenvectors = np.linalg.eigh(act.T @ act)
+        eigenvalues, frame = eigenvalues[::-1], eigenvectors[:, ::-1].copy()
+        kept = eigenvalues[eigenvalues > len(eigenvalues) * np.finfo(np.float64).eps * eigenvalues[0]]
+        energy = np.cumsum(kept)
+        k = int(np.searchsorted(energy, energy_threshold * energy[-1])) + 1 if len(kept) else 0
+        bases.append(frame[:, :k])
     return bases
 
 
@@ -229,25 +237,48 @@ class _GpmTerm(ObjectiveTerm):
     """GPM on layer inputs. Each weight gradient delta^T a becomes
     delta^T (a - (aB)B^T) + mu (W - M), with M = W0 B B^T from the
     Phase-1 weights W0: updates stay orthogonal to span(B), so W B stays
-    W0 B and mu (W - M) is the projection of mu W. Every step appends
-    ||G_w B|| / ||G|| of the full gradient G to `ratios`."""
+    W0 B and mu (W - M) is the projection of mu W.
 
-    def __init__(self, model, bases, mu: float):
-        self.bases = bases
+    The first layer trains in `frame`, an orthonormal Q whose first k
+    columns are bases[0]: `enter` turns W into WQ and the features X into
+    XQ, where projecting a batch's inputs zeroes their first k columns and
+    the in-span part G B of the layer's gradient is its first k columns;
+    `leave` turns WQ back into W. Deeper layers, whose inputs move with
+    the weights, use gpm_project and G B. Every step appends
+    ||G_w B|| / ||G|| of the full applied gradient G to `ratios`. `bases`
+    stay in the original frame."""
+
+    def __init__(self, model, frame, bases, mu: float):
+        self.frame, self.bases, self.k = frame, bases, bases[0].shape[1]
         self.ratios = []
-        self.mu_m = np.zeros(model.layout.total_size)
         layout = model.layout
-        for m, w0, basis in zip(layout.views(self.mu_m)[0::2], layout.views(model.params)[0::2], bases):
+        self.mu_m = np.zeros(layout.total_size)
+        m_views, w_views = layout.views(self.mu_m)[0::2], layout.views(model.params)[0::2]
+        m_views[0][:, : self.k] = mu * (w_views[0] @ frame)[:, : self.k]
+        for m, w0, basis in zip(m_views[1:], w_views[1:], bases[1:]):
             m[...] = mu * ((w0 @ basis) @ basis.T)
 
+    def enter(self, model, dataset):
+        w = model.layout.views(model.params)[0]
+        w[...] = w @ self.frame
+        return model, replace(dataset, features=dataset.features @ self.frame)
+
+    def leave(self, model):
+        w = model.layout.views(model.params)[0]
+        w[...] = w @ self.frame.T
+        return model
+
     def weight_inputs(self, inputs) -> list:
-        return [gpm_project(a, basis) for a, basis in zip(inputs, self.bases)]
+        first = inputs[0].copy()
+        first[:, : self.k] = 0.0
+        return [first] + [gpm_project(a, basis) for a, basis in zip(inputs[1:], self.bases[1:])]
 
     def param_term(self, params, out) -> float:
         grad = out.grad
         grad -= self.mu_m
-        inside_sq = 0.0
-        for g, basis in zip(out.views[0::2], self.bases):
+        views = out.views[0::2]
+        inside_sq = float(np.add.reduce(views[0][:, : self.k] ** 2, axis=None))
+        for g, basis in zip(views[1:], self.bases[1:]):
             inside_sq += float(np.add.reduce((g @ basis) ** 2, axis=None))
         norm = float(np.sqrt(grad @ grad))  # np.linalg.norm's own sum, without its wrapper
         self.ratios.append(np.sqrt(inside_sq) / norm if norm > 0 else 0.0)
@@ -281,7 +312,7 @@ def strategy_term(
         bases = gpm_collect_bases(
             model, head_dataset, settings["energy_threshold"], settings["fisher_max_samples"], seed=seed
         )
-        return _GpmTerm(model, bases, spec.mu)
+        return _GpmTerm(model, bases[0].base, bases, spec.mu)
     return None
 
 

@@ -73,6 +73,16 @@ class ObjectiveTerm:
     """Extends the objective of `loss_and_gradient`; each hook is a no-op
     until a subclass overrides it."""
 
+    def enter(self, model, dataset):
+        """`training.train` calls this on its copy of the model before the
+        first step; returns the model and the dataset the steps run on."""
+        return model, dataset
+
+    def leave(self, model):
+        """`training.train` calls this after the last step; returns the
+        model it returns."""
+        return model
+
     def logit_term(self, logits, inputs, delta) -> float:
         """Adds the term's logit derivative / n to delta in place; returns the term."""
         return 0.0

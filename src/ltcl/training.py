@@ -73,11 +73,15 @@ def train(
     that reads `params`. `workspace` is one `models.GradientWorkspace`,
     made for the copy once per call; the model fills its `grad` and
     returns (loss, grad). Training updates the copy's `params` in place.
-    `term` (a `models.ObjectiveTerm`) extends every step's objective.
+    `term` (a `models.ObjectiveTerm`) extends every step's objective; its
+    `enter` and `leave` hooks run on the copy before the first step and
+    after the last.
     """
     if dataset.n_samples == 0:
         raise EmptyClassError("cannot train on an empty dataset")
     model = model.copy()
+    if term is not None:
+        model, dataset = term.enter(model, dataset)
     x, y = dataset.features, dataset.labels
     n = dataset.n_samples
     theta = model.params
@@ -99,4 +103,6 @@ def train(
             _step(theta, velocity, grad, lr, config.momentum)
         losses.append(float(np.mean(batch_losses)))
 
+    if term is not None:
+        model = term.leave(model)
     return model, np.array(losses)

@@ -243,10 +243,22 @@ def test_criterion_7_gpm_projection_invariant(two_phase_runs):
         float(np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))))
         for basis in res.state.bases
     )
+    # the in-span ratio is read in the first layer's training frame; the
+    # drift of W B is measured in the original frame, after training
+    layout = res.model_after_tail.layout
+    drift = max(
+        float(np.max(np.abs(w @ basis - w0 @ basis)) / np.max(np.abs(w0 @ basis)))
+        for w, w0, basis in zip(
+            layout.views(res.model_after_tail.params)[0::2],
+            layout.views(res.model_after_head.params)[0::2],
+            res.state.bases,
+        )
+    )
     _report(
         "criterion 7 (GPM updates orthogonal to stored bases)",
-        max_ratio <= 1e-6 and ortho <= 1e-8,
-        f"max in-span update ratio {max_ratio:.2e} (<=1e-6), basis orthonormality {ortho:.2e} (<=1e-8)",
+        max_ratio <= 1e-6 and ortho <= 1e-8 and drift <= 1e-12,
+        f"max in-span update ratio {max_ratio:.2e} (<=1e-6), basis orthonormality {ortho:.2e} (<=1e-8), "
+        f"in-span weight drift {drift:.2e} (<=1e-12)",
     )
 
 

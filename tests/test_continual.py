@@ -300,6 +300,71 @@ def test_gpm_bases_prefix_oracle():
     assert basis.shape[1] == k_oracle
 
 
+def _svd_oracle_basis(acts, threshold):
+    """The thin-SVD basis: right singular vectors of the singular values
+    above 1e-12 s_0, cut by the energy rule."""
+    _, s, vt = np.linalg.svd(acts, full_matrices=False)
+    s = s[s > 1e-12 * s[0]]
+    energy = np.cumsum(s**2)
+    k = min(int(np.searchsorted(energy, threshold * energy[-1])) + 1, len(s))
+    return vt[:k].T
+
+
+def test_gpm_eigh_basis_spans_svd_basis():
+    # one eigh of act^T act keeps the SVD's k, and its span wherever the
+    # eigengap at k is clear, with more columns than rows too
+    rng = np.random.default_rng(8)
+    checked = cases = 0
+    for n, d, rank in [(60, 10, None), (200, 30, None), (8, 20, None), (40, 6, 3), (50, 12, 4), (6, 15, 3)]:
+        for _ in range(3):
+            acts = rng.standard_normal((n, d)) if rank is None else (
+                rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d)))
+            acts *= rng.uniform(0.1, 3.0, size=d)  # an uneven spectrum
+            ds = datasets.LabeledDataset.from_arrays(acts, np.zeros(n, dtype=int), n_classes=1)
+            lam = np.linalg.svd(acts, compute_uv=False) ** 2
+            for threshold in (0.5, 0.9, 0.97, 1.0):
+                (basis,) = continual.gpm_collect_bases(models.LinearModel.zeros(d, 1), ds, threshold, n)
+                oracle = _svd_oracle_basis(acts, threshold)
+                assert basis.shape == oracle.shape, (n, d, rank, threshold)
+                k = basis.shape[1]
+                cases += 1
+                if lam[k - 1] - (lam[k] if k < len(lam) else 0.0) > 1e-4 * lam[0]:
+                    checked += 1
+                    assert np.linalg.norm(basis @ basis.T - oracle @ oracle.T, 2) <= 1e-10
+    assert checked >= 0.9 * cases
+
+
+def test_gpm_frame_round_trip(lt_fixture):
+    # leave(enter(model)) restores the parameters, and the framed model's
+    # loss on the framed tail is the original's
+    _, split, _ = lt_fixture
+    tail = split.tail
+    for model in (_fresh_model(), random_linear(12, 6, seed=3)):
+        term = continual.strategy_term("gpm", model, split.head, split.head_classes, SPEC)
+        framed, framed_tail = term.enter(model.copy(), tail)
+        assert not np.array_equal(framed.params, model.params)
+        for rows in (slice(0, 2), slice(None)):
+            value, _ = model.loss_and_gradient(tail.features[rows], tail.labels[rows], SPEC)
+            framed_value, _ = framed.loss_and_gradient(framed_tail.features[rows], tail.labels[rows], SPEC)
+            assert abs(framed_value - value) <= 1e-12 * abs(value)
+        back = term.leave(framed)
+        assert np.linalg.norm(back.params - model.params) <= 1e-14 * np.linalg.norm(model.params)
+
+
+def test_gpm_on_linear_model_trains_all_in_frame(lt_fixture, monkeypatch):
+    lt, split, test = lt_fixture
+    calls = []
+    project = continual.gpm_project
+    monkeypatch.setattr(continual, "gpm_project", lambda *args: calls.append(1) or project(*args))
+    phase2 = continual.default_phase2_config("gpm", seed=6)
+    res = continual.run_two_phase(
+        "gpm", lt, split, PHASE1, phase2, SPEC, model=models.LinearModel.zeros(12, 6), test_dataset=test
+    )
+    assert calls == []
+    assert len(res.gpm_projection_ratios) == phase2.epochs * -(-split.tail.n_samples // phase2.batch_size)
+    assert max(res.gpm_projection_ratios) <= 1e-6
+
+
 def test_gpm_bases_orthonormal(lt_fixture):
     lt, split, _ = lt_fixture
     model, _ = training.train(_fresh_model(), split.head, SPEC, PHASE1)
@@ -455,26 +520,35 @@ def test_gpm_updates_stay_out_of_bases(lt_fixture):
 
 
 def test_gpm_term_projects_weight_gradients(lt_fixture):
-    # at W = W0 the term's gradient is gpm_project of the plain gradient's
-    # weight views; bias entries are untouched
+    # at W = W0 the term's gradient, taken in the first layer's frame Q,
+    # is gpm_project of the plain gradient's weight views once the first
+    # layer's G~ is turned back by Q^T; bias entries are those of the
+    # framed model's plain gradient
     lt, split, _ = lt_fixture
     rng = np.random.default_rng(3)
     tail = split.tail
     for model in (_fresh_model(), random_linear(12, 6, seed=3)):
         collected = continual.gpm_collect_bases(model, split.head, 0.97, 500)
         dims = [w.shape[1] for w in model.layout.views(model.params)[0::2]]
-        for bases in (
-            collected,
-            [np.zeros((d, 0)) for d in dims],
-            [np.linalg.qr(rng.standard_normal((d, d)))[0] for d in dims],
+        random_frames = [np.linalg.qr(rng.standard_normal((d, d)))[0] for d in dims]
+        for frame, bases in (
+            (collected[0].base, collected),
+            (random_frames[0], [np.zeros((d, 0)) for d in dims]),
+            (random_frames[0], random_frames),
         ):
+            bases = [frame[:, : bases[0].shape[1]]] + bases[1:]
+            term = continual._GpmTerm(model, frame, bases, SPEC.mu)
+            framed, framed_tail = term.enter(model.copy(), tail)
             for rows in (slice(0, 1), slice(3, 5), slice(None)):
                 x, y = tail.features[rows], tail.labels[rows]
                 _, plain = model.loss_and_gradient(x, y, SPEC)
-                term = continual._GpmTerm(model, bases, SPEC.mu)
-                _, grad = model.loss_and_gradient(x, y, SPEC, term)
+                _, framed_plain = framed.loss_and_gradient(framed_tail.features[rows], y, SPEC)
+                term.ratios.clear()
+                _, grad = framed.loss_and_gradient(framed_tail.features[rows], y, SPEC, term)
                 assert len(term.ratios) == 1 and term.ratios[0] <= 1e-12
-                for g, g0, basis in zip(model.layout.views(grad)[0::2], model.layout.views(plain)[0::2], bases):
+                views = model.layout.views(grad)[0::2]
+                views[0] = views[0] @ frame.T
+                for g, g0, basis in zip(views, model.layout.views(plain)[0::2], bases):
                     scale = np.max(np.abs(g0))
                     assert np.max(np.abs(g @ basis), initial=0.0) <= 1e-12 * scale
                     np.testing.assert_allclose(
@@ -483,7 +557,7 @@ def test_gpm_term_projects_weight_gradients(lt_fixture):
                 weight_mask = np.zeros(len(grad), dtype=bool)
                 for view in model.layout.views(weight_mask)[0::2]:
                     view[...] = True
-                assert np.array_equal(grad[~weight_mask], plain[~weight_mask])
+                assert np.array_equal(grad[~weight_mask], framed_plain[~weight_mask])
 
 
 def test_gpm_phase2_keeps_weights_on_bases(lt_fixture):

@@ -136,9 +136,12 @@ def test_config_rejects_non_finite_learning_rate(learning_rate):
 
 def _reference_train(model, dataset, spec, config, term=None):
     """The out-of-place heavy-ball loop: velocity = m * velocity - lr * grad,
-    theta = theta + velocity, then set_params(theta). Returns the final
-    parameters and the epoch losses."""
+    theta = theta + velocity, then set_params(theta), between the term's
+    enter and leave hooks. Returns the final parameters and the epoch
+    losses."""
     model = model.copy()
+    if term is not None:
+        model, dataset = term.enter(model, dataset)
     x, y = dataset.features, dataset.labels
     theta = model.get_params()
     velocity = np.zeros_like(theta)
@@ -156,6 +159,8 @@ def _reference_train(model, dataset, spec, config, term=None):
             theta = theta + velocity
             model.set_params(theta)
         losses.append(float(np.mean(batch_losses)))
+    if term is not None:
+        model = term.leave(model)
     return model.get_params(), np.array(losses)
 
 
@@ -178,9 +183,11 @@ def test_in_place_step_bit_identical_gpm_term():
     ds = _lt_dataset(seed=1)
     model = models.MlpModel.initialize([4, 7, 5], seed=3)
     spec = models.LossSpec(mu=1e-4)
-    bases = continual.gpm_collect_bases(model, ds, 0.9, 100)
     cfg = training.TrainConfig(learning_rate=0.01, momentum=0.0, epochs=5, batch_size=2, schedule="cosine", seed=6)
-    _assert_train_matches_reference(model, ds, spec, cfg, lambda: continual._GpmTerm(model, bases, spec.mu))
+    _assert_train_matches_reference(
+        model, ds, spec, cfg,
+        lambda: continual.strategy_term("gpm", model, ds, range(3), spec, energy_threshold=0.9, fisher_max_samples=100),
+    )
 
 
 @pytest.mark.parametrize("variant", ["ewc", "lwf"])
