@@ -6,8 +6,8 @@ object that holds what the strategy kept of the Phase-1 model, fights
 forgetting: a Fisher-weighted pull toward the Phase-1 weights (EWC, with
 the Fisher taken either at sampled labels or at the true labels),
 distillation against the frozen Phase-1 model on head logits (LwF), or
-layer inputs projected out of the span of the Phase-1 layer inputs (GPM,
-whose first layer trains in the eigenbasis of its head inputs).
+weight gradients projected out of the span of the Phase-1 layer inputs
+(GPM, whose first layer trains in the eigenbasis of its head inputs).
 The naive variant has no term and serves as the catastrophic-forgetting
 baseline.
 """
@@ -234,29 +234,21 @@ class _LwfTerm(ObjectiveTerm):
 
 
 class _GpmTerm(ObjectiveTerm):
-    """GPM on layer inputs. Each weight gradient delta^T a becomes
-    delta^T (a - (aB)B^T) + mu (W - M), with M = W0 B B^T from the
-    Phase-1 weights W0: updates stay orthogonal to span(B), so W B stays
-    W0 B and mu (W - M) is the projection of mu W.
+    """GPM on weight gradients: each layer's applied gradient G, the plain
+    delta^T a + mu W, becomes G - (G B)B^T, so updates stay orthogonal to
+    span(B) and W B stays at its Phase-1 value.
 
     The first layer trains in `frame`, an orthonormal Q whose first k
     columns are bases[0]: `enter` turns W into WQ and the features X into
-    XQ, where projecting a batch's inputs zeroes their first k columns and
-    the in-span part G B of the layer's gradient is its first k columns;
-    `leave` turns WQ back into W. Deeper layers, whose inputs move with
-    the weights, use gpm_project and G B. Every step appends
-    ||G_w B|| / ||G|| of the full applied gradient G to `ratios`. `bases`
-    stay in the original frame."""
+    XQ, where the projection zeroes the first k columns of the layer's
+    gradient; `leave` turns WQ back into W. Deeper layers use gpm_project.
+    Every step appends ||G_w B|| / ||G|| of the full applied gradient G to
+    `ratios`, reading the first layer's G B as its first k columns.
+    `bases` stay in the original frame."""
 
-    def __init__(self, model, frame, bases, mu: float):
+    def __init__(self, frame, bases):
         self.frame, self.bases, self.k = frame, bases, bases[0].shape[1]
         self.ratios = []
-        layout = model.layout
-        self.mu_m = np.zeros(layout.total_size)
-        m_views, w_views = layout.views(self.mu_m)[0::2], layout.views(model.params)[0::2]
-        m_views[0][:, : self.k] = mu * (w_views[0] @ frame)[:, : self.k]
-        for m, w0, basis in zip(m_views[1:], w_views[1:], bases[1:]):
-            m[...] = mu * ((w0 @ basis) @ basis.T)
 
     def enter(self, model, dataset):
         w = model.layout.views(model.params)[0]
@@ -268,25 +260,21 @@ class _GpmTerm(ObjectiveTerm):
         w[...] = w @ self.frame.T
         return model
 
-    def weight_inputs(self, inputs) -> list:
-        first = inputs[0].copy()
-        first[:, : self.k] = 0.0
-        return [first] + [gpm_project(a, basis) for a, basis in zip(inputs[1:], self.bases[1:])]
-
     def param_term(self, params, out) -> float:
-        grad = out.grad
-        grad -= self.mu_m
         views = out.views[0::2]
+        views[0][:, : self.k] = 0.0
         inside_sq = float(np.add.reduce(views[0][:, : self.k] ** 2, axis=None))
         for g, basis in zip(views[1:], self.bases[1:]):
+            g[...] = gpm_project(g, basis)
             inside_sq += float(np.add.reduce((g @ basis) ** 2, axis=None))
+        grad = out.grad
         norm = float(np.sqrt(grad @ grad))  # np.linalg.norm's own sum, without its wrapper
         self.ratios.append(np.sqrt(inside_sq) / norm if norm > 0 else 0.0)
         return 0.0
 
 
 def strategy_term(
-    variant: str, model, head_dataset: LabeledDataset, head_classes, spec: LossSpec, *, seed: int = 0, **settings
+    variant: str, model, head_dataset: LabeledDataset, head_classes, *, seed: int = 0, **settings
 ) -> ObjectiveTerm | None:
     """The variant's Phase-2 term, holding what it keeps of the Phase-1
     `model`, or None (naive). `settings` override the defaults of the
@@ -312,7 +300,7 @@ def strategy_term(
         bases = gpm_collect_bases(
             model, head_dataset, settings["energy_threshold"], settings["fisher_max_samples"], seed=seed
         )
-        return _GpmTerm(model, bases[0].base, bases, spec.mu)
+        return _GpmTerm(bases[0].base, bases)
     return None
 
 
@@ -335,7 +323,7 @@ def run_tail_phase(
     strategy_term built with `seed` and `settings` (its keywords), and
     return a copy of `head` with the tail fields set."""
     model_head = head.model_after_head
-    term = strategy_term(variant, model_head, split.head, split.head_classes, spec, seed=seed, **settings)
+    term = strategy_term(variant, model_head, split.head, split.head_classes, seed=seed, **settings)
     model_tail, phase2_losses = train(model_head, split.tail, spec, phase2_config, term)
     return replace(
         head,

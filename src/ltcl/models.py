@@ -70,8 +70,10 @@ def softmax_probs(logits):
 
 
 class ObjectiveTerm:
-    """Extends the objective of `loss_and_gradient`; each hook is a no-op
-    until a subclass overrides it."""
+    """Extends the objective of `loss_and_gradient`: `logit_term` before
+    back-propagation, `param_term` on the filled gradient, and
+    `enter`/`leave` around a training run. Each hook is a no-op until a
+    subclass overrides it."""
 
     def enter(self, model, dataset):
         """`training.train` calls this on its copy of the model before the
@@ -87,13 +89,9 @@ class ObjectiveTerm:
         """Adds the term's logit derivative / n to delta in place; returns the term."""
         return 0.0
 
-    def weight_inputs(self, inputs) -> list:
-        """The a_l of each weight gradient delta_l^T a_l (inputs[0] = features)."""
-        return inputs
-
     def param_term(self, params, out) -> float:
-        """Adjusts out.grad, the flat gradient, in place (out.views are its
-        layout views); returns the term."""
+        """Adjusts out.grad, the flat gradient, in place once the model has
+        filled it (out.views are its layout views); returns the term."""
         return 0.0
 
 
@@ -190,7 +188,7 @@ class _Network:
     def forward(self, features) -> np.ndarray:
         return self.forward_with_activations(features)[0]
 
-    def backward(self, delta, activations, square: bool = False, inputs=None, out=None) -> np.ndarray:
+    def backward(self, delta, activations, square: bool = False, out=None) -> np.ndarray:
         """Back-propagate per-sample logit derivatives through the layers.
 
         delta has one row per sample. Returns the flat layout-order sum over
@@ -198,17 +196,15 @@ class _Network:
         column sums of delta_l per bias, with delta_l the derivative at
         layer l's output and a_l its input. With square=True every
         per-sample gradient is squared before the sum, (delta_l**2)^T a_l**2.
-        `inputs` replaces a_l in delta_l^T a_l only, not in the masks.
         The sum fills `out.grad`, of a new `GradientWorkspace` by default.
         """
-        inputs = activations if inputs is None else inputs
         if out is None:
             out = GradientWorkspace(self)
         views = out.views
         for i in range(len(self._weights) - 1, -1, -1):
             a = activations[i]
             d = delta * delta if square else delta
-            np.matmul(d.T, a * a if square else inputs[i], out=views[2 * i])
+            np.matmul(d.T, a * a if square else a, out=views[2 * i])
             np.add.reduce(d, axis=0, out=views[2 * i + 1])
             if i > 0:
                 # a = relu(previous pre-activation): a > 0 is the rectifier's mask
@@ -230,11 +226,9 @@ class _Network:
         delta = np.exp(logp)
         delta[rows, labels] -= 1.0
         delta /= n
-        inputs = None
         if term is not None:
             loss += term.logit_term(logits, activations, delta)
-            inputs = term.weight_inputs(activations)
-        grad = self.backward(delta, activations, inputs=inputs, out=out)
+        grad = self.backward(delta, activations, out=out)
         grad += np.multiply(self._params, spec.mu, out=out.scratch)
         if term is not None:
             loss += term.param_term(self._params, out)

@@ -183,7 +183,7 @@ def test_ewc_penalty_shape_error():
 def test_ewc_phase2_objective_equals_tail_loss_at_anchor(lt_fixture):
     lt, split, _ = lt_fixture
     model, _ = training.train(_fresh_model(), split.head, SPEC, PHASE1)
-    term = continual.strategy_term("ewc", model, split.head, split.head_classes, SPEC)
+    term = continual.strategy_term("ewc", model, split.head, split.head_classes)
     value, grad = model.loss_and_gradient(split.tail.features, split.tail.labels, SPEC, term)
     _, plain = model.loss_and_gradient(split.tail.features, split.tail.labels, SPEC)
     assert value == pytest.approx(models.loss(model, split.tail, SPEC), abs=1e-12)
@@ -223,7 +223,7 @@ def test_lwf_loss_errors():
 def test_term_gradient_matches_finite_differences(lt_fixture, variant):
     lt, split, _ = lt_fixture
     head_model, _ = training.train(_fresh_model(), split.head, SPEC, PHASE1)
-    term = continual.strategy_term(variant, head_model, split.head, split.head_classes, SPEC, cl_weight=3.0)
+    term = continual.strategy_term(variant, head_model, split.head, split.head_classes, cl_weight=3.0)
     model = head_model.copy()
     model.set_params(head_model.params + 0.05 * np.random.default_rng(2).standard_normal(len(head_model.params)))
     x, y = split.tail.features[:7], split.tail.labels[:7]
@@ -244,7 +244,7 @@ def test_term_gradient_matches_finite_differences(lt_fixture, variant):
 def test_lwf_term_value_is_distillation_against_teacher(lt_fixture):
     lt, split, _ = lt_fixture
     teacher, _ = training.train(_fresh_model(), split.head, SPEC, PHASE1)
-    term = continual.strategy_term("lwf", teacher, split.head, split.head_classes, SPEC, cl_weight=3.0)
+    term = continual.strategy_term("lwf", teacher, split.head, split.head_classes, cl_weight=3.0)
     student = _fresh_model(seed=9)
     x, y = split.tail.features[:7], split.tail.labels[:7]
     plain, _ = student.loss_and_gradient(x, y, SPEC)
@@ -340,7 +340,7 @@ def test_gpm_frame_round_trip(lt_fixture):
     _, split, _ = lt_fixture
     tail = split.tail
     for model in (_fresh_model(), random_linear(12, 6, seed=3)):
-        term = continual.strategy_term("gpm", model, split.head, split.head_classes, SPEC)
+        term = continual.strategy_term("gpm", model, split.head, split.head_classes)
         framed, framed_tail = term.enter(model.copy(), tail)
         assert not np.array_equal(framed.params, model.params)
         for rows in (slice(0, 2), slice(None)):
@@ -396,14 +396,14 @@ def test_strategy_term_rejects_non_positive_temperature(lt_fixture, temperature)
     # a zero temperature divides the logits by zero: a NaN loss at the first step
     _, split, _ = lt_fixture
     with pytest.raises(ValueError, match="temperature"):
-        continual.strategy_term("lwf", _fresh_model(), split.head, split.head_classes, SPEC, temperature=temperature)
+        continual.strategy_term("lwf", _fresh_model(), split.head, split.head_classes, temperature=temperature)
 
 
 @pytest.mark.parametrize("variant", ["ewc", "modified_ewc", "lwf"])
 def test_strategy_term_rejects_negative_cl_weight(lt_fixture, variant):
     _, split, _ = lt_fixture
     with pytest.raises(ValueError, match="cl_weight"):
-        continual.strategy_term(variant, _fresh_model(), split.head, split.head_classes, SPEC, cl_weight=-5.0)
+        continual.strategy_term(variant, _fresh_model(), split.head, split.head_classes, cl_weight=-5.0)
 
 
 UNREAD_SETTINGS = [
@@ -427,7 +427,7 @@ def test_strategy_term_checks_each_setting_from_the_table(lt_fixture, variant, k
     _, (test, message) = continual.STRATEGIES[variant].settings[key]
     assert not test(value)
     with pytest.raises(ValueError, match=re.escape(f"{key} {message}")):
-        continual.strategy_term(variant, _fresh_model(), split.head, split.head_classes, SPEC, **{key: value})
+        continual.strategy_term(variant, _fresh_model(), split.head, split.head_classes, **{key: value})
 
 
 @pytest.mark.parametrize("variant, key", UNREAD_SETTINGS)
@@ -435,7 +435,7 @@ def test_strategy_term_rejects_a_setting_its_variant_does_not_read(lt_fixture, v
     # a setting the variant ignores would reach the manifest and change nothing
     _, split, _ = lt_fixture
     with pytest.raises(ValueError, match=f"'{variant}' does not read {key}"):
-        continual.strategy_term(variant, _fresh_model(), split.head, split.head_classes, SPEC, **{key: 1})
+        continual.strategy_term(variant, _fresh_model(), split.head, split.head_classes, **{key: 1})
 
 
 def test_gpm_project_empty_basis():
@@ -520,10 +520,11 @@ def test_gpm_updates_stay_out_of_bases(lt_fixture):
 
 
 def test_gpm_term_projects_weight_gradients(lt_fixture):
-    # at W = W0 the term's gradient, taken in the first layer's frame Q,
-    # is gpm_project of the plain gradient's weight views once the first
-    # layer's G~ is turned back by Q^T; bias entries are those of the
-    # framed model's plain gradient
+    # the term's gradient, taken in the first layer's frame Q, is
+    # gpm_project of the plain gradient's weight views once the first
+    # layer's G~ is turned back by Q^T, both at the Phase-1 weights W0 and
+    # at weights moved inside the span (W B != W0 B); bias entries are
+    # those of the framed model's plain gradient
     lt, split, _ = lt_fixture
     rng = np.random.default_rng(3)
     tail = split.tail
@@ -537,27 +538,37 @@ def test_gpm_term_projects_weight_gradients(lt_fixture):
             (random_frames[0], random_frames),
         ):
             bases = [frame[:, : bases[0].shape[1]]] + bases[1:]
-            term = continual._GpmTerm(model, frame, bases, SPEC.mu)
-            framed, framed_tail = term.enter(model.copy(), tail)
-            for rows in (slice(0, 1), slice(3, 5), slice(None)):
-                x, y = tail.features[rows], tail.labels[rows]
-                _, plain = model.loss_and_gradient(x, y, SPEC)
-                _, framed_plain = framed.loss_and_gradient(framed_tail.features[rows], y, SPEC)
-                term.ratios.clear()
-                _, grad = framed.loss_and_gradient(framed_tail.features[rows], y, SPEC, term)
-                assert len(term.ratios) == 1 and term.ratios[0] <= 1e-12
-                views = model.layout.views(grad)[0::2]
-                views[0] = views[0] @ frame.T
-                for g, g0, basis in zip(views, model.layout.views(plain)[0::2], bases):
-                    scale = np.max(np.abs(g0))
-                    assert np.max(np.abs(g @ basis), initial=0.0) <= 1e-12 * scale
-                    np.testing.assert_allclose(
-                        g, continual.gpm_project(g0, basis), rtol=1e-12, atol=1e-12 * scale
-                    )
-                weight_mask = np.zeros(len(grad), dtype=bool)
-                for view in model.layout.views(weight_mask)[0::2]:
-                    view[...] = True
-                assert np.array_equal(grad[~weight_mask], framed_plain[~weight_mask])
+            term = continual._GpmTerm(frame, bases)
+            moved = model.copy()
+            for w, basis in zip(moved.layout.views(moved.params)[0::2], bases):
+                w += 0.1 * rng.standard_normal((w.shape[0], basis.shape[1])) @ basis.T
+            for at in (model, moved):
+                framed, framed_tail = term.enter(at.copy(), tail)
+                for rows in (slice(0, 1), slice(3, 5), slice(None)):
+                    x, y = tail.features[rows], tail.labels[rows]
+                    _, plain = at.loss_and_gradient(x, y, SPEC)
+                    _, framed_plain = framed.loss_and_gradient(framed_tail.features[rows], y, SPEC)
+                    term.ratios.clear()
+                    _, grad = framed.loss_and_gradient(framed_tail.features[rows], y, SPEC, term)
+                    assert len(term.ratios) == 1 and term.ratios[0] <= 1e-12
+                    if isinstance(model, models.LinearModel):
+                        # the one layer is wholly in the frame: the term zeroes the
+                        # first k columns of the framed plain gradient, and no more
+                        expected = framed_plain.copy()
+                        model.layout.views(expected)[0][:, : bases[0].shape[1]] = 0.0
+                        assert np.array_equal(grad, expected)
+                    views = model.layout.views(grad)[0::2]
+                    views[0] = views[0] @ frame.T
+                    for g, g0, basis in zip(views, model.layout.views(plain)[0::2], bases):
+                        scale = np.max(np.abs(g0))
+                        assert np.max(np.abs(g @ basis), initial=0.0) <= 1e-12 * scale
+                        np.testing.assert_allclose(
+                            g, continual.gpm_project(g0, basis), rtol=1e-12, atol=1e-12 * scale
+                        )
+                    weight_mask = np.zeros(len(grad), dtype=bool)
+                    for view in model.layout.views(weight_mask)[0::2]:
+                        view[...] = True
+                    assert np.array_equal(grad[~weight_mask], framed_plain[~weight_mask])
 
 
 def test_gpm_phase2_keeps_weights_on_bases(lt_fixture):
@@ -704,7 +715,7 @@ def _model_and_term(kind, variant, ds):
     else:
         model = models.MlpModel.initialize([ds.n_features, 9, ds.n_classes], seed=1)
     settings = {"cl_weight": 2.0} if variant in ("ewc", "lwf") else {}  # GPM reads no weight
-    term = None if variant is None else continual.strategy_term(variant, model, ds, range(2), SPEC, **settings)
+    term = None if variant is None else continual.strategy_term(variant, model, ds, range(2), **settings)
     rng = np.random.default_rng(2)
     model.set_params(model.params + 0.05 * rng.standard_normal(model.params.shape))
     return model, term
@@ -737,7 +748,7 @@ def test_workspace_step_allocates_less_than_one_parameter_vector(variant):
     # 25 731 parameters (206 KB) against 3.2 KB of batch-2 input
     ds = datasets.synthetic_gaussian(3, 200, 10, 2.0, seed=0)
     model = models.MlpModel.initialize([200, 128, 3], seed=0)
-    term = None if variant is None else continual.strategy_term(variant, model, ds, range(2), SPEC)
+    term = None if variant is None else continual.strategy_term(variant, model, ds, range(2))
     workspace = models.GradientWorkspace(model)
     x, y = ds.features[:2], ds.labels[:2]
     model.loss_and_gradient(x, y, SPEC, term, out=workspace)

@@ -32,9 +32,9 @@ def _strategy_cases():
             bad = BAD_COUNTS if key == "fisher_max_samples" else bad
             yield (f"strategy_term.{variant}.{key}", key, bad,
                    lambda v, variant=variant, key=key: continual.strategy_term(
-                       variant, MODEL, DATASET, {0, 1}, SPEC, **{key: v}))
+                       variant, MODEL, DATASET, {0, 1}, **{key: v}))
         yield (f"strategy_term.{variant}", "seed", BAD_SEEDS,
-               lambda v, variant=variant: continual.strategy_term(variant, MODEL, DATASET, {0, 1}, SPEC, seed=v))
+               lambda v, variant=variant: continual.strategy_term(variant, MODEL, DATASET, {0, 1}, seed=v))
 
 
 def _seed_cases():
@@ -81,7 +81,7 @@ CASES = [
     ("gpm_collect_bases", "energy_threshold", [0.0, 1.5, NAN, INF, -INF],
      lambda v: continual.gpm_collect_bases(MODEL, DATASET, v, 10)),
     ("strategy_term", "variant", ["dropout", NAN],
-     lambda v: continual.strategy_term(v, MODEL, DATASET, {0, 1}, SPEC)),
+     lambda v: continual.strategy_term(v, MODEL, DATASET, {0, 1})),
     *_strategy_cases(),
     ("lemma1_bound", "delta", [-1.0, NAN, -INF], lambda v: bounds.lemma1_bound(v, 1.0, 1.0)),
     ("lemma1_bound", "mu_f", [-1.0, NAN, -INF], lambda v: bounds.lemma1_bound(1.0, v, 1.0)),
@@ -166,7 +166,7 @@ def _strategy_constructors():
         if strategy.settings:
             yield (f"strategy_term.{variant}",
                    {"seed": 0, **{key: default for key, (default, _) in strategy.settings.items()}},
-                   lambda kw, variant=variant: continual.strategy_term(variant, MODEL, DATASET, {0, 1}, SPEC, **kw),
+                   lambda kw, variant=variant: continual.strategy_term(variant, MODEL, DATASET, {0, 1}, **kw),
                    lambda term: _train(training.TrainConfig(0.01), term))
 
 

@@ -186,7 +186,7 @@ def test_in_place_step_bit_identical_gpm_term():
     cfg = training.TrainConfig(learning_rate=0.01, momentum=0.0, epochs=5, batch_size=2, schedule="cosine", seed=6)
     _assert_train_matches_reference(
         model, ds, spec, cfg,
-        lambda: continual.strategy_term("gpm", model, ds, range(3), spec, energy_threshold=0.9, fisher_max_samples=100),
+        lambda: continual.strategy_term("gpm", model, ds, range(3), energy_threshold=0.9, fisher_max_samples=100),
     )
 
 
@@ -197,7 +197,7 @@ def test_in_place_step_bit_identical_with_term(variant):
     spec = models.LossSpec(mu=1e-4)
     cfg = training.TrainConfig(learning_rate=0.02, momentum=0.9, epochs=4, batch_size=8, seed=8)
     _assert_train_matches_reference(
-        model, ds, spec, cfg, lambda: continual.strategy_term(variant, model, ds, range(3), spec, cl_weight=2.0)
+        model, ds, spec, cfg, lambda: continual.strategy_term(variant, model, ds, range(3), cl_weight=2.0)
     )
 
 
