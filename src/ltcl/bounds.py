@@ -38,15 +38,18 @@ grad_tolerance/mu of the true one. The floor stops CG at half the
 tolerance that the certificate checks: a smaller residual costs
 Hessian-vector products and cannot strengthen the certificate, and a
 step that leaves ||g|| above the tolerance costs one more Newton
-iteration. Both solves start from zeros, and they are independent, so a
-cell runs them on two threads at once: a helper thread solves the head
-problem while the calling thread solves the full one, and with Lemma 2
-the two eigensolves are split the same way. Neither solve reads the
-other's state, so the results depend only on the inputs. The second
-thread gains only where a core would otherwise be idle (BLAS on one
-thread, as the CLI pins it, and fewer grid workers than cores); elsewhere
-the head solve's extra iterations from zeros make a grid slower (README,
-`--workers`).
+iteration. The products of each Newton step, and the Lemma-2 eigensolves
+at the certified minimizers, read the class probabilities that the
+gradient evaluation at the same point left in its workspace, so each
+point costs one forward pass over the data. Both solves start from
+zeros, and they are independent, so a cell runs them on two threads at
+once: a helper thread solves the head problem while the calling thread
+solves the full one, and with Lemma 2 the two eigensolves are split the
+same way. Neither solve reads the other's state, so the results depend
+only on the inputs. The second thread gains only where a core would
+otherwise be idle (BLAS on one thread, as the CLI pins it, and fewer
+grid workers than cores); elsewhere the head solve's extra iterations
+from zeros make a grid slower (README, `--workers`).
 
 For multinomial logistic regression lambda_min(H) = mu exactly, so the
 lemma2 bound equals the loose one. Softmax is invariant to adding one
@@ -70,7 +73,7 @@ from .errors import (
     AT_LEAST_0, BOOL, COUNT, FINITE_POSITIVE, FRACTION, POSITIVE, SEED, DegenerateConvexityError, EigensolverError,
     EmptyClassError, MinimizerCertificationError, ShapeMismatchError, StrictConvexityError, check, seeded_rng,
 )
-from .models import LinearModel, LossSpec, hessian_operator
+from .models import GradientWorkspace, LinearModel, LossSpec, hessian_operator
 
 # Unused here, but perfbench/tracer.py patches all four by name in this module.
 from .models import hessian, loss, softmax_smoothness_bound  # noqa: F401
@@ -385,20 +388,22 @@ def _truncated_cg(hvp, grad: np.ndarray, tol: float) -> np.ndarray:
 
 def _armijo_step(model: LinearModel, x, y, spec: LossSpec, value: float, grad, step):
     """Backtracking line search along step from model; returns the accepted
-    (model, loss, gradient), or None when MAX_BACKTRACKS halvings find no
-    acceptable point (a non-finite objective never gives one)."""
+    (model, loss, gradient, class probabilities), or None when
+    MAX_BACKTRACKS halvings find no acceptable point (a non-finite
+    objective never gives one)."""
     theta = model.get_params()
     slope = float(grad @ step)
     trial = model.copy()
+    out = GradientWorkspace(trial)
     t = 1.0
     for _ in range(MAX_BACKTRACKS):
         trial.set_params(theta + t * step)
-        trial_value, trial_grad = trial.loss_and_gradient(x, y, spec)
+        trial_value, trial_grad = trial.loss_and_gradient(x, y, spec, out=out)
         if trial_value <= value + ARMIJO_C1 * t * slope or (
             trial_value <= value + LOSS_ROUNDING * abs(value)
             and float(trial_grad @ step) <= (2.0 * ARMIJO_C1 - 1.0) * slope
         ):
-            return trial, trial_value, trial_grad
+            return trial, trial_value, trial_grad, out.probs
         t *= 0.5
     return None
 
@@ -407,9 +412,10 @@ def _train_to_stationarity(dataset: LabeledDataset, mu: float, config: BoundGrid
     """Certified minimizer of the mu-regularized CE loss by truncated Newton-CG.
 
     Starts from zeros and runs at most NEWTON_MAX_ITERS Newton
-    iterations. Returns (model, trace); the trace counts Newton
+    iterations. Returns (model, trace, probs); the trace counts Newton
     iterations in epochs_run and is converged exactly when
-    the full-batch gradient norm is at most config.grad_tolerance. A
+    the full-batch gradient norm is at most config.grad_tolerance, and
+    probs are the model's class probabilities on the dataset. A
     stalled line search, a non-finite loss, or an accepted step that
     lowers neither the loss nor the gradient norm (the tolerance is below
     what rounding lets the gradient reach) ends the solve unconverged.
@@ -417,11 +423,19 @@ def _train_to_stationarity(dataset: LabeledDataset, mu: float, config: BoundGrid
     config.grad_tolerance/2: the certificate checks nothing finer, and a
     step that still leaves ||g|| above the tolerance just costs one more
     Newton iteration, so the certificate is unchanged.
+
+    Each pass over the data serves twice: the gradient evaluation at the
+    current iterate (the first one, then the line search's at each
+    accepted trial point) leaves its class probabilities in its
+    workspace, and the Hessian-vector products of the next Newton step
+    read them instead of making their own forward pass.
     """
     model = LinearModel.zeros(dataset.n_features, dataset.n_classes)
     spec = LossSpec(mu=mu)
     x, y = dataset.features, dataset.labels
-    value, grad = model.loss_and_gradient(x, y, spec)
+    out = GradientWorkspace(model)
+    value, grad = model.loss_and_gradient(x, y, spec, out=out)
+    probs = out.probs
     grad_norm = float(np.linalg.norm(grad))
     iterations = 0
     while (
@@ -429,13 +443,13 @@ def _train_to_stationarity(dataset: LabeledDataset, mu: float, config: BoundGrid
         and grad_norm > config.grad_tolerance
         and math.isfinite(value)
     ):
-        hvp = hessian_operator(model, dataset, spec)
+        hvp = hessian_operator(model, dataset, spec, probs)
         forcing = min(0.5, math.sqrt(grad_norm)) * grad_norm
         step = _truncated_cg(hvp, grad, max(forcing, 0.5 * config.grad_tolerance))
         accepted = _armijo_step(model, x, y, spec, value, grad, step)
         if accepted is None:
             break
-        model, next_value, grad = accepted
+        model, next_value, grad, probs = accepted
         next_norm = float(np.linalg.norm(grad))
         iterations += 1
         stalled = next_value >= value and next_norm >= grad_norm
@@ -446,7 +460,7 @@ def _train_to_stationarity(dataset: LabeledDataset, mu: float, config: BoundGrid
         final_grad_norm=grad_norm,
         epochs_run=iterations,
         converged=grad_norm <= config.grad_tolerance,
-    )
+    ), probs
 
 
 def evaluate_cell(
@@ -476,8 +490,8 @@ def evaluate_cell(
 
     with ThreadPoolExecutor(max_workers=1) as helper:
         head_solve = helper.submit(_train_to_stationarity, split.head, mu, config)
-        model_full, trace_full = _train_to_stationarity(full_dataset, mu, config)
-        model_head, trace_head = head_solve.result()
+        model_full, trace_full, probs_full = _train_to_stationarity(full_dataset, mu, config)
+        model_head, trace_head, probs_head = head_solve.result()
 
         theta_full = model_full.get_params()
         theta_head = model_head.get_params()
@@ -501,10 +515,10 @@ def evaluate_cell(
             n_params = model_full.layout.total_size
             # H = H_CE + mu*I with H_CE positive semidefinite, so mu is a proven lower bound
             head_eigensolve = helper.submit(
-                min_eigenvalue, hessian_operator(model_head, split.head, spec), n_params, lower=mu
+                min_eigenvalue, hessian_operator(model_head, split.head, spec, probs_head), n_params, lower=mu
             )
             report.lambda_min_full = min_eigenvalue(
-                hessian_operator(model_full, full_dataset, spec), n_params, lower=mu
+                hessian_operator(model_full, full_dataset, spec, probs_full), n_params, lower=mu
             )
             report.lambda_min_head = head_eigensolve.result()
             report.lemma2_bound = float(np.sqrt(lemma2_bound(delta, report.lambda_min_full, report.lambda_min_head)))

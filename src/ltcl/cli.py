@@ -234,20 +234,19 @@ def validate_config(raw: dict) -> dict:
 
 
 def _load_dataset(cfg: dict, split: str):
-    """The configured train or test set, mean-pooled when pool_factor > 1."""
+    """The configured train or test set, mean-pooled when pool_factor > 1;
+    IDX images are pooled as they are decoded."""
     ds = cfg["dataset"]
+    pool_factor = ds["pool_factor"] or 1
     if ds["source"] == "idx":
-        data = load_idx(ds[f"{split}_images"], ds[f"{split}_labels"])
-    else:
-        test = split == "test"
-        n_per_class = ds["test_n_per_class" if test else "n_per_class"]
-        seed = cfg["seed"] + (_TEST_SEED_OFFSET if test else 0)
-        data = synthetic_gaussian(
-            ds["n_classes"], ds["n_features"], n_per_class, ds["class_separation"], seed
-        )
-    if (ds["pool_factor"] or 1) > 1:
-        data = mean_pool_images(data, ds["pool_factor"])
-    return data
+        return load_idx(ds[f"{split}_images"], ds[f"{split}_labels"], pool_factor=pool_factor)
+    test = split == "test"
+    n_per_class = ds["test_n_per_class" if test else "n_per_class"]
+    seed = cfg["seed"] + (_TEST_SEED_OFFSET if test else 0)
+    data = synthetic_gaussian(
+        ds["n_classes"], ds["n_features"], n_per_class, ds["class_separation"], seed
+    )
+    return mean_pool_images(data, pool_factor) if pool_factor > 1 else data
 
 
 def _fmt(value) -> str:

@@ -128,7 +128,7 @@ def ewc_penalty(theta, anchor, fisher, cl_weight) -> float:
             f"parameter vector {theta.shape} does not match anchor {anchor.shape}"
         )
     diff = theta - anchor
-    return 0.5 * cl_weight * float(fisher @ (diff * diff))
+    return 0.5 * float(((cl_weight * fisher) * diff) @ diff)
 
 
 def lwf_loss(student_logits, teacher_logits, true_labels, temperature, cl_weight) -> float:
@@ -200,21 +200,23 @@ def gpm_project(gradient_for_layer: np.ndarray, basis: np.ndarray) -> np.ndarray
 
 class _EwcTerm(ObjectiveTerm):
     """ewc_penalty's value, and (w F) * (theta - anchor) added to the
-    gradient, with w F formed once and theta - anchor once per step, in
-    two buffers made once, so one term serves one training run at a time."""
+    gradient, with w F formed once and theta - anchor once per step in a
+    buffer made once, so one term serves one training run at a time. A
+    step makes four passes: the difference, its product with w F (in the
+    workspace's scratch), the gradient update, and the value as that
+    product's dot with the difference."""
 
     def __init__(self, anchor, fisher, cl_weight: float):
-        self.anchor, self.fisher, self.cl_weight = anchor, fisher, cl_weight
+        self.anchor, self.fisher = anchor, fisher
         self.weighted_fisher = cl_weight * fisher
-        self._diff, self._square = np.empty_like(anchor), np.empty_like(anchor)
+        self._diff = np.empty_like(anchor)
 
     def param_term(self, params, out) -> float:
-        diff, square = self._diff, self._square
+        diff, pull = self._diff, out.scratch
         np.subtract(params, self.anchor, out=diff)
-        np.multiply(diff, diff, out=square)
-        diff *= self.weighted_fisher
-        out.grad += diff
-        return 0.5 * self.cl_weight * float(self.fisher @ square)
+        np.multiply(self.weighted_fisher, diff, out=pull)
+        out.grad += pull
+        return 0.5 * float(pull @ diff)
 
 
 class _LwfTerm(ObjectiveTerm):

@@ -10,7 +10,7 @@ import gzip
 import struct
 import zlib
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -174,8 +174,18 @@ def _read_maybe_gzip(path) -> bytes:
     return data
 
 
-def load_idx(images_path, labels_path) -> LabeledDataset:
-    """Load an IDX image/label file pair, scaling pixels to [0, 1]."""
+def load_idx(images_path, labels_path, pool_factor: int = 1) -> LabeledDataset:
+    """Load an IDX image/label file pair, scaling pixels to [0, 1] and
+    mean-pooling each image by pool_factor as `mean_pool_images` does.
+
+    Pooling happens while decoding: each block of POOL_BLOCK images is
+    scaled by one division and pooled into the preallocated output, so
+    the full-resolution float64 images are never built. The result equals
+    `mean_pool_images(load_idx(images_path, labels_path), pool_factor)`
+    bit for bit. A factor that does not divide the image side raises
+    ShapeMismatchError, after every check of the files' headers.
+    """
+    check("pool_factor", pool_factor, COUNT)
     img = _read_maybe_gzip(images_path)
     lab = _read_maybe_gzip(labels_path)
 
@@ -206,8 +216,10 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
         raise IdxParseError(f"{images_path}: no pixels ({n_images} images of {rows}x{cols})")
     if len(img) - 16 < n_pixels:
         raise IdxParseError(f"{images_path}: payload truncated ({len(img) - 16} of {n_pixels} bytes)")
-    pixels = np.frombuffer(img, dtype=np.uint8, count=n_pixels, offset=16)
-    features = pixels.reshape(n_images, rows * cols).astype(np.float64) / 255.0
+    if rows % pool_factor or cols % pool_factor:
+        raise ShapeMismatchError(f"image side {rows}x{cols} not divisible by pool factor {pool_factor}")
+    pixels = np.frombuffer(img, dtype=np.uint8, count=n_pixels, offset=16).reshape(n_images, rows * cols)
+    features = _pool_images(pixels, rows, cols, pool_factor, lambda block: np.divide(block, 255.0))
     return LabeledDataset.from_arrays(features, labels.astype(np.int64))
 
 
@@ -229,14 +241,46 @@ def synthetic_gaussian(
     return LabeledDataset.from_arrays(features, labels, n_classes=n_classes)
 
 
+# Images per block of the pooling loop: a block's float64 pixels (0.8 MB
+# at 28x28) stay in cache while they are pooled. Blocks of 64 to 2048
+# images decoded and pooled a 60 000-image IDX file in 0.17-0.22 s on
+# 2 vCPUs, against 0.36-0.48 s for decoding it whole and pooling after.
+POOL_BLOCK = 128
+
+
+def _pool_images(images, rows: int, cols: int, factor: int, convert) -> np.ndarray:
+    """Mean-pool row-major rows x cols images, one per row of `images`, by
+    factor in the summation order that `mean_pool_images` states,
+    POOL_BLOCK images at a time: `convert` turns each block into float64,
+    and its pooled values fill one preallocated output."""
+    out_rows, out_cols = rows // factor, cols // factor
+    pooled = np.empty((len(images), out_rows * out_cols))
+    row_sum = np.empty((POOL_BLOCK, out_rows, out_cols))
+    for start in range(0, len(images), POOL_BLOCK):
+        block = convert(images[start : start + POOL_BLOCK])
+        n = len(block)
+        window = block.reshape(n, out_rows, factor, out_cols, factor)
+        target = pooled[start : start + n].reshape(n, out_rows, out_cols)
+        for i in range(factor):
+            acc = row_sum[:n] if i else target
+            np.copyto(acc, window[:, :, i, :, 0])
+            for j in range(1, factor):
+                acc += window[:, :, i, :, j]
+            if i:
+                target += acc
+        target /= factor * factor
+    return pooled
+
+
 def mean_pool_images(dataset: LabeledDataset, factor: int = 2) -> LabeledDataset:
     """Mean-pool square row-major images by an integer factor.
 
     Each pooled pixel sums every row of its window left to right, then
     the row sums top to bottom, and divides by factor**2: for factor 2,
-    ((a00 + a01) + (a10 + a11)) / 4. Strided slice sums give the same
-    values as `.mean(axis=(2, 4))` on the window view, in a fraction of
-    its time.
+    ((a00 + a01) + (a10 + a11)) / 4. Strided slice sums over blocks of
+    POOL_BLOCK images give the same values as `.mean(axis=(2, 4))` on the
+    window view, in a fraction of its time; `load_idx` pools with the same
+    routine as it decodes.
     """
     check("factor", factor, COUNT)
     side = int(round(np.sqrt(dataset.n_features)))
@@ -244,9 +288,5 @@ def mean_pool_images(dataset: LabeledDataset, factor: int = 2) -> LabeledDataset
         raise ShapeMismatchError(f"features of length {dataset.n_features} are not square images")
     if side % factor != 0:
         raise ShapeMismatchError(f"image side {side} not divisible by pool factor {factor}")
-    out = side // factor
-    window = dataset.features.reshape(-1, out, factor, out, factor)
-    rows = [reduce(np.add, (window[:, :, i, :, j] for j in range(factor))) for i in range(factor)]
-    pooled = (reduce(np.add, rows) / (factor * factor)).reshape(-1, out * out)
+    pooled = _pool_images(dataset.features, side, side, factor, np.asarray)
     return LabeledDataset.from_arrays(pooled, dataset.labels, n_classes=dataset.n_classes)
-

@@ -91,19 +91,24 @@ class ObjectiveTerm:
 
     def param_term(self, params, out) -> float:
         """Adjusts out.grad, the flat gradient, in place once the model has
-        filled it (out.views are its layout views); returns the term."""
+        filled it (out.views are its layout views); returns the term. The
+        model has already used out.scratch for mu * theta, so the term may
+        overwrite it."""
         return 0.0
 
 
 class GradientWorkspace:
     """The buffers one training run reuses at every step, made for a
     model: the flat gradient `grad`, `views`, the model's layout views of
-    `grad`, and a parameter-sized `scratch` vector."""
+    `grad`, and a parameter-sized `scratch` vector. `probs` holds the
+    class probabilities (batch, classes) of the last `loss_and_gradient`
+    call that filled it."""
 
     def __init__(self, model):
         self.grad = np.empty_like(model.params)
         self.scratch = np.empty_like(model.params)
         self.views = model.layout.views(self.grad)
+        self.probs = None
 
 
 class _Network:
@@ -214,7 +219,8 @@ class _Network:
     def loss_and_gradient(self, features, labels, spec: LossSpec, term=None, out=None):
         """Mean CE + (mu/2)||theta||^2 and its exact gradient, flat. The
         gradient fills `out`, a `GradientWorkspace`, and is its `grad`; by
-        default it is a new array. An `ObjectiveTerm` extends both."""
+        default it is a new array. The softmax class probabilities of the
+        batch are left in `out.probs`. An `ObjectiveTerm` extends both."""
         if out is None:
             out = GradientWorkspace(self)
         n = len(labels)
@@ -223,7 +229,8 @@ class _Network:
         logp = log_softmax(logits)
         loss = -(np.add.reduce(logp[rows, labels]) / n)  # the mean, without its wrapper
         loss += 0.5 * spec.mu * float(self._params @ self._params)
-        delta = np.exp(logp)
+        out.probs = np.exp(logp)
+        delta = out.probs.copy()
         delta[rows, labels] -= 1.0
         delta /= n
         if term is not None:
@@ -346,7 +353,7 @@ def hessian(model, dataset: LabeledDataset, spec: LossSpec) -> np.ndarray:
     return 0.5 * (h + h.T)
 
 
-def hessian_operator(model, dataset: LabeledDataset, spec: LossSpec):
+def hessian_operator(model, dataset: LabeledDataset, spec: LossSpec, probs=None):
     """The map v -> H v for the regularized CE Hessian H of the linear model
     at its current parameters, in the layout order of `hessian`.
 
@@ -354,9 +361,12 @@ def hessian_operator(model, dataset: LabeledDataset, spec: LossSpec):
     derivative of the logits, class-major (c, n), each sample's softmax
     curvature diag(p) - p p^T maps its column of R to
     S = P*R - P*colsum(P*R), and S X carries it back to the weights. The
-    class probabilities are computed once here, transposed to (c, n), so
-    each product costs two matmuls on views of X, no copy of it, and no
-    dense Hessian is formed.
+    class probabilities P are `probs`, (n, c), when given: those that
+    `loss_and_gradient` left in its workspace at the same parameters and
+    data, the same bits as a fresh forward pass. Otherwise one forward
+    pass computes them here. They are transposed to (c, n) once, so each
+    product costs two matmuls on views of X, no copy of it, and no dense
+    Hessian is formed.
     """
     if not isinstance(model, LinearModel):
         raise UnsupportedModelError("Hessian-vector products are only available for the linear model")
@@ -365,7 +375,11 @@ def hessian_operator(model, dataset: LabeledDataset, spec: LossSpec):
     x = dataset.features
     n = len(x)
     layout = model.layout
-    probs_t = np.ascontiguousarray(softmax_probs(model.forward(x)).T)
+    if probs is None:
+        probs = softmax_probs(model.forward(x))
+    elif probs.shape != (n, model.n_classes):
+        raise ShapeMismatchError(f"expected ({n}, {model.n_classes}) class probabilities, got {probs.shape}")
+    probs_t = np.ascontiguousarray(probs.T)
 
     def apply(v) -> np.ndarray:
         v_w, v_b = layout.views(np.asarray(v, dtype=np.float64))

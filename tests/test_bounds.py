@@ -377,9 +377,9 @@ def _record_solves(monkeypatch, full_dataset):
     solve = bounds._train_to_stationarity
 
     def recorded(dataset, mu, config):
-        model, trace = solve(dataset, mu, config)
+        model, trace, probs = solve(dataset, mu, config)
         solves["full" if dataset is full_dataset else "head"] = model
-        return model, trace
+        return model, trace, probs
 
     monkeypatch.setattr(bounds, "_train_to_stationarity", recorded)
     return solves
@@ -506,7 +506,7 @@ def test_newton_minimizer_matches_heavy_ball(start_seed):
     lt = _small_longtail()
     mu = 0.05
     cfg = bounds.BoundGridConfig(head_fraction=0.5)
-    newton, trace = bounds._train_to_stationarity(lt, mu, cfg)
+    newton, trace, _ = bounds._train_to_stationarity(lt, mu, cfg)
     assert trace.converged and trace.final_grad_norm <= cfg.grad_tolerance
     start = None if start_seed is None else random_linear(lt.n_features, lt.n_classes, seed=start_seed)
     heavy, heavy_steps = heavy_ball_minimizer(lt, mu, cfg.grad_tolerance, 100_000, start=start)
@@ -521,8 +521,8 @@ def test_concurrent_cell_matches_serial_solves_from_zeros(monkeypatch):
     lt = _small_longtail()
     mu = 0.05
     cfg = bounds.BoundGridConfig(head_fraction=0.5, compute_lemma2=True)
-    full, _ = bounds._train_to_stationarity(lt, mu, cfg)
-    head, _ = bounds._train_to_stationarity(datasets.head_tail_split(lt, 0.5).head, mu, cfg)
+    full, _, _ = bounds._train_to_stationarity(lt, mu, cfg)
+    head, _, _ = bounds._train_to_stationarity(datasets.head_tail_split(lt, 0.5).head, mu, cfg)
     solves = _record_solves(monkeypatch, lt)
     reports = [bounds.evaluate_cell(lt, 50.0, mu, cfg) for _ in range(5)]
     assert np.array_equal(solves["full"].get_params(), full.get_params())
@@ -582,11 +582,42 @@ def test_cg_never_solves_below_half_the_certificate(monkeypatch):
     assert tolerances and min(tolerances) >= 0.5 * cfg.grad_tolerance
 
 
+def test_newton_solve_makes_one_forward_pass_per_gradient_evaluation(monkeypatch):
+    # every Newton step's Hessian-vector products, and the Lemma-2 operators
+    # at the minimizers, read the class probabilities of the gradient
+    # evaluation at the same point instead of a forward pass of their own
+    counts = {"forward": 0, "gradient": 0}
+    forward, gradient = models.LinearModel.forward_with_activations, models.LinearModel.loss_and_gradient
+
+    def counted_forward(self, features):
+        counts["forward"] += 1
+        return forward(self, features)
+
+    def counted_gradient(self, *args, **kwargs):
+        counts["gradient"] += 1
+        return gradient(self, *args, **kwargs)
+
+    monkeypatch.setattr(models.LinearModel, "forward_with_activations", counted_forward)
+    monkeypatch.setattr(models.LinearModel, "loss_and_gradient", counted_gradient)
+    lt = _small_longtail()
+    mu = 0.05
+    model, trace, probs = bounds._train_to_stationarity(lt, mu, bounds.BoundGridConfig(head_fraction=0.5))
+    assert trace.converged and trace.epochs_run >= 2
+    assert counts["gradient"] > trace.epochs_run
+    assert counts["forward"] == counts["gradient"]
+    # the probabilities returned are those at the returned model
+    assert np.array_equal(probs, models.softmax_probs(forward(model, lt.features)[0]))
+    counts.update(forward=0, gradient=0)
+    report = bounds.evaluate_cell(lt, 50.0, mu, bounds.BoundGridConfig(head_fraction=0.5, compute_lemma2=True))
+    assert report.lemma2_bound is not None
+    assert counts["forward"] == counts["gradient"]
+
+
 def test_line_search_stall_ends_unconverged(monkeypatch):
     original = models.LinearModel.loss_and_gradient
 
-    def non_finite_away_from_origin(self, features, labels, spec, term=None):
-        value, grad = original(self, features, labels, spec, term)
+    def non_finite_away_from_origin(self, features, labels, spec, term=None, out=None):
+        value, grad = original(self, features, labels, spec, term, out)
         return (value if not self.get_params().any() else float("nan")), grad
 
     monkeypatch.setattr(models.LinearModel, "loss_and_gradient", non_finite_away_from_origin)
@@ -605,7 +636,7 @@ def test_line_search_accepts_step_below_loss_rounding():
     lt = _small_longtail()
     mu = 0.05
     spec = models.LossSpec(mu=mu)
-    model, _ = bounds._train_to_stationarity(lt, mu, bounds.BoundGridConfig(head_fraction=0.5))
+    model, _, _ = bounds._train_to_stationarity(lt, mu, bounds.BoundGridConfig(head_fraction=0.5))
     value, grad = model.loss_and_gradient(lt.features, lt.labels, spec)
     step = bounds._truncated_cg(models.hessian_operator(model, lt, spec), grad, 1e-3 * np.linalg.norm(grad))
     rounded_low = value - 4 * np.spacing(value)

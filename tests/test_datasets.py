@@ -201,6 +201,35 @@ def test_load_idx_without_pixels(tmp_path):
         datasets.load_idx(img, lab)
 
 
+@pytest.mark.parametrize("gz", [False, True], ids=["raw", "gzip"])
+@pytest.mark.parametrize("n_images", [1, 127, 128, 129, 389])
+def test_load_idx_pools_as_it_decodes(tmp_path, n_images, gz):
+    # pooling block by block while decoding gives the bytes of pooling the
+    # full-resolution images afterwards, across block boundaries (128 images)
+    rng = np.random.default_rng(n_images)
+    images = rng.integers(0, 256, size=(n_images, 28, 28))
+    img, lab = _write_idx_pair(tmp_path, images, rng.integers(0, 10, n_images), gz=gz)
+    full = datasets.load_idx(img, lab)
+    for factor in (1, 2, 4, 7, 14, 28):
+        pooled = datasets.load_idx(img, lab, pool_factor=factor)
+        expected = full if factor == 1 else datasets.mean_pool_images(full, factor)
+        assert pooled.features.shape == (n_images, (28 // factor) ** 2)
+        assert pooled.features.tobytes() == expected.features.tobytes()
+        assert np.array_equal(pooled.labels, full.labels) and pooled.n_classes == full.n_classes
+
+
+def test_load_idx_pool_factor_must_divide_the_side(tmp_path):
+    img, lab = _write_idx_pair(tmp_path, np.zeros((2, 6, 6)), [0, 1])
+    assert datasets.load_idx(img, lab, pool_factor=3).n_features == 4
+    with pytest.raises(ShapeMismatchError, match="not divisible by pool factor 4"):
+        datasets.load_idx(img, lab, pool_factor=4)
+    # every header check comes first
+    for corrupt, message in ({"image_magic": 0x804}, "magic"), ({"truncate_images": 1}, "truncated"):
+        img, lab = _write_idx_pair(tmp_path, np.zeros((2, 6, 6)), [0, 1], **corrupt)
+        with pytest.raises(IdxParseError, match=message):
+            datasets.load_idx(img, lab, pool_factor=4)
+
+
 _VALID_IMAGES = struct.pack(">IIII", 0x803, 3, 2, 2) + bytes(range(0, 240, 20))
 _VALID_LABELS = struct.pack(">II", 0x801, 3) + bytes([0, 2, 1])
 

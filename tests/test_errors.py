@@ -70,6 +70,8 @@ CASES = [
     ("synthetic_gaussian", "class_separation", [0.0, NAN, -INF],
      lambda v: datasets.synthetic_gaussian(3, 4, 10, v, 0)),
     ("mean_pool_images", "factor", [*BAD_COUNTS, -2], lambda v: datasets.mean_pool_images(DATASET, v)),
+    # checked before either file is read
+    ("load_idx", "pool_factor", [*BAD_COUNTS, -2], lambda v: datasets.load_idx("missing", "missing", v)),
     ("MlpModel.initialize", "layer_sizes", [*([4, v, 3] for v in BAD_COUNTS), [4], [], 4],
      lambda v: models.MlpModel.initialize(v, 0)),
     ("default_phase2_config", "variant", ["dropout", NAN], continual.default_phase2_config),

@@ -284,6 +284,31 @@ def test_hessian_vector_product_matches_fd_of_gradient():
         assert np.allclose(models.hessian_operator(model, ds, spec)(v), fd, rtol=1e-5, atol=1e-8)
 
 
+@pytest.mark.parametrize(
+    "n, d, c",
+    [(30, 4, 2), (6, 20, 3), (80, 5, 4), (1, 7, 3)],
+    ids=["two-classes", "n<d", "n>d", "one-row"],
+)
+def test_hessian_vector_product_from_workspace_probs_is_bit_identical(n, d, c):
+    # the class probabilities that loss_and_gradient leaves in its workspace
+    # are the bits of the operator's own forward pass, so its products are too
+    rng = np.random.default_rng(n * 7 + d)
+    ds = _random_dataset(n=n, d=d, c=c, seed=n * d)
+    model = models.LinearModel(rng.standard_normal((c, d)) * 0.7, rng.standard_normal(c) * 0.3)
+    spec = models.LossSpec(mu=0.02)
+    ws = models.GradientWorkspace(model)
+    model.loss_and_gradient(ds.features, ds.labels, spec, out=ws)
+    assert ws.probs.shape == (n, c)
+    assert np.array_equal(ws.probs, models.softmax_probs(model.forward(ds.features)))
+    fresh = models.hessian_operator(model, ds, spec)
+    reused = models.hessian_operator(model, ds, spec, ws.probs)
+    for _ in range(5):
+        v = rng.standard_normal(model.layout.total_size)
+        assert np.array_equal(reused(v), fresh(v))
+    with pytest.raises(ShapeMismatchError):
+        models.hessian_operator(model, ds, spec, ws.probs[:, 1:])
+
+
 def test_hessian_vector_product_unsupported_and_shape():
     mlp = models.MlpModel.initialize([4, 5, 3], seed=0)
     with pytest.raises(UnsupportedModelError):
