@@ -70,8 +70,9 @@ import numpy as np
 
 from .datasets import LabeledDataset, head_tail_split
 from .errors import (
-    AT_LEAST_0, BOOL, COUNT, FINITE_POSITIVE, FRACTION, POSITIVE, SEED, DegenerateConvexityError, EigensolverError,
-    EmptyClassError, MinimizerCertificationError, ShapeMismatchError, StrictConvexityError, check, seeded_rng,
+    AT_LEAST_0, AT_LEAST_1, BOOL, COUNT, FINITE_AT_LEAST_0, FINITE_POSITIVE, FRACTION, SEED, DegenerateConvexityError,
+    EigensolverError, EmptyClassError, MinimizerCertificationError, ShapeMismatchError, StrictConvexityError, check,
+    list_of, seeded_rng,
 )
 from .models import GradientWorkspace, LinearModel, LossSpec, hessian_operator
 
@@ -132,8 +133,9 @@ class BoundReport:
 def lemma1_bound(delta: float, mu_f: float, mu_g: float) -> float:
     """Squared-distance bound 4*delta/(mu_f + mu_g) between the minimizers
     of two strongly convex functions whose values differ by at most delta."""
-    for name, value in (("delta", delta), ("mu_f", mu_f), ("mu_g", mu_g)):
-        check(name, value, AT_LEAST_0)
+    check("delta", delta, AT_LEAST_0)
+    check("mu_f", mu_f, FINITE_AT_LEAST_0)
+    check("mu_g", mu_g, FINITE_AT_LEAST_0)
     if mu_f + mu_g == 0:
         raise DegenerateConvexityError("mu_f + mu_g = 0; bound is undefined")
     return 4.0 * delta / (mu_f + mu_g)
@@ -146,9 +148,11 @@ def tight_bound(theta_full, theta_head, losses, mu_f, mu_g) -> float:
     arrays (loss_full, loss_head) of their values; both minimizers go in
     one 2-row stack. Requires theta_full and theta_head to be certified
     minimizers of loss_full and loss_head; the bracketed gap sum is then
-    non-negative.
+    non-negative. Both mu are checked before `losses` is called.
     """
-    if mu_f + mu_g <= 0:
+    check("mu_f", mu_f, FINITE_AT_LEAST_0)
+    check("mu_g", mu_g, FINITE_AT_LEAST_0)
+    if mu_f + mu_g == 0:
         raise DegenerateConvexityError("mu_f + mu_g must be positive")
     full, head = losses(np.stack([theta_full, theta_head]))
     bracket = (head[0] - full[0]) + (full[1] - head[1])
@@ -163,9 +167,9 @@ def lemma2_bound(delta: float, lam_f: float, lam_g: float) -> float:
     """Squared-distance bound 4*delta/(lam_f + lam_g) from the minimum
     Hessian eigenvalues at the respective minimizers (`min_eigenvalue`)."""
     check("delta", delta, AT_LEAST_0)
-    if not (lam_f > 0 and lam_g > 0):  # NaN fails too
+    if not (0 < lam_f < math.inf and 0 < lam_g < math.inf):  # NaN fails too
         raise StrictConvexityError(
-            f"minimum eigenvalues {lam_f}, {lam_g} must be positive"
+            f"minimum eigenvalues {lam_f}, {lam_g} must be positive and finite"
         )
     return 4.0 * delta / (lam_f + lam_g)
 
@@ -481,7 +485,7 @@ def evaluate_cell(
     error on either side propagates with its own type, and the helper is
     joined before the call returns or raises.
     """
-    check("mu", mu, POSITIVE)
+    check("mu", mu, FINITE_POSITIVE)
     check("cell_seed", cell_seed, SEED)
     if full_dataset.n_samples == 0:  # zeros would pass as both minimizers, at a NaN loss
         raise EmptyClassError("cannot certify minimizers of an empty dataset")
@@ -537,8 +541,11 @@ def bound_grid(
     dataset_builder maps an imbalance factor to the long-tailed training
     dataset for that grid column. Up to `workers` cells run at once, each
     on two threads (`evaluate_cell`). Failed (non-converged) cells are
-    kept in the output with their converged flags cleared.
+    kept in the output with their converged flags cleared. Both value
+    lists and `workers` are checked before any dataset is built.
     """
+    check("if_values", if_values, list_of(AT_LEAST_1, distinct=True))
+    check("mu_values", mu_values, list_of(FINITE_POSITIVE, distinct=True))
     check("workers", workers, COUNT)
     cells = [
         (i_if, i_mu, float(iv), float(mv))

@@ -8,8 +8,8 @@ the Fisher taken either at sampled labels or at the true labels),
 distillation against the frozen Phase-1 model on head logits (LwF), or
 weight gradients projected out of the span of the Phase-1 layer inputs
 (GPM, whose first layer trains in the eigenbasis of its head inputs).
-The naive variant has no term and serves as the catastrophic-forgetting
-baseline.
+The naive variant, the catastrophic-forgetting baseline, has the term
+`models.NO_TERM`, which adds nothing.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .errors import (
     seeded_rng,
 )
 from .metrics import MetricsReport, evaluate
-from .models import LossSpec, ObjectiveTerm, log_softmax, softmax_probs
+from .models import NO_TERM, LossSpec, ObjectiveTerm, log_softmax, softmax_probs
 from .training import TrainConfig, train
 
 FISHER_MODES = ("model_sampled", "true_loss")
@@ -59,7 +59,7 @@ _LOG_FLOOR = 1e-30  # floors distillation targets only, never the primary loss
 @dataclass
 class PhaseResult:
     """Phase 1 fills the head fields; a tail phase returns a copy with the
-    tail fields set and `state`, the strategy's term (None for naive)."""
+    tail fields set and `state`, the strategy's term (`NO_TERM` for naive)."""
 
     model_after_head: object
     metrics_before: MetricsReport
@@ -129,25 +129,6 @@ def ewc_penalty(theta, anchor, fisher, cl_weight) -> float:
         )
     diff = theta - anchor
     return 0.5 * float(((cl_weight * fisher) * diff) @ diff)
-
-
-def lwf_loss(student_logits, teacher_logits, true_labels, temperature, cl_weight) -> float:
-    """CE on true labels plus temperature-scaled distillation KL."""
-    student_logits = np.asarray(student_logits, dtype=np.float64)
-    teacher_logits = np.asarray(teacher_logits, dtype=np.float64)
-    if student_logits.shape != teacher_logits.shape:
-        raise ShapeMismatchError(
-            f"logit shapes differ: {student_logits.shape} vs {teacher_logits.shape}"
-        )
-    check("temperature", temperature, FINITE_POSITIVE)
-    check("cl_weight", cl_weight, FINITE_AT_LEAST_0)
-    n = len(student_logits)
-    logp = log_softmax(student_logits)
-    ce = -logp[np.arange(n), np.asarray(true_labels)].mean()
-    targets = softmax_probs(teacher_logits / temperature)
-    student_soft_logp = log_softmax(student_logits / temperature)
-    kl = (targets * (np.log(np.maximum(targets, _LOG_FLOOR)) - student_soft_logp)).sum(axis=1)
-    return float(ce + cl_weight * (temperature * temperature) * kl.mean())
 
 
 def gpm_collect_bases(
@@ -245,7 +226,8 @@ class _GpmTerm(ObjectiveTerm):
     XQ, where the projection zeroes the first k columns of the layer's
     gradient; `leave` turns WQ back into W. Deeper layers use gpm_project.
     Every step appends ||G_w B|| / ||G|| of the full applied gradient G to
-    `ratios`, reading the first layer's G B as its first k columns.
+    `ratios`; the first layer's in-span part is zero by construction (the
+    step has just zeroed those k columns), so only deeper layers add to it.
     `bases` stay in the original frame."""
 
     def __init__(self, frame, bases):
@@ -265,7 +247,7 @@ class _GpmTerm(ObjectiveTerm):
     def param_term(self, params, out) -> float:
         views = out.views[0::2]
         views[0][:, : self.k] = 0.0
-        inside_sq = float(np.add.reduce(views[0][:, : self.k] ** 2, axis=None))
+        inside_sq = 0.0
         for g, basis in zip(views[1:], self.bases[1:]):
             g[...] = gpm_project(g, basis)
             inside_sq += float(np.add.reduce((g @ basis) ** 2, axis=None))
@@ -277,12 +259,13 @@ class _GpmTerm(ObjectiveTerm):
 
 def strategy_term(
     variant: str, model, head_dataset: LabeledDataset, head_classes, *, seed: int = 0, **settings
-) -> ObjectiveTerm | None:
+) -> ObjectiveTerm:
     """The variant's Phase-2 term, holding what it keeps of the Phase-1
-    `model`, or None (naive). `settings` override the defaults of the
-    variant's STRATEGIES entry, and one that it does not read or whose
-    check fails raises ValueError. Fisher and GPM subsample head_dataset
-    with `seed`; the term copies what it keeps, so `model` may change later."""
+    `model`; naive keeps nothing, and its term is `NO_TERM`. `settings`
+    override the defaults of the variant's STRATEGIES entry, and one that
+    it does not read or whose check fails raises ValueError. Fisher and GPM
+    subsample head_dataset with `seed`; the term copies what it keeps, so
+    `model` may change later."""
     check("variant", variant, one_of(*VARIANTS))
     check("seed", seed, SEED)
     table = STRATEGIES[variant].settings
@@ -303,7 +286,7 @@ def strategy_term(
             model, head_dataset, settings["energy_threshold"], settings["fisher_max_samples"], seed=seed
         )
         return _GpmTerm(bases[0].base, bases)
-    return None
+    return NO_TERM
 
 
 def run_head_phase(

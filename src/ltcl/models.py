@@ -73,7 +73,7 @@ class ObjectiveTerm:
     """Extends the objective of `loss_and_gradient`: `logit_term` before
     back-propagation, `param_term` on the filled gradient, and
     `enter`/`leave` around a training run. Each hook is a no-op until a
-    subclass overrides it."""
+    subclass overrides it, so `NO_TERM`, a plain instance, adds nothing."""
 
     def enter(self, model, dataset):
         """`training.train` calls this on its copy of the model before the
@@ -95,6 +95,9 @@ class ObjectiveTerm:
         model has already used out.scratch for mu * theta, so the term may
         overwrite it."""
         return 0.0
+
+
+NO_TERM = ObjectiveTerm()
 
 
 class GradientWorkspace:
@@ -216,11 +219,11 @@ class _Network:
                 delta = (delta @ self._weights[i]) * (a > 0)
         return out.grad
 
-    def loss_and_gradient(self, features, labels, spec: LossSpec, term=None, out=None):
+    def loss_and_gradient(self, features, labels, spec: LossSpec, term: ObjectiveTerm = NO_TERM, out=None):
         """Mean CE + (mu/2)||theta||^2 and its exact gradient, flat. The
         gradient fills `out`, a `GradientWorkspace`, and is its `grad`; by
         default it is a new array. The softmax class probabilities of the
-        batch are left in `out.probs`. An `ObjectiveTerm` extends both."""
+        batch are left in `out.probs`. `term` extends both; `NO_TERM` adds 0."""
         if out is None:
             out = GradientWorkspace(self)
         n = len(labels)
@@ -233,12 +236,10 @@ class _Network:
         delta = out.probs.copy()
         delta[rows, labels] -= 1.0
         delta /= n
-        if term is not None:
-            loss += term.logit_term(logits, activations, delta)
+        loss += term.logit_term(logits, activations, delta)
         grad = self.backward(delta, activations, out=out)
         grad += np.multiply(self._params, spec.mu, out=out.scratch)
-        if term is not None:
-            loss += term.param_term(self._params, out)
+        loss += term.param_term(self._params, out)
         return loss, grad
 
 

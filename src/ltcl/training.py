@@ -15,7 +15,7 @@ from .datasets import LabeledDataset
 from .errors import (
     AT_LEAST_0_BELOW_1, COUNT, FINITE_POSITIVE, SEED, DivergenceError, EmptyClassError, check, one_of, seeded_rng,
 )
-from .models import GradientWorkspace, LossSpec
+from .models import NO_TERM, GradientWorkspace, LossSpec, ObjectiveTerm
 
 SCHEDULES = ("constant", "cosine")
 # each TrainConfig field's rule, in the order they are checked
@@ -62,7 +62,7 @@ def train(
     dataset: LabeledDataset,
     spec: LossSpec,
     config: TrainConfig,
-    term=None,
+    term: ObjectiveTerm = NO_TERM,
 ):
     """Run config.epochs epochs of SGD with classical momentum; returns
     (trained copy, epoch_losses), the mean batch loss of each epoch.
@@ -73,15 +73,13 @@ def train(
     that reads `params`. `workspace` is one `models.GradientWorkspace`,
     made for the copy once per call; the model fills its `grad` and
     returns (loss, grad). Training updates the copy's `params` in place.
-    `term` (a `models.ObjectiveTerm`) extends every step's objective; its
-    `enter` and `leave` hooks run on the copy before the first step and
-    after the last.
+    `term` (a `models.ObjectiveTerm`; `NO_TERM`, the plain objective, by
+    default) extends every step's objective; its `enter` and `leave` hooks
+    run on the copy before the first step and after the last.
     """
     if dataset.n_samples == 0:
         raise EmptyClassError("cannot train on an empty dataset")
-    model = model.copy()
-    if term is not None:
-        model, dataset = term.enter(model, dataset)
+    model, dataset = term.enter(model.copy(), dataset)
     x, y = dataset.features, dataset.labels
     n = dataset.n_samples
     theta = model.params
@@ -103,6 +101,4 @@ def train(
             _step(theta, velocity, grad, lr, config.momentum)
         losses.append(float(np.mean(batch_losses)))
 
-    if term is not None:
-        model = term.leave(model)
-    return model, np.array(losses)
+    return term.leave(model), np.array(losses)

@@ -1,6 +1,7 @@
 """Shared test helpers: the MNIST-scale corpus of the acceptance suite, an
-independent heavy-ball minimizer, a seeded random linear model, and a
-byte-mutation strategy for fuzzing the file parsers.
+independent heavy-ball minimizer, a seeded random linear model, the LwF
+objective that the LwF term is checked against, and a byte-mutation
+strategy for fuzzing the file parsers.
 
 Real MNIST IDX files are used when present (set LTCL_MNIST_DIR, or put
 the four standard files under ./data/mnist). Otherwise a deterministic
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
-from ltcl import datasets, models
+from ltcl import continual, datasets, models
 
 STRUCTURE_SEED = 91
 TRAIN_SAMPLE_SEED = 11
@@ -130,6 +131,19 @@ def random_linear(n_features: int, n_classes: int, seed: int) -> models.LinearMo
     n_classes], seed)` draws: scaled-uniform fan-in, zero biases."""
     mlp = models.MlpModel.initialize([n_features, n_classes], seed)
     return models.LinearModel(mlp.weights[0], mlp.biases[0])
+
+
+def lwf_loss(student_logits, teacher_logits, true_labels, temperature, cl_weight) -> float:
+    """Reference LwF objective (Li & Hoiem): CE on the true labels plus
+    cl_weight * T^2 times the mean KL from the teacher's to the student's
+    temperature-T softmax, its targets floored inside the log as the
+    package's LwF term floors them."""
+    n = len(student_logits)
+    ce = -models.log_softmax(student_logits)[np.arange(n), np.asarray(true_labels)].mean()
+    targets = models.softmax_probs(teacher_logits / temperature)
+    student_soft_logp = models.log_softmax(student_logits / temperature)
+    kl = (targets * (np.log(np.maximum(targets, continual._LOG_FLOOR)) - student_soft_logp)).sum(axis=1)
+    return float(ce + cl_weight * (temperature * temperature) * kl.mean())
 
 
 def _apply_edits(valid: bytes, edits, keep: int, tail: bytes) -> bytes:

@@ -243,8 +243,9 @@ def test_criterion_7_gpm_projection_invariant(two_phase_runs):
         float(np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))))
         for basis in res.state.bases
     )
-    # the in-span ratio is read in the first layer's training frame; the
-    # drift of W B is measured in the original frame, after training
+    # the in-span ratio sums the deeper layers, as the first layer's in-span
+    # part is zero by construction; the drift of W B covers every layer, the
+    # first included, measured in the original frame after training
     layout = res.model_after_tail.layout
     drift = max(
         float(np.max(np.abs(w @ basis - w0 @ basis)) / np.max(np.abs(w0 @ basis)))

@@ -85,6 +85,14 @@ def test_tight_bound_identical_objectives():
     assert bounds.tight_bound(1.0, 1.0, _pair(f, f), 2.0, 2.0) == 0.0
 
 
+def test_tight_bound_degenerate_before_any_loss():
+    def unprobed(stack):
+        raise AssertionError("no loss is evaluated before the curvature is checked")
+
+    with pytest.raises(DegenerateConvexityError):
+        bounds.tight_bound(0.0, 0.0, unprobed, 0.0, 0.0)
+
+
 def test_tight_bound_rejects_non_minimizers():
     f, g, _, _ = _quadratic_pair(0.9)
     with pytest.raises(MinimizerCertificationError):
@@ -616,7 +624,7 @@ def test_newton_solve_makes_one_forward_pass_per_gradient_evaluation(monkeypatch
 def test_line_search_stall_ends_unconverged(monkeypatch):
     original = models.LinearModel.loss_and_gradient
 
-    def non_finite_away_from_origin(self, features, labels, spec, term=None, out=None):
+    def non_finite_away_from_origin(self, features, labels, spec, term=models.NO_TERM, out=None):
         value, grad = original(self, features, labels, spec, term, out)
         return (value if not self.get_params().any() else float("nan")), grad
 

@@ -12,9 +12,10 @@ from ltcl.errors import FRACTION, EmptyClassError, LtclError, StrictConvexityErr
 NAN, INF = math.nan, math.inf
 DATASET = datasets.synthetic_gaussian(3, 4, 10, 2.0, seed=0)
 MODEL = models.MlpModel.initialize([4, 5, 3], seed=0)
-LOGITS = np.zeros((2, 3))
+ZEROS = np.zeros(2)
 _LOSSES = lambda stack: (np.zeros(len(stack)), np.zeros(len(stack)))  # noqa: E731
 SPEC = models.LossSpec(mu=1e-4)
+EMPTY = datasets.LabeledDataset.from_arrays(np.zeros((0, 4)), np.zeros(0, dtype=int), n_classes=3)
 BAD_COUNTS = [0, 2.5, True, NAN, INF, -INF]  # a count is an integer >= 1 and no bool
 BAD_SEEDS = [-1, 1.5, "x", True, NAN, INF]  # a seed is an integer >= 0 and no bool
 # an array where a scalar belongs gives no single bool, whatever its length
@@ -25,10 +26,15 @@ def _unbuilt(imbalance_factor):
     raise AssertionError("no dataset is built before the arguments are checked")
 
 
+def _unprobed(stack):
+    raise AssertionError("no loss is evaluated before the arguments are checked")
+
+
 def _strategy_cases():
     for variant, strategy in continual.STRATEGIES.items():
         for key in strategy.settings:
             bad = [1.5 if key == "energy_threshold" else -1.0, NAN, INF, -INF]
+            bad = [*bad, 0.0] if key == "temperature" else bad
             bad = BAD_COUNTS if key == "fisher_max_samples" else bad
             yield (f"strategy_term.{variant}.{key}", key, bad,
                    lambda v, variant=variant, key=key: continual.strategy_term(
@@ -78,16 +84,17 @@ CASES = [
     ("fisher_diagonal", "mode", ["fisher", NAN], lambda v: continual.fisher_diagonal(MODEL, DATASET, v, 10)),
     ("_sample_rows", "max_samples", BAD_COUNTS,
      lambda v: continual._sample_rows(DATASET, v, np.random.default_rng(0))),
-    ("lwf_loss", "temperature", [0.0, NAN, INF, -INF], lambda v: continual.lwf_loss(LOGITS, LOGITS, [0, 1], v, 1.0)),
-    ("lwf_loss", "cl_weight", [-1.0, NAN, INF, -INF], lambda v: continual.lwf_loss(LOGITS, LOGITS, [0, 1], 2.0, v)),
     ("gpm_collect_bases", "energy_threshold", [0.0, 1.5, NAN, INF, -INF],
      lambda v: continual.gpm_collect_bases(MODEL, DATASET, v, 10)),
     ("strategy_term", "variant", ["dropout", NAN],
      lambda v: continual.strategy_term(v, MODEL, DATASET, {0, 1})),
     *_strategy_cases(),
     ("lemma1_bound", "delta", [-1.0, NAN, -INF], lambda v: bounds.lemma1_bound(v, 1.0, 1.0)),
-    ("lemma1_bound", "mu_f", [-1.0, NAN, -INF], lambda v: bounds.lemma1_bound(1.0, v, 1.0)),
-    ("lemma1_bound", "mu_g", [-1.0, NAN, -INF], lambda v: bounds.lemma1_bound(1.0, 1.0, v)),
+    ("lemma1_bound", "mu_f", [-1.0, NAN, INF, -INF], lambda v: bounds.lemma1_bound(1.0, v, 1.0)),
+    ("lemma1_bound", "mu_g", [-1.0, NAN, INF, -INF], lambda v: bounds.lemma1_bound(1.0, 1.0, v)),
+    # checked before the two minimizers' losses are evaluated
+    ("tight_bound", "mu_f", [-1.0, NAN, INF, -INF], lambda v: bounds.tight_bound(ZEROS, ZEROS, _unprobed, v, 1.0)),
+    ("tight_bound", "mu_g", [-1.0, NAN, INF, -INF], lambda v: bounds.tight_bound(ZEROS, ZEROS, _unprobed, 1.0, v)),
     ("lemma2_bound", "delta", [-1.0, NAN, -INF], lambda v: bounds.lemma2_bound(v, 1.0, 1.0)),
     ("BoundGridConfig", "grad_tolerance", [0.0, -1.0, NAN, INF, -INF],
      lambda v: bounds.BoundGridConfig(grad_tolerance=v)),
@@ -95,14 +102,19 @@ CASES = [
      lambda v: bounds.BoundGridConfig(head_fraction=v)),
     ("BoundGridConfig", "compute_lemma2", ["no", "", 1, 0, NAN, None],
      lambda v: bounds.BoundGridConfig(compute_lemma2=v)),
-    # a mu or cell seed that fails only after both Newton solves wastes them
-    ("evaluate_cell", "mu", [0.0, -0.1, NAN, -INF],
-     lambda v: bounds.evaluate_cell(DATASET, 1.0, v, bounds.BoundGridConfig())),
+    # a mu or cell seed that fails only after both Newton solves wastes them;
+    # mu is checked before the dataset is read, so an empty one does not raise first
+    ("evaluate_cell", "mu", [0.0, -0.1, NAN, INF, -INF],
+     lambda v: bounds.evaluate_cell(EMPTY, 1.0, v, bounds.BoundGridConfig())),
     ("evaluate_cell", "cell_seed", BAD_SEEDS,
      lambda v: bounds.evaluate_cell(DATASET, 1.0, 0.1, bounds.BoundGridConfig(), cell_seed=v)),
     # checked before the builder makes any dataset
     ("bound_grid", "workers", [*BAD_COUNTS, -3, "x"],
      lambda v: bounds.bound_grid(_unbuilt, [1.0], [0.1], bounds.BoundGridConfig(), workers=v)),
+    ("bound_grid", "if_values", [[10.0, 0.5], [10.0, NAN], [10.0, 10.0], [], 10.0],
+     lambda v: bounds.bound_grid(_unbuilt, v, [0.1], bounds.BoundGridConfig())),
+    ("bound_grid", "mu_values", [[0.1, 0.0], [0.1, -0.1], [0.1, NAN], [0.1, INF], [0.1, 0.1], [], 0.1],
+     lambda v: bounds.bound_grid(_unbuilt, [10.0, 20.0], v, bounds.BoundGridConfig())),
     *((site, "seed", BAD_SEEDS, call) for site, call in _seed_cases()),
 ]
 
@@ -135,13 +147,13 @@ def test_rules_accept_their_bounds_and_list_rules_check_each_item():
 
 
 def test_lemma2_bound_rejects_a_nan_eigenvalue():
-    # NaN is no positive eigenvalue: it used to pass and give a NaN bound
-    for lam in [(NAN, 1.0), (1.0, NAN)]:
+    # NaN is no positive eigenvalue: it used to pass and give a NaN bound;
+    # an infinite one used to give a bound of 0
+    for lam in [(NAN, 1.0), (1.0, NAN), (INF, 1.0), (1.0, INF)]:
         with pytest.raises(StrictConvexityError):
             bounds.lemma2_bound(1.0, *lam)
 
 
-EMPTY = datasets.LabeledDataset.from_arrays(np.zeros((0, 4)), np.zeros(0, dtype=int), n_classes=3)
 LINEAR = models.LinearModel.zeros(4, 3)
 
 
@@ -159,7 +171,7 @@ def test_an_empty_dataset_raises_empty_class_error(call):
         call()
 
 
-def _train(config, term=None):
+def _train(config, term=models.NO_TERM):
     training.train(MODEL, DATASET, SPEC, config, term)
 
 

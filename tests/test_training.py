@@ -134,14 +134,12 @@ def test_config_rejects_non_finite_learning_rate(learning_rate):
         training.TrainConfig(learning_rate=learning_rate)
 
 
-def _reference_train(model, dataset, spec, config, term=None):
+def _reference_train(model, dataset, spec, config, term=models.NO_TERM):
     """The out-of-place heavy-ball loop: velocity = m * velocity - lr * grad,
     theta = theta + velocity, then set_params(theta), between the term's
     enter and leave hooks. Returns the final parameters and the epoch
     losses."""
-    model = model.copy()
-    if term is not None:
-        model, dataset = term.enter(model, dataset)
+    model, dataset = term.enter(model.copy(), dataset)
     x, y = dataset.features, dataset.labels
     theta = model.get_params()
     velocity = np.zeros_like(theta)
@@ -159,16 +157,12 @@ def _reference_train(model, dataset, spec, config, term=None):
             theta = theta + velocity
             model.set_params(theta)
         losses.append(float(np.mean(batch_losses)))
-    if term is not None:
-        model = term.leave(model)
-    return model.get_params(), np.array(losses)
+    return term.leave(model).get_params(), np.array(losses)
 
 
-def _assert_train_matches_reference(model, dataset, spec, config, make_term=None):
-    term = None if make_term is None else make_term()
-    trained, losses = training.train(model, dataset, spec, config, term)
-    term = None if make_term is None else make_term()
-    params, ref_losses = _reference_train(model, dataset, spec, config, term)
+def _assert_train_matches_reference(model, dataset, spec, config, make_term=lambda: models.NO_TERM):
+    trained, losses = training.train(model, dataset, spec, config, make_term())
+    params, ref_losses = _reference_train(model, dataset, spec, config, make_term())
     assert np.array_equal(trained.params, params)
     assert np.array_equal(losses, ref_losses)
 
@@ -188,6 +182,16 @@ def test_in_place_step_bit_identical_gpm_term():
         model, ds, spec, cfg,
         lambda: continual.strategy_term("gpm", model, ds, range(3), energy_threshold=0.9, fisher_max_samples=100),
     )
+
+
+def test_in_place_step_bit_identical_naive_term():
+    # naive's term is NO_TERM: the plain objective, through the same hooks
+    ds = _lt_dataset(seed=5)
+    model = models.MlpModel.initialize([4, 7, 5], seed=6)
+    cfg = training.TrainConfig(learning_rate=0.02, momentum=0.9, epochs=4, batch_size=8, seed=8)
+    term = continual.strategy_term("naive", model, ds, range(3))
+    assert term is models.NO_TERM
+    _assert_train_matches_reference(model, ds, models.LossSpec(mu=1e-4), cfg, lambda: term)
 
 
 @pytest.mark.parametrize("variant", ["ewc", "lwf"])
