@@ -20,10 +20,7 @@ regularization constant, is at or below it, since the cross-entropy
 Hessian is positive semidefinite. A grid's solve is handed mu as its
 lower bound, so it stops at the first Ritz check where that bracket
 [mu, theta_1] is at most LANCZOS_TOL * |largest Ritz value| wide, and
-reports mu, unless the residual rule stops it first. Every solve of the
-pooled acceptance grid (18) and of perfbench's lemma2_cli workload
-(seed 0, 4) stopped on the bracket, with theta_1 - mu at most 3.9e-9 and
-1.5e-7.
+reports mu, unless the residual rule stops it first.
 
 The grid experiment certifies both minimizers per (imbalance factor,
 mu) cell by truncated Newton-CG (Nocedal & Wright, Numerical
@@ -46,10 +43,7 @@ zeros, and they are independent, so a cell runs them on two threads at
 once: a helper thread solves the head problem while the calling thread
 solves the full one, and with Lemma 2 the two eigensolves are split the
 same way. Neither solve reads the other's state, so the results depend
-only on the inputs. The second thread gains only where a core would
-otherwise be idle (BLAS on one thread, as the CLI pins it, and fewer
-grid workers than cores); elsewhere the head solve's extra iterations
-from zeros make a grid slower (README, `--workers`).
+only on the inputs.
 
 For multinomial logistic regression lambda_min(H) = mu exactly, so the
 lemma2 bound equals the loose one. Softmax is invariant to adding one
@@ -164,14 +158,14 @@ def tight_bound(theta_full, theta_head, losses, mu_f, mu_g) -> float:
 
 
 def lemma2_bound(delta: float, lam_f: float, lam_g: float) -> float:
-    """Squared-distance bound 4*delta/(lam_f + lam_g) from the minimum
-    Hessian eigenvalues at the respective minimizers (`min_eigenvalue`)."""
+    """Lemma 1's bound 4*delta/(lam_f + lam_g) with the minimum Hessian
+    eigenvalues at the respective minimizers (`min_eigenvalue`) as mu."""
     check("delta", delta, AT_LEAST_0)
     if not (0 < lam_f < math.inf and 0 < lam_g < math.inf):  # NaN fails too
         raise StrictConvexityError(
             f"minimum eigenvalues {lam_f}, {lam_g} must be positive and finite"
         )
-    return 4.0 * delta / (lam_f + lam_g)
+    return lemma1_bound(delta, lam_f, lam_g)
 
 
 # Lanczos settings. The start vector comes from a fixed seed, so the
@@ -220,6 +214,7 @@ def min_eigenvalue(apply, dim: int, lower: float | None = None) -> float:
     without it. A false bound that the Ritz value never drops below is not
     detected, and is returned.
     """
+    check("dim", dim, SEED)
     if dim < 1:
         raise ShapeMismatchError("the smallest eigenvalue of an empty matrix is undefined")
     q = seeded_rng(LANCZOS_SEED).standard_normal(dim)
@@ -485,6 +480,7 @@ def evaluate_cell(
     error on either side propagates with its own type, and the helper is
     joined before the call returns or raises.
     """
+    check("imbalance", imbalance, AT_LEAST_1)
     check("mu", mu, FINITE_POSITIVE)
     check("cell_seed", cell_seed, SEED)
     if full_dataset.n_samples == 0:  # zeros would pass as both minimizers, at a NaN loss

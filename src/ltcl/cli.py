@@ -41,17 +41,16 @@ import yaml  # noqa: E402
 
 from . import __version__  # noqa: E402
 from .bounds import BoundGridConfig, bound_grid  # noqa: E402
-from .continual import STRATEGIES, VARIANTS, default_phase2_config, run_head_phase, run_tail_phase  # noqa: E402
+from .continual import STRATEGIES, VARIANTS, run_head_phase, run_tail_phase  # noqa: E402
 from .datasets import head_tail_split, load_idx, make_longtail, mean_pool_images, synthetic_gaussian  # noqa: E402
 from .errors import (  # noqa: E402
-    AT_LEAST_1, COUNT, FILE, FINITE_AT_LEAST_0, FINITE_POSITIVE, FRACTION, POSITIVE, SEED, ConfigError,
+    AT_LEAST_1, COUNT, FILE, FINITE_AT_LEAST_0, FINITE_POSITIVE, FRACTION, SEED, ConfigError,
     LtclError, list_of, one_of,
 )
 from .metrics import accuracy_diff, transfer_decomposition  # noqa: E402
 from .models import LinearModel, LossSpec, MlpModel, save_checkpoint  # noqa: E402
 from .training import TRAIN_RULES, TrainConfig  # noqa: E402
 
-KINDS = ("bound_grid", "ltr_two_phase")
 SUBCOMMAND_KINDS = {"bound-grid": "bound_grid", "two-phase": "ltr_two_phase"}
 SCHEMA_VERSION = 1
 
@@ -90,7 +89,7 @@ class Choice(NamedTuple):
 
 HEADER = {
     "schema_version": Field(int, REQUIRED, one_of(SCHEMA_VERSION)),
-    "kind": Field(str, REQUIRED, one_of(*KINDS)),
+    "kind": Field(str, REQUIRED, one_of(*SUBCOMMAND_KINDS.values())),
     "seed": Field(int, 0, SEED),
     "workers": Field(int, 1, COUNT),
     "output_dir": Field(str),
@@ -103,7 +102,7 @@ SYNTHETIC = {
     "n_classes": Field(int, 10, COUNT),
     "n_features": Field(int, 64, COUNT),
     "n_per_class": Field(int, 500, COUNT),
-    "class_separation": Field(float, 3.0, POSITIVE),
+    "class_separation": Field(float, 3.0, FINITE_POSITIVE),
 }
 IDX_FILE = Field(str, REQUIRED, FILE)
 IDX = {**DATASET, "train_images": IDX_FILE, "train_labels": IDX_FILE}
@@ -116,26 +115,24 @@ TWO_PHASE_DATASET = Choice("source", {
 
 LONGTAIL = {"head_fraction": Field(float, 0.6, FRACTION), "n_max": Field(int, None, COUNT)}
 BOUND_GRID = {
-    "mu_values": Field([float], REQUIRED, list_of(POSITIVE, distinct=True)),
+    "mu_values": Field([float], REQUIRED, list_of(FINITE_POSITIVE, distinct=True)),
     "grad_tolerance": Field(float, BoundGridConfig.grad_tolerance, FINITE_POSITIVE),
     "compute_lemma2": Field(bool, BoundGridConfig.compute_lemma2),
 }
 
-# a phase's train keys, each checked by its TrainConfig rule; the run gives the seed
-TRAIN_TYPES = {"learning_rate": float, "momentum": float, "epochs": int, "batch_size": int, "schedule": str}
-PHASE1_DEFAULTS = {"learning_rate": 0.01, "momentum": 0.9, "epochs": 30,
-                   "batch_size": TrainConfig.batch_size, "schedule": "constant"}
+# a phase's train keys, each typed as its default's value and checked by its TrainConfig rule; the run gives the seed
+TRAIN_KEYS = tuple(name for name in TRAIN_RULES if name != "seed")
 
 
-def _train_table(defaults: dict) -> dict:
-    return {name: Field(kind, defaults[name], TRAIN_RULES[name]) for name, kind in TRAIN_TYPES.items()}
+def _train_table(defaults: TrainConfig) -> dict:
+    return {key: Field(type(getattr(defaults, key)), getattr(defaults, key), TRAIN_RULES[key]) for key in TRAIN_KEYS}
 
 
 # a strategy's table: its Phase-2 training keys and the settings it reads, with the
-# defaults and checks of continual.STRATEGIES, each setting typed as its default
+# defaults and checks of continual.STRATEGIES, each key typed as its default
 STRATEGY_OVERRIDES = {
     name: Field({
-        **_train_table(vars(default_phase2_config(name))),
+        **_train_table(strategy.phase2),
         **{key: Field(type(default), default, check) for key, (default, check) in strategy.settings.items()},
     }, {})
     for name, strategy in STRATEGIES.items()
@@ -158,7 +155,7 @@ TWO_PHASE = {
     "longtail": Field({**LONGTAIL, "imbalance_factor": Field(float, REQUIRED, AT_LEAST_1)}, REQUIRED),
     "loss": Field({"mu": Field(float, 1e-4, FINITE_AT_LEAST_0)}, {}),
     "model": Field(MODEL, {}),
-    "phase1": Field(_train_table(PHASE1_DEFAULTS), {}),
+    "phase1": Field(_train_table(TrainConfig(learning_rate=0.01, momentum=0.9, epochs=30)), {}),
     "strategies": Field([str], REQUIRED, list_of(one_of(*VARIANTS), distinct=True)),
     "strategy_overrides": Field(STRATEGY_OVERRIDES, {}),
 }
@@ -205,7 +202,7 @@ def _resolve(raw: dict, table: dict, path: str) -> dict:
 
 def _train_config(section: dict, seed: int = 0) -> TrainConfig:
     """The one place a resolved train section becomes a TrainConfig."""
-    return TrainConfig(seed=seed, **{name: section[name] for name in TRAIN_TYPES})
+    return TrainConfig(seed=seed, **{name: section[name] for name in TRAIN_KEYS})
 
 
 def load_config(path) -> dict:
@@ -314,7 +311,7 @@ def run_ltr_two_phase(cfg: dict, out_dir: Path) -> int:
         settings = cfg["strategy_overrides"][name]
         seed = cfg["seed"] + _PHASE2_SEED_OFFSET[name]
         phase2_config = _train_config(settings, seed=seed)
-        cl_settings = {key: value for key, value in settings.items() if key not in TRAIN_TYPES}
+        cl_settings = {key: value for key, value in settings.items() if key not in TRAIN_KEYS}
         try:
             return run_tail_phase(name, head_phase, split, phase2_config, spec, test_dataset,
                                   phase1_config.seed, **cl_settings)

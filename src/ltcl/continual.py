@@ -31,14 +31,14 @@ FISHER_MODES = ("model_sampled", "true_loss")
 
 
 class Strategy(NamedTuple):
-    """One strategy: its Phase-2 TrainConfig fields, and the settings
+    """One strategy: its Phase-2 TrainConfig at seed 0, and the settings
     strategy_term reads, each a (default, rule) pair of an `errors` rule."""
 
-    phase2: dict
+    phase2: TrainConfig
     settings: dict
 
 
-_EWC_BUDGET = dict(learning_rate=0.01, momentum=0.9, schedule="constant", epochs=90)
+_EWC_BUDGET = TrainConfig(learning_rate=0.01, momentum=0.9, epochs=90)
 _HEAD_SAMPLES = (2000, COUNT)  # head samples drawn for the Fisher or the bases
 # The one table of the strategies, in the order of VARIANTS. The naive
 # baseline gets the EWC optimization budget.
@@ -47,9 +47,9 @@ STRATEGIES = {
     "ewc": Strategy(_EWC_BUDGET, {"cl_weight": (10.0, FINITE_AT_LEAST_0), "fisher_max_samples": _HEAD_SAMPLES}),
     "modified_ewc": Strategy(_EWC_BUDGET,
                              {"cl_weight": (1000.0, FINITE_AT_LEAST_0), "fisher_max_samples": _HEAD_SAMPLES}),
-    "lwf": Strategy(dict(learning_rate=0.001, momentum=0.9, schedule="constant", epochs=5),
+    "lwf": Strategy(TrainConfig(learning_rate=0.001, momentum=0.9, epochs=5),
                     {"cl_weight": (0.01, FINITE_AT_LEAST_0), "temperature": (2.0, FINITE_POSITIVE)}),
-    "gpm": Strategy(dict(learning_rate=0.001, momentum=0.0, schedule="cosine", epochs=100),
+    "gpm": Strategy(TrainConfig(learning_rate=0.001, epochs=100, schedule="cosine"),
                     {"energy_threshold": (0.97, FRACTION), "fisher_max_samples": _HEAD_SAMPLES}),
 }
 VARIANTS = tuple(STRATEGIES)
@@ -74,7 +74,7 @@ class PhaseResult:
 
 def default_phase2_config(variant: str, seed: int = 0, batch_size: int = TrainConfig.batch_size) -> TrainConfig:
     check("variant", variant, one_of(*VARIANTS))
-    return TrainConfig(batch_size=batch_size, seed=seed, **STRATEGIES[variant].phase2)
+    return replace(STRATEGIES[variant].phase2, batch_size=batch_size, seed=seed)
 
 
 def fisher_diagonal(model, dataset: LabeledDataset, mode: str, max_samples: int, seed: int = 0) -> np.ndarray:

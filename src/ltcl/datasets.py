@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    AT_LEAST_1, COUNT, FRACTION, POSITIVE, CapacityError, DatasetError, EmptyClassError, IdxParseError,
+    AT_LEAST_1, COUNT, FINITE_POSITIVE, FRACTION, CapacityError, DatasetError, EmptyClassError, IdxParseError,
     NonFiniteInputError, ShapeMismatchError, check, seeded_rng,
 )
 
@@ -230,10 +230,12 @@ def synthetic_gaussian(
     class_separation: float,
     seed: int,
 ) -> LabeledDataset:
-    """Balanced isotropic Gaussian blobs, one per class, mean on axis c mod d."""
+    """Balanced isotropic Gaussian blobs, one per class, mean on axis c mod d.
+    With n_classes > n_features, classes c and c + d share a mean axis, so
+    their blobs coincide."""
     for name, value in (("n_classes", n_classes), ("n_features", n_features), ("n_per_class", n_per_class)):
         check(name, value, COUNT)
-    check("class_separation", class_separation, POSITIVE)
+    check("class_separation", class_separation, FINITE_POSITIVE)
     rng = seeded_rng(seed)
     features = rng.standard_normal((n_classes * n_per_class, n_features))
     labels = np.repeat(np.arange(n_classes), n_per_class)

@@ -91,7 +91,6 @@ AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
 COUNT = (lambda v: _integer(v) and v >= 1, "must be an integer >= 1")
 SEED = (lambda v: _integer(v) and v >= 0, "must be an integer >= 0")  # what numpy's generators accept
 BOOL = (lambda v: isinstance(v, (bool, np.bool_)), "must be a bool")
-POSITIVE = (lambda v: v > 0, "must be positive")
 FRACTION = (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
 AT_LEAST_0_BELOW_1 = (lambda v: 0.0 <= v < 1.0, "must be in [0, 1)")
 FINITE_AT_LEAST_0 = (lambda v: 0.0 <= v < math.inf, "must be >= 0 and finite")

@@ -92,6 +92,8 @@ def transfer_decomposition(acc_before, acc_after, head_classes) -> TransferDecom
             f"accuracy vectors differ in shape: {acc_before.shape} vs {acc_after.shape}"
         )
     head = set(int(c) for c in head_classes)
+    if not head <= set(range(len(acc_before))):  # an unknown class would be ignored, silently
+        raise ValueError(f"head_classes must lie in 0..{len(acc_before) - 1}, got {sorted(head)!r}")
     delta = acc_after - acc_before
     regions = []
     tail_regressions = []

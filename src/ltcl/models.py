@@ -254,6 +254,8 @@ class LinearModel(_Network):
 
     @classmethod
     def zeros(cls, n_features: int, n_classes: int) -> "LinearModel":
+        check("n_features", n_features, COUNT)
+        check("n_classes", n_classes, COUNT)
         return cls(np.zeros((n_classes, n_features)), np.zeros(n_classes))
 
     @property

@@ -62,8 +62,6 @@ def test_lemma1_quadratic_family():
 def test_lemma1_degenerate():
     with pytest.raises(DegenerateConvexityError):
         bounds.lemma1_bound(1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        bounds.lemma1_bound(-1.0, 1.0, 1.0)
 
 
 def test_lemma1_identity_guard():

@@ -116,10 +116,6 @@ def test_fisher_nonnegative_and_subsampled(lt_fixture):
     model = _fresh_model()
     fisher = continual.fisher_diagonal(model, split.head, "model_sampled", 50, seed=1)
     assert np.all(fisher >= 0)
-    with pytest.raises(ValueError):
-        continual.fisher_diagonal(model, split.head, "model_sampled", 0)
-    with pytest.raises(ValueError):
-        continual.fisher_diagonal(model, split.head, "bogus", 10)
 
 
 def test_fisher_seeded_subsample_deterministic(lt_fixture):
@@ -366,37 +362,6 @@ def test_gpm_bases_orthonormal(lt_fixture):
     for basis in bases:
         gram = basis.T @ basis
         assert np.max(np.abs(gram - np.eye(basis.shape[1]))) <= 1e-8
-
-
-def test_gpm_bases_threshold_validation(lt_fixture):
-    lt, split, _ = lt_fixture
-    with pytest.raises(ValueError):
-        continual.gpm_collect_bases(_fresh_model(), split.head, 0.0, 10)
-    empty = datasets.LabeledDataset.from_arrays(np.zeros((0, 12)), np.zeros(0, dtype=int), n_classes=6)
-    with pytest.raises(ValueError):
-        continual.gpm_collect_bases(_fresh_model(), empty, 0.9, 10)
-
-
-def test_gpm_bases_reject_zero_samples(lt_fixture):
-    # no sampled row would give empty bases, and GPM would train as naive
-    _, split, _ = lt_fixture
-    with pytest.raises(ValueError, match="max_samples"):
-        continual.gpm_collect_bases(_fresh_model(), split.head, 0.97, 0)
-
-
-@pytest.mark.parametrize("temperature", [0.0, -1.0])
-def test_strategy_term_rejects_non_positive_temperature(lt_fixture, temperature):
-    # a zero temperature divides the logits by zero: a NaN loss at the first step
-    _, split, _ = lt_fixture
-    with pytest.raises(ValueError, match="temperature"):
-        continual.strategy_term("lwf", _fresh_model(), split.head, split.head_classes, temperature=temperature)
-
-
-@pytest.mark.parametrize("variant", ["ewc", "modified_ewc", "lwf"])
-def test_strategy_term_rejects_negative_cl_weight(lt_fixture, variant):
-    _, split, _ = lt_fixture
-    with pytest.raises(ValueError, match="cl_weight"):
-        continual.strategy_term(variant, _fresh_model(), split.head, split.head_classes, cl_weight=-5.0)
 
 
 UNREAD_SETTINGS = [

@@ -117,13 +117,6 @@ def test_head_tail_split_empty_head_raises():
     assert len(datasets.head_tail_split(src, 0.1).head_classes) == 1
 
 
-def test_head_tail_split_bad_fraction():
-    src = _balanced(n_classes=4, n_per_class=10)
-    for fraction in (0.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            datasets.head_tail_split(src, fraction)
-
-
 def _write_idx_pair(tmp_path, images, labels, image_magic=0x803, label_magic=0x801,
                     gz=False, truncate_images=0):
     images = np.asarray(images, dtype=np.uint8)

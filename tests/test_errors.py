@@ -30,6 +30,10 @@ def _unprobed(stack):
     raise AssertionError("no loss is evaluated before the arguments are checked")
 
 
+def _unapplied(vector):
+    raise AssertionError("no product is formed before the arguments are checked")
+
+
 def _strategy_cases():
     for variant, strategy in continual.STRATEGIES.items():
         for key in strategy.settings:
@@ -68,24 +72,29 @@ CASES = [
     ("longtail_profile", "n_classes", BAD_COUNTS, lambda v: datasets.longtail_profile(v, 100, 10.0)),
     ("longtail_profile", "n_max", BAD_COUNTS, lambda v: datasets.longtail_profile(4, v, 10.0)),
     ("longtail_profile", "imbalance_factor", [0.5, NAN, -INF], lambda v: datasets.longtail_profile(4, 100, v)),
-    ("head_tail_split", "head_class_fraction", [0.0, 1.5, NAN, INF, -INF],
+    ("head_tail_split", "head_class_fraction", [0.0, -0.1, 1.5, NAN, INF, -INF],
      lambda v: datasets.head_tail_split(DATASET, v)),
     ("synthetic_gaussian", "n_classes", BAD_COUNTS, lambda v: datasets.synthetic_gaussian(v, 4, 10, 2.0, 0)),
     ("synthetic_gaussian", "n_features", BAD_COUNTS, lambda v: datasets.synthetic_gaussian(3, v, 10, 2.0, 0)),
     ("synthetic_gaussian", "n_per_class", BAD_COUNTS, lambda v: datasets.synthetic_gaussian(3, 4, v, 2.0, 0)),
-    ("synthetic_gaussian", "class_separation", [0.0, NAN, -INF],
+    ("synthetic_gaussian", "class_separation", [0.0, NAN, INF, -INF],
      lambda v: datasets.synthetic_gaussian(3, 4, 10, v, 0)),
     ("mean_pool_images", "factor", [*BAD_COUNTS, -2], lambda v: datasets.mean_pool_images(DATASET, v)),
     # checked before either file is read
     ("load_idx", "pool_factor", [*BAD_COUNTS, -2], lambda v: datasets.load_idx("missing", "missing", v)),
     ("MlpModel.initialize", "layer_sizes", [*([4, v, 3] for v in BAD_COUNTS), [4], [], 4],
      lambda v: models.MlpModel.initialize(v, 0)),
+    ("LinearModel.zeros", "n_features", BAD_COUNTS, lambda v: models.LinearModel.zeros(v, 3)),
+    ("LinearModel.zeros", "n_classes", BAD_COUNTS, lambda v: models.LinearModel.zeros(4, v)),
     ("default_phase2_config", "variant", ["dropout", NAN], continual.default_phase2_config),
     ("fisher_diagonal", "mode", ["fisher", NAN], lambda v: continual.fisher_diagonal(MODEL, DATASET, v, 10)),
+    ("fisher_diagonal", "max_samples", BAD_COUNTS,
+     lambda v: continual.fisher_diagonal(MODEL, DATASET, "true_loss", v)),
     ("_sample_rows", "max_samples", BAD_COUNTS,
      lambda v: continual._sample_rows(DATASET, v, np.random.default_rng(0))),
     ("gpm_collect_bases", "energy_threshold", [0.0, 1.5, NAN, INF, -INF],
      lambda v: continual.gpm_collect_bases(MODEL, DATASET, v, 10)),
+    ("gpm_collect_bases", "max_samples", BAD_COUNTS, lambda v: continual.gpm_collect_bases(MODEL, DATASET, 0.9, v)),
     ("strategy_term", "variant", ["dropout", NAN],
      lambda v: continual.strategy_term(v, MODEL, DATASET, {0, 1})),
     *_strategy_cases(),
@@ -96,14 +105,18 @@ CASES = [
     ("tight_bound", "mu_f", [-1.0, NAN, INF, -INF], lambda v: bounds.tight_bound(ZEROS, ZEROS, _unprobed, v, 1.0)),
     ("tight_bound", "mu_g", [-1.0, NAN, INF, -INF], lambda v: bounds.tight_bound(ZEROS, ZEROS, _unprobed, 1.0, v)),
     ("lemma2_bound", "delta", [-1.0, NAN, -INF], lambda v: bounds.lemma2_bound(v, 1.0, 1.0)),
+    # checked before the first product; dim 0 is a ShapeMismatchError
+    ("min_eigenvalue", "dim", BAD_SEEDS, lambda v: bounds.min_eigenvalue(_unapplied, v)),
     ("BoundGridConfig", "grad_tolerance", [0.0, -1.0, NAN, INF, -INF],
      lambda v: bounds.BoundGridConfig(grad_tolerance=v)),
     ("BoundGridConfig", "head_fraction", [0, 2.0, -0.5, NAN, INF, -INF, np.array([0.5, 0.6])],
      lambda v: bounds.BoundGridConfig(head_fraction=v)),
     ("BoundGridConfig", "compute_lemma2", ["no", "", 1, 0, NAN, None],
      lambda v: bounds.BoundGridConfig(compute_lemma2=v)),
-    # a mu or cell seed that fails only after both Newton solves wastes them;
-    # mu is checked before the dataset is read, so an empty one does not raise first
+    # an IF, mu or cell seed that fails only after both Newton solves wastes them;
+    # IF and mu are checked before the dataset is read, so an empty one does not raise first
+    ("evaluate_cell", "imbalance", [0.5, NAN, -INF, "x"],
+     lambda v: bounds.evaluate_cell(EMPTY, v, 0.1, bounds.BoundGridConfig())),
     ("evaluate_cell", "mu", [0.0, -0.1, NAN, INF, -INF],
      lambda v: bounds.evaluate_cell(EMPTY, 1.0, v, bounds.BoundGridConfig())),
     ("evaluate_cell", "cell_seed", BAD_SEEDS,
@@ -160,6 +173,8 @@ LINEAR = models.LinearModel.zeros(4, 3)
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: bounds.evaluate_cell(EMPTY, 1.0, 0.1, bounds.BoundGridConfig()), id="evaluate_cell"),
     pytest.param(lambda: continual._sample_rows(EMPTY, 10, np.random.default_rng(0)), id="_sample_rows"),
+    pytest.param(lambda: continual.fisher_diagonal(MODEL, EMPTY, "true_loss", 10), id="fisher_diagonal"),
+    pytest.param(lambda: continual.gpm_collect_bases(MODEL, EMPTY, 0.9, 10), id="gpm_collect_bases"),
     pytest.param(lambda: models.loss(LINEAR, EMPTY, SPEC), id="loss"),
     pytest.param(lambda: models.hessian(LINEAR, EMPTY, SPEC), id="hessian"),
     pytest.param(lambda: models.hessian_operator(LINEAR, EMPTY, SPEC), id="hessian_operator"),

@@ -146,6 +146,15 @@ def test_transfer_decomposition_tail_regression_reported():
     assert decomp.tail_regressions == [1]
 
 
+def test_transfer_decomposition_rejects_a_head_class_out_of_range():
+    # class 7 of two would be ignored, and both classes labeled tail
+    for head in ({7}, {-1}, {0, 2}):
+        with pytest.raises(ValueError, match=r"head_classes must lie in 0\.\.1"):
+            metrics.transfer_decomposition([0.1, 0.2], [0.2, 0.1], head)
+    assert metrics.transfer_decomposition([0.1, 0.2], [0.2, 0.1], set()).per_class_region == [
+        metrics.FORWARD_TRANSFER, metrics.UNCHANGED]
+
+
 def test_transfer_decomposition_partitions_classes():
     rng = np.random.default_rng(0)
     for _ in range(25):

@@ -116,24 +116,6 @@ def test_cosine_schedule_in_train():
     assert np.all(np.isfinite(losses))
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        training.TrainConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        training.TrainConfig(learning_rate=0.1, momentum=1.0)
-    with pytest.raises(ValueError):
-        training.TrainConfig(learning_rate=0.1, epochs=0)
-    with pytest.raises(ValueError):
-        training.TrainConfig(learning_rate=0.1, schedule="linear")
-
-
-@pytest.mark.parametrize("learning_rate", [float("nan"), float("inf")])
-def test_config_rejects_non_finite_learning_rate(learning_rate):
-    # NaN fails every comparison, so a check written as `learning_rate <= 0` would let it through
-    with pytest.raises(ValueError, match="learning_rate"):
-        training.TrainConfig(learning_rate=learning_rate)
-
-
 def _reference_train(model, dataset, spec, config, term=models.NO_TERM):
     """The out-of-place heavy-ball loop: velocity = m * velocity - lr * grad,
     theta = theta + velocity, then set_params(theta), between the term's
