@@ -64,9 +64,9 @@ import numpy as np
 
 from .datasets import LabeledDataset, head_tail_split
 from .errors import (
-    AT_LEAST_0, AT_LEAST_1, BOOL, COUNT, FINITE_AT_LEAST_0, FINITE_POSITIVE, FRACTION, SEED, DegenerateConvexityError,
-    EigensolverError, EmptyClassError, MinimizerCertificationError, ShapeMismatchError, StrictConvexityError, check,
-    list_of, seeded_rng,
+    AT_LEAST_0, AT_LEAST_1, BOOL, COUNT, FINITE, FINITE_AT_LEAST_0, FINITE_POSITIVE, FRACTION, SEED,
+    DegenerateConvexityError, EigensolverError, EmptyClassError, MinimizerCertificationError, ShapeMismatchError,
+    StrictConvexityError, check, list_of, seeded_rng,
 )
 from .models import GradientWorkspace, LinearModel, LossSpec, hessian_operator
 
@@ -204,17 +204,20 @@ def min_eigenvalue(apply, dim: int, lower: float | None = None) -> float:
     follows the steps taken. Raises EigensolverError rather than return an
     unconverged value after LANCZOS_MAX_ITERS steps.
 
-    `lower`, when given, must be a proven lower bound of lambda_min (mu for
-    a Hessian of mu-regularized cross-entropy). Then a Ritz check also
-    ends the run, returning `lower`, once the smallest Ritz value is at
-    most LANCZOS_TOL times the largest Ritz value in magnitude above it and
-    no more than the rounding level dim * eps * that scale below it:
+    `lower`, when given, must be a finite, proven lower bound of lambda_min
+    (mu for a Hessian of mu-regularized cross-entropy); a value that is not
+    finite raises ValueError before the first product. Then a Ritz check
+    also ends the run, returning `lower`, once the smallest Ritz value is
+    at most LANCZOS_TOL times the largest Ritz value in magnitude above it
+    and no more than the rounding level dim * eps * that scale below it:
     lambda_min lies in that bracket. A Ritz value further below `lower`
     shows that it is no bound; the residual rule then ends the run as
     without it. A false bound that the Ritz value never drops below is not
     detected, and is returned.
     """
     check("dim", dim, SEED)
+    if lower is not None:
+        check("lower", lower, FINITE)
     if dim < 1:
         raise ShapeMismatchError("the smallest eigenvalue of an empty matrix is undefined")
     q = seeded_rng(LANCZOS_SEED).standard_normal(dim)

@@ -47,7 +47,7 @@ from .errors import (  # noqa: E402
     AT_LEAST_1, COUNT, FILE, FINITE_AT_LEAST_0, FINITE_POSITIVE, FRACTION, SEED, ConfigError,
     LtclError, list_of, one_of,
 )
-from .metrics import accuracy_diff, transfer_decomposition  # noqa: E402
+from .metrics import transfer_decomposition  # noqa: E402
 from .models import LinearModel, LossSpec, MlpModel, save_checkpoint  # noqa: E402
 from .training import TRAIN_RULES, TrainConfig  # noqa: E402
 
@@ -351,7 +351,7 @@ def run_ltr_two_phase(cfg: dict, out_dir: Path) -> int:
     _write_csv(out_dir / "summary.csv", SUMMARY_CSV_HEADER, summary_rows)
 
     for a, b in combinations(results, 2):
-        diff = accuracy_diff(results[a].metrics_after, results[b].metrics_after)
+        diff = results[a].metrics_after.per_class_accuracy - results[b].metrics_after.per_class_accuracy
         _write_csv(out_dir / f"accdiff_{a}_vs_{b}.csv", "class,diff", enumerate(diff))
 
     for row in summary_rows:
@@ -359,22 +359,30 @@ def run_ltr_two_phase(cfg: dict, out_dir: Path) -> int:
     return 3 if len(results) < len(names) else 0
 
 
-def _read_csv(path: Path) -> list[dict]:
-    return list(csv.DictReader(path.read_text().splitlines()))
+def _read_csv(path: Path, columns) -> list[dict]:
+    """The rows of a CSV file whose header names each of columns."""
+    reader = csv.DictReader(path.read_text().splitlines())
+    for column in columns:
+        if column not in (reader.fieldnames or ()):
+            raise ConfigError("results", f"{path} has no column {column!r}")
+    return list(reader)
 
 
 def emit_plot_data(results_dir: Path, kind: str, out_dir: Path) -> int:
     """Reshape run outputs into long-format x/y series files."""
     if kind == "distance-vs-if":
-        rows = sorted(_read_csv(results_dir / "bounds.csv"), key=lambda r: (float(r["mu"]), float(r["if"])))
+        rows = _read_csv(results_dir / "bounds.csv", ("if", "mu", "measured_distance"))
+        rows.sort(key=lambda r: (float(r["mu"]), float(r["if"])))
         out_rows = [(f"mu={r['mu']}", r["if"], r["measured_distance"]) for r in rows]
         _write_csv(out_dir / "plot_distance_vs_if.csv", "series,x,y", out_rows)
         return 0
     if kind not in ("per-class-delta", "per-class-norm"):
         raise ConfigError("kind", f"unknown plot kind {kind!r}")
     # the last run's strategies: metrics CSVs of an earlier run may share the directory
-    names = [row["strategy"] for row in _read_csv(results_dir / "summary.csv") if row["status"] == "ok"]
-    tables = {name: _read_csv(results_dir / f"metrics_{name}.csv") for name in names}
+    summary = _read_csv(results_dir / "summary.csv", ("strategy", "status"))
+    names = [row["strategy"] for row in summary if row["status"] == "ok"]
+    columns = ("class", "delta", "region") if kind == "per-class-delta" else ("class", "weight_norm_after")
+    tables = {name: _read_csv(results_dir / f"metrics_{name}.csv", columns) for name in names}
     if not tables:
         raise ConfigError("results", f"no strategy succeeded in {results_dir / 'summary.csv'}")
     if kind == "per-class-delta":

@@ -201,11 +201,10 @@ class _EwcTerm(ObjectiveTerm):
 
 
 class _LwfTerm(ObjectiveTerm):
-    """Distillation against the frozen teacher on the head logits."""
+    """Distillation against the frozen teacher on the logits of the classes it learned, head_cols."""
 
-    def __init__(self, teacher, head_classes, temperature: float, cl_weight: float):
-        self.teacher, self.temperature, self.cl_weight = teacher, temperature, cl_weight
-        self.head_cols = np.array(sorted(int(c) for c in head_classes), dtype=np.intp)
+    def __init__(self, teacher, head_cols, temperature: float, cl_weight: float):
+        self.teacher, self.head_cols, self.temperature, self.cl_weight = teacher, head_cols, temperature, cl_weight
 
     def logit_term(self, logits, inputs, delta) -> float:
         cols, temperature, cl_weight = self.head_cols, self.temperature, self.cl_weight
@@ -257,15 +256,14 @@ class _GpmTerm(ObjectiveTerm):
         return 0.0
 
 
-def strategy_term(
-    variant: str, model, head_dataset: LabeledDataset, head_classes, *, seed: int = 0, **settings
-) -> ObjectiveTerm:
+def strategy_term(variant: str, model, head_dataset: LabeledDataset, *, seed: int = 0, **settings) -> ObjectiveTerm:
     """The variant's Phase-2 term, holding what it keeps of the Phase-1
-    `model`; naive keeps nothing, and its term is `NO_TERM`. `settings`
-    override the defaults of the variant's STRATEGIES entry, and one that
-    it does not read or whose check fails raises ValueError. Fisher and GPM
-    subsample head_dataset with `seed`; the term copies what it keeps, so
-    `model` may change later."""
+    `model` trained on head_dataset; naive keeps nothing, and its term is
+    `NO_TERM`. `settings` override the defaults of the variant's STRATEGIES
+    entry, and one that it does not read or whose check fails raises
+    ValueError. Fisher and GPM subsample head_dataset with `seed`, LwF
+    distills on its classes, and all three raise EmptyClassError when it
+    is empty. The term copies what it keeps, so `model` may change later."""
     check("variant", variant, one_of(*VARIANTS))
     check("seed", seed, SEED)
     table = STRATEGIES[variant].settings
@@ -280,7 +278,10 @@ def strategy_term(
         fisher = fisher_diagonal(model, head_dataset, mode, settings["fisher_max_samples"], seed=seed)
         return _EwcTerm(model.get_params(), fisher, settings["cl_weight"])
     if variant == "lwf":
-        return _LwfTerm(model.copy(), head_classes, settings["temperature"], settings["cl_weight"])
+        head_cols = np.flatnonzero(head_dataset.class_counts)
+        if len(head_cols) == 0:
+            raise EmptyClassError("cannot distill on the classes of an empty dataset")
+        return _LwfTerm(model.copy(), head_cols, settings["temperature"], settings["cl_weight"])
     if variant == "gpm":
         bases = gpm_collect_bases(
             model, head_dataset, settings["energy_threshold"], settings["fisher_max_samples"], seed=seed
@@ -308,7 +309,7 @@ def run_tail_phase(
     strategy_term built with `seed` and `settings` (its keywords), and
     return a copy of `head` with the tail fields set."""
     model_head = head.model_after_head
-    term = strategy_term(variant, model_head, split.head, split.head_classes, seed=seed, **settings)
+    term = strategy_term(variant, model_head, split.head, seed=seed, **settings)
     model_tail, phase2_losses = train(model_head, split.tail, spec, phase2_config, term)
     return replace(
         head,

@@ -7,6 +7,7 @@ exponential per-class profile controlled by the imbalance factor.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -174,6 +175,22 @@ def _read_maybe_gzip(path) -> bytes:
     return data
 
 
+def _idx_payload(data: bytes, path, magic: int, n_dims: int):
+    """The n_dims sizes in the header of an IDX file's bytes, and its uint8
+    payload of their product, after checking the header's length, its
+    magic and that the payload holds that many bytes."""
+    start = 4 * (n_dims + 1)
+    if len(data) < start:
+        raise IdxParseError(f"{path}: truncated header")
+    found, *sizes = struct.unpack(f">{n_dims + 1}I", data[:start])
+    if found != magic:
+        raise IdxParseError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
+    count = math.prod(sizes)  # a Python int: a crafted header cannot overflow it
+    if len(data) - start < count:
+        raise IdxParseError(f"{path}: payload truncated ({len(data) - start} of {count} bytes)")
+    return sizes, np.frombuffer(data, dtype=np.uint8, count=count, offset=start)
+
+
 def load_idx(images_path, labels_path, pool_factor: int = 1) -> LabeledDataset:
     """Load an IDX image/label file pair, scaling pixels to [0, 1] and
     mean-pooling each image by pool_factor as `mean_pool_images` does.
@@ -188,37 +205,15 @@ def load_idx(images_path, labels_path, pool_factor: int = 1) -> LabeledDataset:
     check("pool_factor", pool_factor, COUNT)
     img = _read_maybe_gzip(images_path)
     lab = _read_maybe_gzip(labels_path)
-
-    if len(lab) < 8:
-        raise IdxParseError(f"{labels_path}: truncated header")
-    magic, n_labels = struct.unpack(">II", lab[:8])
-    if magic != IDX_LABELS_MAGIC:
-        raise IdxParseError(
-            f"{labels_path}: bad magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}"
-        )
-    if len(lab) - 8 < n_labels:
-        raise IdxParseError(f"{labels_path}: payload truncated ({len(lab) - 8} of {n_labels} bytes)")
-    labels = np.frombuffer(lab, dtype=np.uint8, count=n_labels, offset=8)
-
-    if len(img) < 16:
-        raise IdxParseError(f"{images_path}: truncated header")
-    magic, n_images, rows, cols = struct.unpack(">IIII", img[:16])
-    if magic != IDX_IMAGES_MAGIC:
-        raise IdxParseError(
-            f"{images_path}: bad magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}"
-        )
+    (n_labels,), labels = _idx_payload(lab, labels_path, IDX_LABELS_MAGIC, 1)
+    (n_images, rows, cols), pixels = _idx_payload(img, images_path, IDX_IMAGES_MAGIC, 3)
     if n_images != n_labels:
-        raise IdxParseError(
-            f"image count {n_images} does not match label count {n_labels}"
-        )
-    n_pixels = n_images * rows * cols
-    if n_pixels == 0:
+        raise IdxParseError(f"image count {n_images} does not match label count {n_labels}")
+    if len(pixels) == 0:
         raise IdxParseError(f"{images_path}: no pixels ({n_images} images of {rows}x{cols})")
-    if len(img) - 16 < n_pixels:
-        raise IdxParseError(f"{images_path}: payload truncated ({len(img) - 16} of {n_pixels} bytes)")
     if rows % pool_factor or cols % pool_factor:
         raise ShapeMismatchError(f"image side {rows}x{cols} not divisible by pool factor {pool_factor}")
-    pixels = np.frombuffer(img, dtype=np.uint8, count=n_pixels, offset=16).reshape(n_images, rows * cols)
+    pixels = pixels.reshape(n_images, rows * cols)
     features = _pool_images(pixels, rows, cols, pool_factor, lambda block: np.divide(block, 255.0))
     return LabeledDataset.from_arrays(features, labels.astype(np.int64))
 

@@ -2,6 +2,7 @@
 one `check` that applies them, and the one seeded random generator."""
 import math
 import numbers
+import os
 from pathlib import Path
 
 import numpy as np
@@ -93,9 +94,11 @@ SEED = (lambda v: _integer(v) and v >= 0, "must be an integer >= 0")  # what num
 BOOL = (lambda v: isinstance(v, (bool, np.bool_)), "must be a bool")
 FRACTION = (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
 AT_LEAST_0_BELOW_1 = (lambda v: 0.0 <= v < 1.0, "must be in [0, 1)")
+FINITE = (lambda v: -math.inf < v < math.inf, "must be finite")
 FINITE_AT_LEAST_0 = (lambda v: 0.0 <= v < math.inf, "must be >= 0 and finite")
 FINITE_POSITIVE = (lambda v: 0.0 < v < math.inf, "must be positive and finite")
-FILE = (lambda path: Path(path).is_file(), "must name an existing file")
+# os.path.isfile answers False where the lookup fails, as for a name too long for the file system
+FILE = (lambda path: os.path.isfile(Path(path)), "must name an existing file")
 
 
 def one_of(*options):

@@ -51,14 +51,6 @@ def per_class_accuracy(model, test_dataset: LabeledDataset) -> np.ndarray:
     return np.bincount(correct, minlength=test_dataset.n_classes) / counts
 
 
-def avg_class_accuracy(per_class) -> float:
-    """Arithmetic mean of per-class accuracies, count-independent."""
-    per_class = np.asarray(per_class)
-    if per_class.size == 0:
-        raise ValueError("cannot average an empty accuracy vector")
-    return float(per_class.mean())
-
-
 def per_class_weight_norms(model) -> np.ndarray:
     """Euclidean norm of each final-layer weight row, bias excluded."""
     final = getattr(model, "final_weights", None)
@@ -71,7 +63,7 @@ def evaluate(model, test_dataset: LabeledDataset) -> MetricsReport:
     acc = per_class_accuracy(model, test_dataset)
     return MetricsReport(
         per_class_accuracy=acc,
-        avg_class_accuracy=avg_class_accuracy(acc),
+        avg_class_accuracy=float(acc.mean()),  # count-independent: each class weighs the same
         per_class_weight_norm=per_class_weight_norms(model),
         n_test_per_class=test_dataset.class_counts.copy(),
     )
@@ -114,11 +106,3 @@ def transfer_decomposition(acc_before, acc_after, head_classes) -> TransferDecom
                 regions.append(UNCHANGED)
     return TransferDecomposition(delta, regions, tail_regressions)
 
-
-def accuracy_diff(report_a: MetricsReport, report_b: MetricsReport) -> np.ndarray:
-    """Per-class accuracy difference a - b."""
-    a = report_a.per_class_accuracy
-    b = report_b.per_class_accuracy
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"class counts differ: {a.shape} vs {b.shape}")
-    return a - b

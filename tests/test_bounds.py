@@ -196,6 +196,9 @@ def test_min_eigenvalue_cap_hit_raises(monkeypatch):
         _dense_min(m)
     with pytest.raises(ShapeMismatchError):
         bounds.min_eigenvalue(lambda v: v, 0)
+    # a product that is not finite ends the run at once
+    with pytest.raises(EigensolverError, match="non-finite Lanczos vector at step 1"):
+        bounds.min_eigenvalue(lambda v: np.full_like(v, np.nan), 4)
 
 
 def test_min_eigenvalue_crowded_spectrum():
@@ -633,6 +636,15 @@ def test_line_search_stall_ends_unconverged(monkeypatch):
     assert report.failed and not report.converged_full
     assert report.epochs_full < bounds.NEWTON_MAX_ITERS and report.epochs_head < bounds.NEWTON_MAX_ITERS
     assert np.isnan(report.tight_bound)
+
+
+def test_truncated_cg_stops_at_the_first_non_positive_curvature():
+    # with no step taken yet it returns steepest descent, else the step so far
+    grad = np.array([1.0, 0.1])
+    assert np.array_equal(bounds._truncated_cg(lambda d: -d, grad, 1e-12), -grad)
+    h = np.diag([1.0, -1.0])  # the second direction has curvature -0.042
+    first = (grad @ grad) / (grad @ h @ grad) * -grad
+    assert np.array_equal(bounds._truncated_cg(h.__matmul__, grad, 1e-12), first)
 
 
 def test_line_search_accepts_step_below_loss_rounding():

@@ -1,6 +1,7 @@
 import ast
 import copy
 import json
+import math
 import os
 import re
 import subprocess
@@ -163,6 +164,32 @@ def test_bad_overrides_and_unreadable_configs_exit_1(tmp_path, capsys, flags, na
     assert not out.exists()
 
 
+# a valid grid config that names no output directory
+_GRID_YAML = ("schema_version: 1\nkind: bound_grid\ndataset: {source: synthetic}\n"
+              "longtail: {imbalance_factors: [5]}\nbound_grid: {mu_values: [0.1]}\n")
+
+
+@pytest.mark.parametrize("name, text, message", [
+    # JSON's NaN and YAML's .inf are floats, but no finite ones
+    pytest.param("nan.json", json.dumps({**yaml.safe_load(_GRID_YAML), "bound_grid": {"mu_values": [math.nan]}}),
+                 "config field 'bound_grid.mu_values': must be finite", id="json-nan"),
+    pytest.param("inf.yaml", _GRID_YAML.replace("[5]", "[.inf]"),
+                 "config field 'longtail.imbalance_factors': must be finite", id="yaml-inf"),
+    pytest.param("list.yaml", "- schema_version: 1\n", "config field '<root>': config must be a mapping",
+                 id="not-a-mapping"),
+    pytest.param("grid.yaml", _GRID_YAML, "config field 'output_dir': set output_dir in the config or pass --out",
+                 id="no-output-dir"),
+])
+def test_a_config_that_cannot_run_exits_1_with_one_line_and_no_output(tmp_path, capsys, monkeypatch, name, text,
+                                                                      message):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / name
+    path.write_text(text)
+    assert cli.main(["bound-grid", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_empty_head_grid_exits_3_and_names_the_fraction(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _bound_grid_config(out)
@@ -234,6 +261,9 @@ def test_empty_head_or_tail_fails_each_strategy(tmp_path, head_fraction):
     assert cli.main(["two-phase", "--config", str(_write_config(tmp_path, cfg))]) == 3
     rows = (out / "summary.csv").read_text().strip().split("\n")[1:]
     assert len(rows) == 2 and all("failed: " in row for row in rows)
+    # with no strategy's metrics to plot, plot-data is a validation error
+    assert cli.main(["plot-data", "--results", str(out), "--kind", "per-class-delta"]) == 1
+    assert not list(out.glob("plot_*"))
 
 
 def test_unknown_override_key_rejected_even_for_unused_strategy(tmp_path):
@@ -287,6 +317,19 @@ def test_idx_path_that_is_a_directory_exits_1_before_any_output(tmp_path, capsys
     assert cli.main(["bound-grid", "--config", str(_write_config(tmp_path, cfg))]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: config field 'dataset.train_images': ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_overlong_idx_path_exits_1_before_any_output(tmp_path, capsys):
+    # checking a name too long for the file system raised OSError, a traceback
+    _, lab = _write_idx_dataset(tmp_path, 10)
+    out = tmp_path / "out"
+    cfg = _bound_grid_config(out)
+    cfg["dataset"] = {"source": "idx", "train_images": "x" * 5000, "train_labels": str(lab)}
+    assert cli.main(["bound-grid", "--config", str(_write_config(tmp_path, cfg))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'dataset.train_images': must name an existing file, got 'xxx")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
@@ -566,6 +609,20 @@ def test_plot_data_reads_only_the_strategies_of_the_last_run(tmp_path):
     assert cli.main(["plot-data", "--results", str(out), "--kind", "per-class-delta"]) == 0
     assert sorted(p.name for p in out.glob("plot_per_class_delta_*.csv")) == ["plot_per_class_delta_naive.csv"]
     assert (out / "metrics_ewc.csv").exists()  # the earlier run's file is left in place
+
+
+@pytest.mark.parametrize("kind, name, header, missing", [
+    pytest.param("distance-vs-if", "bounds.csv", "if,measured_distance\n10.0,0.5\n", "mu", id="bounds-without-mu"),
+    pytest.param("per-class-norm", "summary.csv", "strategy\nnaive\n", "status", id="summary-without-status"),
+])
+def test_plot_data_names_a_missing_column(tmp_path, capsys, kind, name, header, missing):
+    # a file without a column that the kind reads used to raise a raw KeyError
+    (tmp_path / name).write_text(header)
+    assert cli.main(["plot-data", "--results", str(tmp_path), "--kind", kind]) == 1
+    assert capsys.readouterr().err == (
+        f"error: config field 'results': {tmp_path / name} has no column {missing!r}\n"
+    )
+    assert not list(tmp_path.glob("plot_*"))
 
 
 def test_plot_data_unknown_kind(tmp_path):

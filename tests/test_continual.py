@@ -179,7 +179,7 @@ def test_ewc_penalty_shape_error():
 def test_ewc_phase2_objective_equals_tail_loss_at_anchor(lt_fixture):
     lt, split, _ = lt_fixture
     model, _ = training.train(_fresh_model(), split.head, SPEC, PHASE1)
-    term = continual.strategy_term("ewc", model, split.head, split.head_classes)
+    term = continual.strategy_term("ewc", model, split.head)
     value, grad = model.loss_and_gradient(split.tail.features, split.tail.labels, SPEC, term)
     _, plain = model.loss_and_gradient(split.tail.features, split.tail.labels, SPEC)
     assert value == pytest.approx(models.loss(model, split.tail, SPEC), abs=1e-12)
@@ -212,7 +212,7 @@ def test_lwf_loss_hand_value():
 def test_term_gradient_matches_finite_differences(lt_fixture, variant):
     lt, split, _ = lt_fixture
     head_model, _ = training.train(_fresh_model(), split.head, SPEC, PHASE1)
-    term = continual.strategy_term(variant, head_model, split.head, split.head_classes, cl_weight=3.0)
+    term = continual.strategy_term(variant, head_model, split.head, cl_weight=3.0)
     model = head_model.copy()
     model.set_params(head_model.params + 0.05 * np.random.default_rng(2).standard_normal(len(head_model.params)))
     x, y = split.tail.features[:7], split.tail.labels[:7]
@@ -233,12 +233,13 @@ def test_term_gradient_matches_finite_differences(lt_fixture, variant):
 def test_lwf_term_value_is_distillation_against_teacher(lt_fixture):
     lt, split, _ = lt_fixture
     teacher, _ = training.train(_fresh_model(), split.head, SPEC, PHASE1)
-    term = continual.strategy_term("lwf", teacher, split.head, split.head_classes, cl_weight=3.0)
+    term = continual.strategy_term("lwf", teacher, split.head, cl_weight=3.0)
     student = _fresh_model(seed=9)
     x, y = split.tail.features[:7], split.tail.labels[:7]
     plain, _ = student.loss_and_gradient(x, y, SPEC)
     value, _ = student.loss_and_gradient(x, y, SPEC, term)
     head = sorted(split.head_classes)
+    assert term.head_cols.tolist() == head  # the classes of the head data
     s_head, t_head = student.forward(x)[:, head], teacher.forward(x)[:, head]
     labels = np.zeros(len(y), dtype=int)
     kl = lwf_loss(s_head, t_head, labels, 2.0, 3.0) - lwf_loss(s_head, t_head, labels, 2.0, 0.0)
@@ -329,7 +330,7 @@ def test_gpm_frame_round_trip(lt_fixture):
     _, split, _ = lt_fixture
     tail = split.tail
     for model in (_fresh_model(), random_linear(12, 6, seed=3)):
-        term = continual.strategy_term("gpm", model, split.head, split.head_classes)
+        term = continual.strategy_term("gpm", model, split.head)
         framed, framed_tail = term.enter(model.copy(), tail)
         assert not np.array_equal(framed.params, model.params)
         for rows in (slice(0, 2), slice(None)):
@@ -385,7 +386,7 @@ def test_strategy_term_checks_each_setting_from_the_table(lt_fixture, variant, k
     _, (test, message) = continual.STRATEGIES[variant].settings[key]
     assert not test(value)
     with pytest.raises(ValueError, match=re.escape(f"{key} {message}")):
-        continual.strategy_term(variant, _fresh_model(), split.head, split.head_classes, **{key: value})
+        continual.strategy_term(variant, _fresh_model(), split.head, **{key: value})
 
 
 @pytest.mark.parametrize("variant, key", UNREAD_SETTINGS)
@@ -393,7 +394,7 @@ def test_strategy_term_rejects_a_setting_its_variant_does_not_read(lt_fixture, v
     # a setting the variant ignores would reach the manifest and change nothing
     _, split, _ = lt_fixture
     with pytest.raises(ValueError, match=f"'{variant}' does not read {key}"):
-        continual.strategy_term(variant, _fresh_model(), split.head, split.head_classes, **{key: 1})
+        continual.strategy_term(variant, _fresh_model(), split.head, **{key: 1})
 
 
 def test_gpm_project_empty_basis():
@@ -633,7 +634,7 @@ def test_strategy_term_is_an_objective_term_for_every_variant(lt_fixture):
     # one way to extend the objective: naive too gets a term, the no-op one
     lt, split, _ = lt_fixture
     model = _fresh_model()
-    terms = {v: continual.strategy_term(v, model, split.head, split.head_classes) for v in continual.VARIANTS}
+    terms = {v: continual.strategy_term(v, model, split.head) for v in continual.VARIANTS}
     assert all(isinstance(term, models.ObjectiveTerm) for term in terms.values())
     assert terms["naive"] is models.NO_TERM
     assert all(term is not models.NO_TERM for v, term in terms.items() if v != "naive")
@@ -683,7 +684,9 @@ def _model_and_term(kind, variant, ds):
     else:
         model = models.MlpModel.initialize([ds.n_features, 9, ds.n_classes], seed=1)
     settings = {"cl_weight": 2.0} if variant in ("ewc", "lwf") else {}  # naive and GPM read no weight
-    term = continual.strategy_term(variant, model, ds, range(2), **settings)
+    # LwF distills on the classes of its head data: classes 0 and 1 of the 4
+    head = ds.subset(np.flatnonzero(ds.labels < 2)) if variant == "lwf" else ds
+    term = continual.strategy_term(variant, model, head, **settings)
     rng = np.random.default_rng(2)
     model.set_params(model.params + 0.05 * rng.standard_normal(model.params.shape))
     return model, term
@@ -716,7 +719,7 @@ def test_workspace_step_allocates_less_than_one_parameter_vector(variant):
     # 25 731 parameters (206 KB) against 3.2 KB of batch-2 input
     ds = datasets.synthetic_gaussian(3, 200, 10, 2.0, seed=0)
     model = models.MlpModel.initialize([200, 128, 3], seed=0)
-    term = continual.strategy_term(variant, model, ds, range(2))
+    term = continual.strategy_term(variant, model, ds)
     workspace = models.GradientWorkspace(model)
     x, y = ds.features[:2], ds.labels[:2]
     model.loss_and_gradient(x, y, SPEC, term, out=workspace)

@@ -70,6 +70,12 @@ def test_make_longtail_capacity_error_names_class():
         datasets.make_longtail(src, 10.0, seed=0, n_max=100)
 
 
+def test_make_longtail_rejects_a_source_with_an_empty_class():
+    src = datasets.LabeledDataset.from_arrays(np.zeros((4, 2)), [0, 0, 2, 2], n_classes=3)
+    with pytest.raises(EmptyClassError, match="source dataset has an empty class"):
+        datasets.make_longtail(src, 1.0, seed=0)
+
+
 def test_make_longtail_deterministic():
     src = _balanced()
     a = datasets.make_longtail(src, 50.0, seed=9)
@@ -176,6 +182,14 @@ def test_load_idx_truncated(tmp_path):
     img, lab = _write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1], truncate_images=3)
     with pytest.raises(IdxParseError, match="truncated"):
         datasets.load_idx(img, lab)
+    # either file's header cut short, by the one header reader
+    for cut in ("images", "labels"):
+        img, lab = _write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1])
+        path = img if cut == "images" else lab
+        path.write_bytes(path.read_bytes()[:7])
+        with pytest.raises(IdxParseError) as excinfo:
+            datasets.load_idx(img, lab)
+        assert str(excinfo.value) == f"{path}: truncated header"
 
 
 @pytest.mark.parametrize("payload", [b"\x1f\x8bjunk", b"\x1f\x8b\x08\x00"])

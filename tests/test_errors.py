@@ -41,10 +41,9 @@ def _strategy_cases():
             bad = [*bad, 0.0] if key == "temperature" else bad
             bad = BAD_COUNTS if key == "fisher_max_samples" else bad
             yield (f"strategy_term.{variant}.{key}", key, bad,
-                   lambda v, variant=variant, key=key: continual.strategy_term(
-                       variant, MODEL, DATASET, {0, 1}, **{key: v}))
+                   lambda v, variant=variant, key=key: continual.strategy_term(variant, MODEL, DATASET, **{key: v}))
         yield (f"strategy_term.{variant}", "seed", BAD_SEEDS,
-               lambda v, variant=variant: continual.strategy_term(variant, MODEL, DATASET, {0, 1}, seed=v))
+               lambda v, variant=variant: continual.strategy_term(variant, MODEL, DATASET, seed=v))
 
 
 def _seed_cases():
@@ -96,7 +95,7 @@ CASES = [
      lambda v: continual.gpm_collect_bases(MODEL, DATASET, v, 10)),
     ("gpm_collect_bases", "max_samples", BAD_COUNTS, lambda v: continual.gpm_collect_bases(MODEL, DATASET, 0.9, v)),
     ("strategy_term", "variant", ["dropout", NAN],
-     lambda v: continual.strategy_term(v, MODEL, DATASET, {0, 1})),
+     lambda v: continual.strategy_term(v, MODEL, DATASET)),
     *_strategy_cases(),
     ("lemma1_bound", "delta", [-1.0, NAN, -INF], lambda v: bounds.lemma1_bound(v, 1.0, 1.0)),
     ("lemma1_bound", "mu_f", [-1.0, NAN, INF, -INF], lambda v: bounds.lemma1_bound(1.0, v, 1.0)),
@@ -107,6 +106,8 @@ CASES = [
     ("lemma2_bound", "delta", [-1.0, NAN, -INF], lambda v: bounds.lemma2_bound(v, 1.0, 1.0)),
     # checked before the first product; dim 0 is a ShapeMismatchError
     ("min_eigenvalue", "dim", BAD_SEEDS, lambda v: bounds.min_eigenvalue(_unapplied, v)),
+    # lower is None or a finite number, a negative one included
+    ("min_eigenvalue", "lower", ["x", NAN, INF, -INF], lambda v: bounds.min_eigenvalue(_unapplied, 30, lower=v)),
     ("BoundGridConfig", "grad_tolerance", [0.0, -1.0, NAN, INF, -INF],
      lambda v: bounds.BoundGridConfig(grad_tolerance=v)),
     ("BoundGridConfig", "head_fraction", [0, 2.0, -0.5, NAN, INF, -INF, np.array([0.5, 0.6])],
@@ -175,7 +176,11 @@ LINEAR = models.LinearModel.zeros(4, 3)
     pytest.param(lambda: continual._sample_rows(EMPTY, 10, np.random.default_rng(0)), id="_sample_rows"),
     pytest.param(lambda: continual.fisher_diagonal(MODEL, EMPTY, "true_loss", 10), id="fisher_diagonal"),
     pytest.param(lambda: continual.gpm_collect_bases(MODEL, EMPTY, 0.9, 10), id="gpm_collect_bases"),
+    # LwF distills on the classes of the head data, and an empty one has none
+    *(pytest.param(lambda v=v: continual.strategy_term(v, MODEL, EMPTY), id=f"strategy_term.{v}")
+      for v in ("ewc", "modified_ewc", "lwf", "gpm")),
     pytest.param(lambda: models.loss(LINEAR, EMPTY, SPEC), id="loss"),
+    pytest.param(lambda: training.train(MODEL, EMPTY, SPEC, training.TrainConfig(0.1)), id="train"),
     pytest.param(lambda: models.hessian(LINEAR, EMPTY, SPEC), id="hessian"),
     pytest.param(lambda: models.hessian_operator(LINEAR, EMPTY, SPEC), id="hessian_operator"),
 ])
@@ -195,7 +200,7 @@ def _strategy_constructors():
         if strategy.settings:
             yield (f"strategy_term.{variant}",
                    {"seed": 0, **{key: default for key, (default, _) in strategy.settings.items()}},
-                   lambda kw, variant=variant: continual.strategy_term(variant, MODEL, DATASET, {0, 1}, **kw),
+                   lambda kw, variant=variant: continual.strategy_term(variant, MODEL, DATASET, **kw),
                    lambda term: _train(training.TrainConfig(0.01), term))
 
 

@@ -76,13 +76,6 @@ def test_per_class_accuracy_scale_invariant():
         assert np.array_equal(base, metrics.per_class_accuracy(scaled, ds))
 
 
-def test_avg_class_accuracy():
-    assert metrics.avg_class_accuracy([1.0, 0.0]) == 0.5
-    assert metrics.avg_class_accuracy([0.7, 0.7, 0.7]) == pytest.approx(0.7)
-    with pytest.raises(ValueError):
-        metrics.avg_class_accuracy([])
-
-
 def test_avg_class_accuracy_count_independent():
     # unbalanced test counts must not change the average
     labels = np.array([0] * 9 + [1])
@@ -90,7 +83,7 @@ def test_avg_class_accuracy_count_independent():
     predictions = np.array([0] * 9 + [0])  # always class 0
     model = FixedPredictor(_onehot_logits(predictions, 2))
     acc = metrics.per_class_accuracy(model, ds)
-    assert metrics.avg_class_accuracy(acc) == 0.5
+    assert acc.mean() == 0.5
 
 
 def test_random_predictor_near_chance():
@@ -100,7 +93,7 @@ def test_random_predictor_near_chance():
     values = []
     for _ in range(n_trials):
         model = FixedPredictor(rng.standard_normal((ds.n_samples, n_classes)))
-        values.append(metrics.avg_class_accuracy(metrics.per_class_accuracy(model, ds)))
+        values.append(metrics.per_class_accuracy(model, ds).mean())
     p = 1.0 / n_classes
     se_mean = np.sqrt(p * (1 - p) / (n_per_class * n_classes * n_trials))
     assert abs(np.mean(values) - p) <= 3 * se_mean
@@ -170,23 +163,6 @@ def test_transfer_decomposition_partitions_classes():
 def test_transfer_decomposition_shape_error():
     with pytest.raises(ShapeMismatchError):
         metrics.transfer_decomposition([0.1], [0.1, 0.2], set())
-
-
-def test_accuracy_diff():
-    a = metrics.MetricsReport(np.array([1.0, 0.0]), 0.5, np.zeros(2), np.ones(2, dtype=int))
-    b = metrics.MetricsReport(np.array([0.0, 1.0]), 0.5, np.zeros(2), np.ones(2, dtype=int))
-    assert metrics.accuracy_diff(a, b).tolist() == [1.0, -1.0]
-    assert metrics.accuracy_diff(a, a).tolist() == [0.0, 0.0]
-    # linearity: mean of diff equals diff of averages
-    diff = metrics.accuracy_diff(a, b)
-    assert abs(diff.mean() - (a.avg_class_accuracy - b.avg_class_accuracy)) <= 1e-12
-
-
-def test_accuracy_diff_shape_error():
-    a = metrics.MetricsReport(np.array([1.0]), 1.0, np.zeros(1), np.ones(1, dtype=int))
-    b = metrics.MetricsReport(np.array([0.0, 1.0]), 0.5, np.zeros(2), np.ones(2, dtype=int))
-    with pytest.raises(ShapeMismatchError):
-        metrics.accuracy_diff(a, b)
 
 
 def test_evaluate_report_invariants():

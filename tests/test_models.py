@@ -313,6 +313,16 @@ def test_hessian_vector_product_unsupported_and_shape():
             apply(wrong)
 
 
+def test_model_constructors_check_layer_shapes():
+    # each layer's weights are (out, in) and its bias (out,); an MLP has one bias per weight
+    for weights, biases in [(np.zeros(3), np.zeros(3)), (np.zeros((3, 2)), np.zeros(2))]:
+        with pytest.raises(ShapeMismatchError, match=r"\(out, in\) weights and an \(out,\) bias"):
+            models.LinearModel(weights, biases)
+    for weights, biases in [([np.zeros((3, 2))], []), ([], [])]:
+        with pytest.raises(ShapeMismatchError, match="need matching weight/bias lists"):
+            models.MlpModel(weights, biases)
+
+
 def test_mlp_forward_backward_contract():
     ds = _random_dataset(n=4, d=4, c=3, seed=12)
     model = models.MlpModel.initialize([4, 8, 3], seed=12)
@@ -476,6 +486,17 @@ def test_checkpoint_trailing_partial_float(tmp_path):
     models.save_checkpoint(model, path)
     path.write_bytes(path.read_bytes() + b"\x00\x01\x02")
     with pytest.raises(CheckpointError, match="partial"):
+        models.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("kind, sizes, message", [
+    pytest.param(0, (3, 4, 2), "linear checkpoint needs 2 layer sizes", id="linear-3-sizes"),
+    pytest.param(1, (3,), "need at least input and output sizes", id="mlp-1-size"),
+])
+def test_checkpoint_layer_count_must_fit_the_kind(tmp_path, kind, sizes, message):
+    path = tmp_path / "count.ckpt"
+    path.write_bytes(b"LTCP" + struct.pack(f"<III{len(sizes)}I", 1, kind, len(sizes), *sizes))
+    with pytest.raises(CheckpointError, match=message):
         models.load_checkpoint(path)
 
 
